@@ -31,6 +31,7 @@ MATRIX_RUNS = (
     ("tsp", "supersub", None),
     ("dype-star", None, None),
     ("d-tsp", None, "interleaved"),
+    ("d-tsp", "supersub", "interleaved"),
     ("d-tsp", None, "parallel"),
     ("cfss", "none", None),
 )
@@ -93,15 +94,21 @@ def solve_instance(game: Game, g: Graph, algorithm: str, *, bound=None,
     """Run one algorithm on one instance. Disconnected graphs are split
     into components, solved independently, and merged: block union, value
     sum, and for anytime algorithms a single stitched trace whose baseline
-    counts unfinished components at their one-block value."""
+    counts unfinished components at their one-block value.
+
+    The result never holds a DP table (`table` is None on every path), so
+    a caller that keeps many results keeps no tables; call the solvers
+    directly to inspect one."""
     deadline = None
     if budget_ms is not None:
         deadline = time.monotonic() + budget_ms / 1000.0
     comps = g.connected_components(g.full_mask)
     if len(comps) == 1:
-        return _solve_connected(game, g, algorithm, bound=bound, mode=mode,
-                                root=root if root is not None else 0,
-                                deadline=deadline, on_incumbent=on_incumbent)
+        res = _solve_connected(game, g, algorithm, bound=bound, mode=mode,
+                               root=root if root is not None else 0,
+                               deadline=deadline, on_incumbent=on_incumbent)
+        res.table = None
+        return res
 
     anytime = algorithm in ANYTIME_ALGORITHMS
     parts = []
@@ -324,7 +331,9 @@ def verify_matrix(*, models=DEFAULT_MODELS, ns=range(1, 10),
                     elif alg == "dype-star":
                         res = dype_star(game, g, pt)
                     elif alg == "d-tsp":
-                        res = d_tsp(game, g, pt, mode=mode)
+                        res = d_tsp(game, g, pt,
+                                    bound_factory(game, bound_kind),
+                                    mode=mode)
                     elif alg == "cfss":
                         res = cfss(game, g, make_cfss_bound(game, bound_kind))
                     else:

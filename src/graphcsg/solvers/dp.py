@@ -65,13 +65,18 @@ def _solve_level(v, g: Graph, pt: Pseudotree, table: DpTable, level: int,
     seen = 0
     solved = 0
     inner = 0
+    # Inner split subsets count toward the stride too: one entry can scan
+    # thousands of them. The first check comes at the level's first subset.
+    next_check = 0
     for c in g.connected_subsets(ground, required=anchor_bit):
         seen += 1
-        if deadline is not None and seen % _DEADLINE_STRIDE == 0 \
-                and time.monotonic() >= deadline:
-            stats.subsets_enumerated += seen + inner
-            stats.dp_subproblems += solved
-            raise BudgetExceededError("deadline hit while filling the table")
+        if deadline is not None and seen + inner > next_check:
+            next_check = seen + inner + _DEADLINE_STRIDE
+            if time.monotonic() >= deadline:
+                stats.subsets_enumerated += seen + inner
+                stats.dp_subproblems += solved
+                raise BudgetExceededError(
+                    "deadline hit while filling the table")
         if not is_connected(full & ~c):
             continue
         val, sub, cnt = _best_anchored_split(v, g, tv, c, anchor_bit)

@@ -8,6 +8,14 @@ first block), so once the sweep's next level drops below the search's
 pending stage the two sides have jointly covered every structure and the
 shared incumbent is optimal.
 
+The search keeps its open nodes on an explicit stack, so it can pause
+between any two nodes and resume later. Work is measured in ticks: one
+enumerated subset, or one table entry a shortcut looks up. Interleaved,
+the two sides take equal turns: a sweep level, then as many search ticks
+as that level enumerated subsets. Equal shares keep the hybrid within
+about twice its faster side (the time-sharing argument for algorithm
+portfolios) and keep the run deterministic.
+
 Before expanding a node the search consults the table: when the whole
 uncovered remainder lies within published levels, the best completion is a
 handful of lookups and the subtree is skipped. The needed entries are
@@ -35,10 +43,6 @@ from .treesearch import tsp_star_step
 log = logging.getLogger(__name__)
 
 _DEADLINE_STRIDE = 1024
-
-
-class _Stopped(Exception):
-    """Internal: a worker was asked to stop mid-unit."""
 
 
 class _Control:
@@ -151,12 +155,19 @@ class _Sweep:
 
 
 class _Search:
-    """Seeded tree-search worker; `next_stage` is its frontier (the stage
-    of the seed currently pending, n+1 once all stages are done)."""
+    """Seeded tree-search worker, resumable between any two nodes.
+
+    The open nodes sit on an explicit stack. The bottom frame enumerates the
+    seeds of the pending stage; each frame above it is a node, holding its
+    children iterator, covered mask, value and order position. `_blocks`
+    mirrors the stack: one chosen block per node frame. `next_stage` is the
+    frontier (the stage whose seeds are pending, n+1 once all stages are
+    done); it advances only once a stage's whole seed frame is exhausted.
+    """
 
     __slots__ = ("game", "g", "pt", "table", "inc", "stats", "bound",
-                 "deadline", "control", "crossed", "next_stage", "_seeds",
-                 "_ticks")
+                 "deadline", "control", "crossed", "next_stage", "_stack",
+                 "_blocks")
 
     def __init__(self, game, g, pt, table, inc, stats, bound, deadline,
                  control, crossed):
@@ -171,87 +182,106 @@ class _Search:
         self.control = control
         self.crossed = crossed
         self.next_stage = 2
-        self._seeds = None
-        self._ticks = 0
+        self._stack = []
+        self._blocks = []
 
-    def step(self) -> bool:
-        """Search the subtree of one seed; False when out of work or told
-        to stop."""
+    def step(self, budget) -> bool:
+        """Advance the search by about `budget` ticks, where a tick is one
+        subset handled: a seed or child enumerated, or a remainder
+        component a table shortcut looks up. False when out of work,
+        crossed or told to stop; True when the budget ran out first."""
         g = self.g
         n = g.n
-        while True:
-            if self.next_stage > n or self.control.stop or self.crossed():
-                return False
-            if self._seeds is None:
-                stage = self.next_stage
-                self._seeds = g.connected_subsets(
-                    g.full_mask ^ (1 << self.pt.order[stage - 1]),
-                    required=self.pt.prefix_masks[stage])
-            seed = next(self._seeds, None)
-            if seed is None:
-                self._seeds = None
-                self.next_stage += 1
-                continue
-            self.stats.subsets_enumerated += 1
-            try:
-                self._expand([seed], seed, self.game.value(seed),
-                             self.next_stage)
-            except _Stopped:
-                return False
-            return True
-
-    def _expand(self, blocks, covered, value, pos_hint) -> None:
-        g = self.g
-        table = self.table
         full = g.full_mask
         order = self.pt.order
-        pos = pos_hint
+        v = self.game.value
+        improves = self.game.improves
+        inc = self.inc
+        stats = self.stats
+        bound = self.bound
+        stack = self._stack
+        blocks = self._blocks
+        ticks = 0
+        next_check = _DEADLINE_STRIDE
+        while ticks < budget:
+            if ticks >= next_check:
+                next_check = ticks + _DEADLINE_STRIDE
+                if deadline_passed(self.deadline):
+                    raise BudgetExceededError("deadline hit during search")
+            if not stack:
+                stage = self.next_stage
+                if stage > n or self.control.stop or self.crossed():
+                    return False
+                # A seed holds every agent before the stage agent and
+                # leaves it out, so its node opens at position `stage`.
+                stack.append((g.connected_subsets(
+                    full ^ (1 << order[stage - 1]),
+                    required=self.pt.prefix_masks[stage]), 0, 0, stage - 1))
+            seeds = len(stack) == 1
+            children, covered, value, pos = stack[-1]
+            limit = min(budget, next_check)
+            for c in children:
+                ticks += 1
+                stats.subsets_enumerated += 1
+                ncov = covered | c
+                nval = value + v(c)
+                descend = True
+                if not seeds:
+                    stats.nodes_expanded += 1
+                    if ncov == full:
+                        descend = False
+                        stats.structures_visited += 1
+                        if improves(nval, inc.value):
+                            inc.offer(blocks + [c], nval)
+                    elif bound is not None \
+                            and not inc.value < bound(nval, full & ~ncov):
+                        descend = False
+                        stats.nodes_pruned += 1
+                if descend:
+                    spent = self._open(c, ncov, nval, pos + 1)
+                    if not spent:
+                        break
+                    ticks += spent
+                if ticks >= limit:
+                    break
+            else:
+                stack.pop()
+                if stack:
+                    blocks.pop()
+                else:
+                    self.next_stage += 1
+        return True
+
+    def _open(self, block, covered, value, pos) -> int:
+        """Open the node reached by choosing `block`: push its frame, or
+        finish it from the table when the table covers its remainder.
+        Returns the ticks a shortcut spent (one per remainder component
+        looked up), or 0 when a frame was pushed."""
+        g = self.g
+        table = self.table
+        order = self.pt.order
+        blocks = self._blocks
+        blocks.append(block)
         while (1 << order[pos - 1]) & covered:
             pos += 1
+        rem = g.full_mask & ~covered
         if pos >= table.published_level:
-            comps = g.connected_components(full & ~covered)
+            comps = g.connected_components(rem)
             if all(c in table for c in comps):
                 self.stats.tsp_star_shortcuts += 1
                 res = tsp_star_step(table, self.game, g, blocks,
                                     self.inc.value)
                 if res is not None:
                     self.inc.offer(res[0], res[1])
-                return
+                blocks.pop()
+                return len(comps)
             self.stats.tsp_star_fallbacks += 1
             log.warning("table completion unavailable below partial %s; "
                         "searching the subtree instead",
                         [hex(b) for b in blocks])
-        a_bit = 1 << order[pos - 1]
-        rem = full & ~covered
-        game = self.game
-        v = game.value
-        inc = self.inc
-        stats = self.stats
-        bound = self.bound
-        for c in g.connected_subsets(rem, required=a_bit):
-            stats.nodes_expanded += 1
-            stats.subsets_enumerated += 1
-            self._ticks += 1
-            if self._ticks % _DEADLINE_STRIDE == 0:
-                if deadline_passed(self.deadline):
-                    raise BudgetExceededError("deadline hit during search")
-                if self.control.stop or self.crossed():
-                    raise _Stopped()
-            ncov = covered | c
-            nval = value + v(c)
-            if ncov == full:
-                stats.structures_visited += 1
-                if game.improves(nval, inc.value):
-                    inc.offer(blocks + [c], nval)
-            else:
-                if bound is not None:
-                    ub = bound(nval, full & ~ncov)
-                    if not inc.value < ub:
-                        stats.nodes_pruned += 1
-                        continue
-                blocks.append(c)
-                self._expand(blocks, ncov, nval, pos + 1)
-                blocks.pop()
+        self._stack.append((g.connected_subsets(
+            rem, required=1 << order[pos - 1]), covered, value, pos))
+        return 0
 
 
 def d_tsp(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
@@ -260,10 +290,15 @@ def d_tsp(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
           tsp_worker_enabled: bool = True) -> SolverResult:
     """Run the sweep and the search together until their frontiers cross.
 
-    `mode` is "interleaved" (single worker alternating one unit each,
-    deterministic) or "parallel" (two threads). `tsp_worker_enabled=False`
-    parks the search worker, degenerating to the sweep alone. Hitting the
-    deadline returns the incumbent with completed=False instead of raising.
+    `mode` is "interleaved" (one thread taking turns, deterministic) or
+    "parallel" (two threads). In interleaved mode each turn fills and
+    scans one sweep level and then gives the search as many ticks as that
+    level enumerated subsets, so both sides do equal work and the run costs
+    about twice its faster side. In parallel mode the search runs in steps
+    of a fixed tick budget, checking the stop flag and the crossing between
+    steps. `tsp_worker_enabled=False` parks the search worker, degenerating
+    to the sweep alone. Hitting the deadline returns the incumbent with
+    completed=False instead of raising.
     """
     require_connected(g)
     if mode not in ("interleaved", "parallel"):
@@ -291,10 +326,11 @@ def d_tsp(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
                 if deadline_passed(deadline):
                     completed = False
                     break
+                before = sweep_stats.subsets_enumerated
                 sweep.step()
                 if crossed() or not tsp_worker_enabled:
                     continue
-                search.step()
+                search.step(sweep_stats.subsets_enumerated - before)
         except BudgetExceededError:
             completed = False
     else:
@@ -316,8 +352,9 @@ def d_tsp(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
 
         worker = None
         if tsp_worker_enabled:
-            worker = threading.Thread(target=run, args=(search.step,),
-                                      name="block-search", daemon=True)
+            worker = threading.Thread(
+                target=run, args=(lambda: search.step(_DEADLINE_STRIDE),),
+                name="block-search", daemon=True)
             worker.start()
         run(sweep.step)
         if worker is not None:

@@ -62,7 +62,7 @@ def test_criterion_1_oracle_equivalence(grid):
     problems = report.value_mismatches + report.feasibility_failures
     ok = (not problems
           and report.instances == 7 * 9 * GAMES_PER_CELL
-          and report.runs == report.instances * 7
+          and report.runs == report.instances * 8
           and elapsed < GRID_BUDGET_SECONDS)
     emit(1, "oracle equivalence over the full grid", ok,
          f"{report.instances} instances, {report.runs} runs, "

@@ -3,10 +3,10 @@ import time
 
 import pytest
 
-from graphcsg import (BudgetExceededError, InternalInvariantError, Partition,
-                      brute_force_best, build_pseudotree, dype, dype_star,
-                      make_graph, partition_value, random_table_game,
-                      reconstruct)
+from graphcsg import (BudgetExceededError, Game, InternalInvariantError,
+                      Partition, brute_force_best, build_pseudotree, dype,
+                      dype_star, make_graph, partition_value,
+                      random_table_game, reconstruct)
 from graphcsg.solvers.dp import audit_dp_table
 from graphcsg.solvers.dptable import DpTable, reconstruct_blocks
 
@@ -132,8 +132,7 @@ def test_dype_star_trace_contract():
 
 
 def test_deadline_behaviour():
-    # deadline checks run on a stride, so the instance must be big enough
-    # for one level to enumerate past the stride
+    # a deadline already gone stops both solvers in their first level fill
     gm = random_table_game(12, seed=10)
     g = make_graph(12, [(i, j) for i in range(12) for j in range(i + 1, 12)])
     pt = build_pseudotree(g, 0)
@@ -148,3 +147,34 @@ def test_deadline_behaviour():
     assert res.trace[-1][1] == res.best_value
     assert res.best.covered == g.full_mask
     assert all(g.is_connected(b) for b in res.best)
+
+
+def test_dype_star_stops_soon_after_the_deadline():
+    # A deadline already gone stops the first level fill at its first
+    # subset. One that passes mid-level (here: at the K-th value call,
+    # deep inside the inner split enumerations) stops within a stride of
+    # subsets plus the one split under way, inner subsets included.
+    n, K = 10, 1000
+    g = make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    base = random_table_game(n, seed=3)
+    pt = build_pseudotree(g, 0)
+    res = dype_star(base, g, pt, deadline=time.monotonic())
+    assert not res.completed
+    assert res.stats.subsets_enumerated <= 16
+
+    calls = 0
+    deadline = None
+
+    def value(m):
+        nonlocal calls
+        calls += 1
+        if calls == K:
+            while time.monotonic() < deadline:
+                pass
+        return base.value(m)
+
+    gm = Game(n, value)
+    deadline = time.monotonic() + 0.05
+    res = dype_star(gm, g, pt, deadline=deadline)
+    assert not res.completed
+    assert res.stats.subsets_enumerated <= K + 1024

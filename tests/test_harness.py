@@ -119,7 +119,7 @@ def test_verify_matrix_small_grid_passes():
                         games_per_cell=3)
     assert rep.ok, rep.failure_lines()
     assert rep.instances == 2 * 4 * 3
-    assert rep.runs == rep.instances * 7
+    assert rep.runs == rep.instances * 8
     assert "pass" in rep.summary()
 
 
@@ -203,3 +203,13 @@ def test_inconsistent_instances_flags_disagreement():
                        subsets_enumerated=0, dp_entries=0, nodes_expanded=0,
                        nodes_pruned=0)
     assert inconsistent_instances(rows) == []
+
+
+def test_solve_instance_results_hold_no_table():
+    rng = random.Random(112)
+    g = make_graph(6, random_connected_edges(rng, 6))
+    gm = random_table_game(6, seed=43)
+    split_gm, split_g = two_triangles()
+    for alg in ("dype", "dype-star", "d-tsp"):
+        assert solve_instance(gm, g, alg).table is None, alg
+        assert solve_instance(split_gm, split_g, alg).table is None, alg

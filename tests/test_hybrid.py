@@ -3,9 +3,11 @@ import time
 
 import pytest
 
-from graphcsg import (brute_force_best, build_pseudotree, d_tsp, make_graph,
-                      make_supersub_game, make_tsp_bound, partition_value,
-                      random_table_game)
+from graphcsg import (Game, SearchStats, brute_force_best, build_pseudotree,
+                      d_tsp, make_graph, make_supersub_game, make_tsp_bound,
+                      partition_value, random_table_game, tsp)
+from graphcsg.solvers.dptable import DpTable
+from graphcsg.solvers.hybrid import _Control, _Incumbent, _Search
 
 from conftest import random_connected_edges
 
@@ -128,3 +130,76 @@ def test_unknown_mode_rejected():
     pt = build_pseudotree(g, 0)
     with pytest.raises(ValueError):
         d_tsp(gm, g, pt, mode="sequential")
+
+
+def test_search_steps_walk_the_tsp_tree_at_any_budget():
+    # bound=None and an empty table: no prune and no shortcut, so stepping
+    # the resumable search must enumerate exactly the subsets tsp does, in
+    # the same order, whatever the budget per step
+    rng = random.Random(106)
+    for _ in range(12):
+        n = rng.randint(2, 8)
+        g = make_graph(n, random_connected_edges(rng, n))
+        base = random_table_game(n, seed=rng.randrange(10 ** 6))
+        pt = build_pseudotree(g, rng.randrange(n))
+        seen = []
+
+        def value(m):
+            seen.append(m)
+            return base.value(m)
+
+        gm = Game(n, value)
+        del seen[:]
+        want = tsp(gm, g, pt)
+        # tsp prices the singletons and the grand coalition first
+        want_seen = seen[n + 1:]
+        for budget in (1, 7, float("inf")):
+            inc = _Incumbent([g.full_mask], gm.value(g.full_mask), 0, 0)
+            del seen[:]
+            stats = SearchStats()
+            search = _Search(gm, g, pt, DpTable(n), inc, stats, None, None,
+                             _Control(), lambda: False)
+            steps = 0
+            while search.step(budget):
+                steps += 1
+            assert seen == want_seen, budget
+            assert stats.nodes_expanded == want.stats.nodes_expanded
+            assert stats.structures_visited == want.stats.structures_visited
+            assert stats.subsets_enumerated == want.stats.subsets_enumerated
+            assert stats.tsp_star_shortcuts == 0
+            assert search.next_stage == n + 1
+            assert inc.value == want.best_value
+            # every step but the last one spent its whole budget
+            assert steps == stats.subsets_enumerated // budget
+
+
+def test_interleaved_work_stays_within_twice_the_sweep():
+    # equal turns: the search never enumerates more than the sweep did, so
+    # the hybrid's work is at most twice the sweep's alone
+    rng = random.Random(107)
+    for _ in range(8):
+        n = rng.randint(8, 12)
+        g = make_graph(n, random_connected_edges(rng, n, extra=n))
+        gm = random_table_game(n, seed=rng.randrange(10 ** 6))
+        pt = build_pseudotree(g, 0)
+        alone = d_tsp(gm, g, pt, tsp_worker_enabled=False)
+        for kind in ("none", "supersub"):
+            res = d_tsp(gm, g, pt, make_tsp_bound(gm, kind))
+            assert res.best_value == alone.best_value
+            assert res.stats.subsets_enumerated \
+                <= 2 * alone.stats.subsets_enumerated, (n, kind)
+
+
+def test_interleaved_runs_are_deterministic():
+    rng = random.Random(108)
+    for _ in range(5):
+        n = rng.randint(6, 10)
+        g = make_graph(n, random_connected_edges(rng, n))
+        gm = random_table_game(n, seed=rng.randrange(10 ** 6))
+        pt = build_pseudotree(g, 0)
+        for kind in ("none", "supersub"):
+            a = d_tsp(gm, g, pt, make_tsp_bound(gm, kind))
+            b = d_tsp(gm, g, pt, make_tsp_bound(gm, kind))
+            assert a.stats == b.stats
+            assert [v for _, v in a.trace] == [v for _, v in b.trace]
+            assert a.best == b.best
