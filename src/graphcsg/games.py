@@ -73,7 +73,7 @@ class Game:
         """
         vals = list(values)
         m = len(vals)
-        if m >= 1 and (m & (m - 1)) == 0 and vals[0] == 0:
+        if m > 1 and (m & (m - 1)) == 0 and vals[0] == 0:
             full = vals
         elif (m + 1) & m == 0 and m >= 1:
             full = [0] + vals

@@ -39,8 +39,12 @@ MATRIX_RUNS = (
 
 def _solve_connected(game: Game, g: Graph, algorithm: str, *, bound=None,
                      mode: str = "interleaved", root: int = 0,
-                     deadline: float | None = None,
-                     on_incumbent=None) -> SolverResult:
+                     deadline: float | None = None, on_incumbent=None,
+                     bound_factory=None) -> SolverResult:
+    """Dispatch one algorithm on a connected graph. `bound_factory(game,
+    kind)` builds the tree-search bound for `tsp` and `d-tsp`; None means
+    `make_tsp_bound`, looked up at call time so a rebound name applies."""
+    bound_factory = bound_factory or make_tsp_bound
     if algorithm == "oracle":
         return brute_force_best(game, g, deadline=deadline)
     if algorithm == "cfss":
@@ -49,13 +53,13 @@ def _solve_connected(game: Game, g: Graph, algorithm: str, *, bound=None,
     if algorithm == "dype":
         return dype(game, g, pt, deadline=deadline)
     if algorithm == "tsp":
-        return tsp(game, g, pt, make_tsp_bound(game, bound),
+        return tsp(game, g, pt, bound_factory(game, bound),
                    deadline=deadline)
     if algorithm == "dype-star":
         return dype_star(game, g, pt, on_incumbent=on_incumbent,
                          deadline=deadline)
     if algorithm == "d-tsp":
-        return d_tsp(game, g, pt, make_tsp_bound(game, bound), mode=mode,
+        return d_tsp(game, g, pt, bound_factory(game, bound), mode=mode,
                      on_incumbent=on_incumbent, deadline=deadline)
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
@@ -274,8 +278,6 @@ def verify_matrix(*, models=DEFAULT_MODELS, ns=range(1, 10),
     fault-injection hook used by tests); `algorithms` limits the matrix
     rows to the named algorithms.
     """
-    if bound_factory is None:
-        bound_factory = make_tsp_bound
     runs = [r for r in MATRIX_RUNS
             if algorithms is None or r[0] in algorithms]
     report = VerifyReport()
@@ -284,21 +286,17 @@ def verify_matrix(*, models=DEFAULT_MODELS, ns=range(1, 10),
         deterministic = name != "gnp"
         for n in ns:
             shared_graph = None
-            shared_pt = None
             shared_structures = None
             if deterministic:
                 shared_graph = Graph(n, model_edges(name, n))
-                shared_pt = build_pseudotree(shared_graph, 0)
                 shared_structures = list(structure_masks(shared_graph))
             for i in range(games_per_cell):
                 seed = matrix_seed(base_seed, mi, n, i)
                 rng = random.Random(seed)
                 if deterministic:
                     g = shared_graph
-                    pt = shared_pt
                 else:
                     g = Graph(n, model_edges("gnp", n, p=p, rng=rng))
-                    pt = build_pseudotree(g, 0)
                 game = random_table_game(n, rng, decompose=True)
                 ident = f"{model_spec}/n={n}/game={i} (seed {seed})"
                 report.instances += 1
@@ -323,21 +321,9 @@ def verify_matrix(*, models=DEFAULT_MODELS, ns=range(1, 10),
                         + (f"+{bound_kind}" if bound_kind else "") \
                         + (f"/{mode}" if mode else "")
                     report.runs += 1
-                    if alg == "dype":
-                        res = dype(game, g, pt)
-                    elif alg == "tsp":
-                        res = tsp(game, g, pt,
-                                  bound_factory(game, bound_kind))
-                    elif alg == "dype-star":
-                        res = dype_star(game, g, pt)
-                    elif alg == "d-tsp":
-                        res = d_tsp(game, g, pt,
-                                    bound_factory(game, bound_kind),
-                                    mode=mode)
-                    elif alg == "cfss":
-                        res = cfss(game, g, make_cfss_bound(game, bound_kind))
-                    else:
-                        raise ValueError(f"unknown matrix row {alg!r}")
+                    res = _solve_connected(game, g, alg, bound=bound_kind,
+                                           mode=mode,
+                                           bound_factory=bound_factory)
 
                     if res.best_value != optimum:
                         report.value_mismatches.append(
@@ -353,7 +339,8 @@ def verify_matrix(*, models=DEFAULT_MODELS, ns=range(1, 10),
                             f"partition pricing at its reported value")
                     if alg in ("dype", "dype-star"):
                         try:
-                            audit_dp_table(res.table, game, g, pt)
+                            audit_dp_table(res.table, game, g,
+                                           build_pseudotree(g, 0))
                         except Exception as e:
                             report.audit_failures.append(f"{where}: {e}")
                     if alg in ANYTIME_ALGORITHMS:

@@ -1,7 +1,9 @@
-"""Shared solver types: run statistics, results, and control errors."""
+"""Shared solver types: run statistics, results, control errors, and the
+incumbent and stop flags that the sweep and search workers share."""
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -74,3 +76,45 @@ def elapsed_us(t0: float) -> int:
 
 def deadline_passed(deadline: float | None) -> bool:
     return deadline is not None and time.monotonic() >= deadline
+
+
+class _Control:
+    __slots__ = ("stop", "deadline_hit", "error")
+
+    def __init__(self):
+        self.stop = False
+        self.deadline_hit = False
+        self.error = None
+
+
+class _Incumbent:
+    """Best structure so far, shared by the workers of one run.
+
+    `offer` is compare-and-improve under a lock, so a stale competing offer
+    loses cleanly. Unlocked reads of `value` are fine everywhere: the value
+    only rises, and a stale read merely delays pruning. `blocks` and `trace`
+    are read directly once every worker has stopped.
+    """
+
+    __slots__ = ("value", "blocks", "trace", "_lock", "_t0", "_tol", "_hook")
+
+    def __init__(self, blocks, value, t0, tolerance, hook=None):
+        self.blocks = list(blocks)
+        self.value = value
+        self.trace = [(0, value)]
+        self._lock = threading.Lock()
+        self._t0 = t0
+        self._tol = tolerance
+        self._hook = hook
+
+    def offer(self, blocks, value) -> bool:
+        with self._lock:
+            if not value > self.value + self._tol:
+                return False
+            self.blocks = list(blocks)
+            self.value = value
+            t = elapsed_us(self._t0)
+            self.trace.append((t, value))
+            if self._hook is not None:
+                self._hook(t, value, Partition(self.blocks))
+        return True

@@ -6,9 +6,11 @@ connected, the best way to carve off a connected block around the anchor
 and partition the leftovers optimally. A final pass over blocks containing
 the first agent assembles the optimum for the whole agent set.
 
-The anytime variant additionally scans, after each level, every candidate
-first-agent block compatible with that level and keeps a running incumbent
-partition, so it can be stopped early with a feasible answer in hand.
+The anytime variant is the same fill run level by level by a `_Sweep`
+worker, which after each level also scans every candidate first-agent
+block compatible with that level and keeps a running incumbent partition,
+so it can be stopped early with a feasible answer in hand. The hybrid
+solver runs this same worker in turns with its tree search.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from ..games import Game, Partition
 from ..graph import Graph
 from ..pseudotree import Pseudotree
 from .base import (BudgetExceededError, InternalInvariantError, SearchStats,
-                   SolverResult, elapsed_us, require_connected)
+                   SolverResult, _Control, _Incumbent, deadline_passed,
+                   require_connected)
 from .dptable import DpTable, reconstruct_blocks
 
 _DEADLINE_STRIDE = 256
@@ -110,44 +113,57 @@ def dype(game: Game, g: Graph, pt: Pseudotree, *,
                         table=table)
 
 
-def dype_star(game: Game, g: Graph, pt: Pseudotree, *, on_incumbent=None,
-              deadline: float | None = None) -> SolverResult:
-    """Anytime variant: keeps a feasible incumbent from the start (the
-    one-block partition) and improves it after every completed level."""
-    require_connected(g)
-    t0 = time.monotonic()
-    n = g.n
-    full = g.full_mask
-    v = game.value
-    tol = game.tolerance
-    table = DpTable(n)
-    stats = SearchStats()
-    inc_blocks = [full]
-    inc_val = v(full)
-    trace = [(0, inc_val)]
-    completed = True
-    component_of = g.component_of
-    tv = table.values
-    for level in range(n, 1, -1):
-        try:
-            _solve_level(v, g, pt, table, level, stats, deadline)
-        except BudgetExceededError:
-            completed = False
-            break
-        # Scan candidate first-agent blocks whose first excluded agent sits
-        # at this level; everything needed to price their complements is in
-        # the table now.
-        ground = full ^ (1 << pt.order[level - 1])
-        req = pt.prefix_masks[level]
+class _Sweep:
+    """Table-filling worker; `next_level` is its frontier. `dype_star` runs
+    it alone and `d_tsp` takes turns between it and the search."""
+
+    __slots__ = ("game", "g", "pt", "table", "inc", "stats", "deadline",
+                 "control", "next_level")
+
+    def __init__(self, game, g, pt, table, inc, stats, deadline, control):
+        self.game = game
+        self.g = g
+        self.pt = pt
+        self.table = table
+        self.inc = inc
+        self.stats = stats
+        self.deadline = deadline
+        self.control = control
+        self.next_level = g.n
+
+    def step(self) -> bool:
+        """Fill one level and scan the first blocks it settles."""
+        level = self.next_level
+        if level < 2:
+            return False
+        _solve_level(self.game.value, self.g, self.pt, self.table, level,
+                     self.stats, self.deadline)
+        self._scan(level)
+        self.next_level = level - 1
+        return True
+
+    def _scan(self, level: int) -> None:
+        """Price every first-agent block whose first excluded agent sits at
+        this level; the table now prices all of their complements."""
+        g = self.g
+        game = self.game
+        v = game.value
+        table = self.table
+        inc = self.inc
+        full = g.full_mask
+        tv = table.values
+        component_of = g.component_of
+        ground = full ^ (1 << self.pt.order[level - 1])
         seen = 0
-        stop = False
-        for s in g.connected_subsets(ground, required=req):
+        for s in g.connected_subsets(ground,
+                                     required=self.pt.prefix_masks[level]):
             seen += 1
-            if deadline is not None and seen % _DEADLINE_STRIDE == 0 \
-                    and time.monotonic() >= deadline:
-                completed = False
-                stop = True
-                break
+            if seen % _DEADLINE_STRIDE == 0:
+                if deadline_passed(self.deadline):
+                    self.stats.subsets_enumerated += seen
+                    raise BudgetExceededError("deadline hit during level scan")
+                if self.control.stop:
+                    break
             val = v(s)
             rest = full & ~s
             try:
@@ -158,19 +174,32 @@ def dype_star(game: Game, g: Graph, pt: Pseudotree, *, on_incumbent=None,
             except KeyError as e:
                 raise InternalInvariantError(
                     f"missing table entry for mask {e.args[0]}") from None
-            if val > inc_val + tol:
-                inc_val = val
+            if game.improves(val, inc.value):
                 comps = g.connected_components(full & ~s)
-                inc_blocks = [s] + reconstruct_blocks(table, comps, g)
-                t = elapsed_us(t0)
-                trace.append((t, val))
-                if on_incumbent is not None:
-                    on_incumbent(t, val, Partition(inc_blocks))
-        stats.subsets_enumerated += seen
-        if stop:
-            break
-    return SolverResult(best=Partition(inc_blocks), best_value=inc_val,
-                        stats=stats, trace=trace, completed=completed,
+                inc.offer([s] + reconstruct_blocks(table, comps, g), val)
+        self.stats.subsets_enumerated += seen
+
+
+def dype_star(game: Game, g: Graph, pt: Pseudotree, *, on_incumbent=None,
+              deadline: float | None = None) -> SolverResult:
+    """Anytime variant: keeps a feasible incumbent from the start (the
+    one-block partition) and improves it after every completed level."""
+    require_connected(g)
+    t0 = time.monotonic()
+    full = g.full_mask
+    table = DpTable(g.n)
+    stats = SearchStats()
+    inc = _Incumbent([full], game.value(full), t0, game.tolerance,
+                     on_incumbent)
+    sweep = _Sweep(game, g, pt, table, inc, stats, deadline, _Control())
+    completed = True
+    try:
+        while sweep.step():
+            pass
+    except BudgetExceededError:
+        completed = False
+    return SolverResult(best=Partition(inc.blocks), best_value=inc.value,
+                        stats=stats, trace=inc.trace, completed=completed,
                         table=table)
 
 

@@ -1,26 +1,179 @@
 """Depth-first search over coalition structures, seeded stage by stage.
 
-The incumbent starts as the better of the one-block partition and the
-all-singletons partition. Stage k then enumerates every candidate block
-for the first agent whose first excluded agent (in breadth-first order) is
-the stage agent; the search below a seed repeatedly carves a connected
-block around the earliest uncovered agent. Each full structure is reached
-exactly once across all stages. A bound hook may prune subtrees whose
-optimistic value cannot beat the incumbent.
+Stage k enumerates every candidate block for the first agent whose first
+excluded agent (in breadth-first order) is the stage agent; the search
+below a seed repeatedly carves a connected block around the earliest
+uncovered agent, so each structure but the one-block partition is reached
+exactly once. A bound hook may prune subtrees whose optimistic value
+cannot beat the incumbent.
+
+`_Search` keeps its open nodes on an explicit stack, so it can pause
+between any two nodes. `tsp` runs it alone over an empty table, from the
+better of the one-block and all-singletons partitions; the hybrid runs it
+in turns with the table-filling sweep, and there a node whose remainder
+the table covers is finished by `tsp_star_step` instead.
 """
 
 from __future__ import annotations
 
-import time
+import logging
+import math
 
 from ..games import Game, Partition, Value
 from ..graph import Graph
 from ..pseudotree import Pseudotree
-from .base import (BudgetExceededError, SearchStats, SolverResult,
-                   require_connected)
+from .base import (BudgetExceededError, SearchStats, SolverResult, _Control,
+                   _Incumbent, deadline_passed, require_connected)
 from .dptable import DpTable, reconstruct_blocks
 
-_DEADLINE_STRIDE = 4096
+log = logging.getLogger(__name__)
+
+_DEADLINE_STRIDE = 1024
+
+
+class _Search:
+    """Seeded tree-search worker, resumable between any two nodes.
+
+    The open nodes sit on an explicit stack. The bottom frame enumerates the
+    seeds of the pending stage; each frame above it is a node, holding its
+    children iterator, covered mask, value, order position and the block
+    chosen to reach it (the seed frame covers nothing). `next_stage` is the
+    frontier (the stage whose seeds are pending, n+1 once all stages are
+    done); it advances only once a stage's whole seed frame is exhausted.
+    `structure_hook`, when given, observes every full structure reached.
+    """
+
+    __slots__ = ("game", "g", "pt", "table", "inc", "stats", "bound",
+                 "deadline", "control", "crossed", "structure_hook",
+                 "next_stage", "_stack")
+
+    def __init__(self, game, g, pt, table, inc, stats, bound, deadline,
+                 control, crossed, structure_hook=None):
+        self.game = game
+        self.g = g
+        self.pt = pt
+        self.table = table
+        self.inc = inc
+        self.stats = stats
+        self.bound = bound
+        self.deadline = deadline
+        self.control = control
+        self.crossed = crossed
+        self.structure_hook = structure_hook
+        self.next_stage = 2
+        self._stack = []
+
+    def step(self, budget) -> bool:
+        """Advance the search by about `budget` ticks, where a tick is one
+        subset handled: a seed or child enumerated, or a remainder
+        component a table shortcut looks up. False when out of work,
+        crossed or told to stop; True when the budget ran out first."""
+        g = self.g
+        n = g.n
+        full = g.full_mask
+        connected_subsets = g.connected_subsets
+        order = self.pt.order
+        v = self.game.value
+        tol = self.game.tolerance
+        table = self.table
+        inc = self.inc
+        stats = self.stats
+        bound = self.bound
+        hook = self.structure_hook
+        stack = self._stack
+        ticks = 0
+        looked_up = 0
+        seeded = 0
+        # The next tick count at which to stop or to check the deadline.
+        limit = min(budget, _DEADLINE_STRIDE)
+        try:
+            while True:
+                if ticks >= limit:
+                    if ticks >= budget:
+                        return True
+                    if deadline_passed(self.deadline):
+                        raise BudgetExceededError("deadline hit during search")
+                    limit = min(budget, ticks + _DEADLINE_STRIDE)
+                if not stack:
+                    stage = self.next_stage
+                    if stage > n or self.control.stop or self.crossed():
+                        return False
+                    # A seed holds every agent before the stage agent and
+                    # leaves it out, so its node opens at position `stage`.
+                    stack.append((connected_subsets(
+                        full ^ (1 << order[stage - 1]),
+                        required=self.pt.prefix_masks[stage]),
+                        0, 0, stage - 1, 0))
+                children, covered, value, pos, _ = stack[-1]
+                seeds = not covered  # only the seed frame covers nothing
+                for c in children:
+                    ticks += 1
+                    ncov = covered | c
+                    nval = value + v(c)
+                    if seeds:
+                        seeded += 1
+                    elif ncov == full:
+                        stats.structures_visited += 1
+                        if hook is not None:
+                            hook(tuple(self._partial()) + (c,))
+                        if nval > inc.value + tol:
+                            inc.offer(self._partial() + [c], nval)
+                        if ticks >= limit:
+                            break
+                        continue
+                    elif bound is not None \
+                            and not inc.value < bound(nval, full & ~ncov):
+                        stats.nodes_pruned += 1
+                        if ticks >= limit:
+                            break
+                        continue
+                    # Open the node: its children hold its first uncovered
+                    # agent, unless the table can finish it.
+                    npos = pos + 1
+                    while (1 << order[npos - 1]) & ncov:
+                        npos += 1
+                    if npos < table.published_level \
+                            or not (spent := self._finish(c, ncov, nval)):
+                        stack.append((connected_subsets(
+                            full & ~ncov, required=1 << order[npos - 1]),
+                            ncov, nval, npos, c))
+                        break
+                    ticks += spent
+                    looked_up += spent
+                    if ticks >= limit:
+                        break
+                else:
+                    stack.pop()
+                    if not stack:
+                        self.next_stage += 1
+        finally:
+            # Ticks not spent on lookups enumerated subsets: seeds or nodes.
+            stats.subsets_enumerated += ticks - looked_up
+            stats.nodes_expanded += ticks - looked_up - seeded
+
+    def _partial(self) -> list:
+        """The blocks chosen on the way to the open node, seed first."""
+        return [frame[4] for frame in self._stack[1:]]
+
+    def _finish(self, block, covered, value) -> int:
+        """Finish the node reached by `block` from the table. Returns the
+        ticks spent (one per remainder component looked up), or 0 when an
+        entry is missing and the node must be searched instead."""
+        g = self.g
+        table = self.table
+        partial = self._partial() + [block]
+        comps = g.connected_components(g.full_mask & ~covered)
+        if all(c in table for c in comps):
+            self.stats.tsp_star_shortcuts += 1
+            res = tsp_star_step(table, self.game, g, partial, value, comps,
+                                self.inc.value)
+            if res is not None:
+                self.inc.offer(*res)
+            return len(comps)
+        self.stats.tsp_star_fallbacks += 1
+        log.warning("table completion unavailable below partial %s; "
+                    "searching the subtree instead", [hex(b) for b in partial])
+        return 0
 
 
 def tsp(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
@@ -34,90 +187,37 @@ def tsp(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
     search visits (used by coverage tests).
     """
     require_connected(g)
-    n = g.n
     full = g.full_mask
-    v = game.value
-    tol = game.tolerance
-    order = pt.order
-    stats = SearchStats()
-
-    singles_val = sum(v(1 << a) for a in range(n))
-    grand_val = v(full)
-    if grand_val > singles_val + tol:
-        best_blocks = [full]
-        best_val = grand_val
+    singles = [1 << a for a in range(g.n)]
+    singles_val = sum(game.value(b) for b in singles)
+    grand_val = game.value(full)
+    if game.improves(grand_val, singles_val):
+        inc = _Incumbent([full], grand_val, 0, game.tolerance)
     else:
-        best_blocks = [1 << a for a in range(n)]
-        best_val = singles_val
-
-    connected_subsets = g.connected_subsets
-
-    def search(p_blocks, covered, p_value, pos_hint):
-        nonlocal best_blocks, best_val
-        i = pos_hint
-        while (1 << order[i - 1]) & covered:
-            i += 1
-        a_bit = 1 << order[i - 1]
-        rem = full & ~covered
-        for c in connected_subsets(rem, required=a_bit):
-            stats.nodes_expanded += 1
-            stats.subsets_enumerated += 1
-            if deadline is not None \
-                    and stats.nodes_expanded % _DEADLINE_STRIDE == 0 \
-                    and time.monotonic() >= deadline:
-                raise BudgetExceededError("deadline hit during tree search")
-            new_cov = covered | c
-            new_val = p_value + v(c)
-            if new_cov == full:
-                stats.structures_visited += 1
-                if structure_hook is not None:
-                    structure_hook(tuple(p_blocks) + (c,))
-                if new_val > best_val + tol:
-                    best_val = new_val
-                    best_blocks = p_blocks + [c]
-            else:
-                if bound is not None:
-                    ub = bound(new_val, full & ~new_cov)
-                    if not best_val < ub:
-                        stats.nodes_pruned += 1
-                        continue
-                p_blocks.append(c)
-                search(p_blocks, new_cov, new_val, i + 1)
-                p_blocks.pop()
-
-    for stage in range(2, n + 1):
-        prefix = pt.prefix_masks[stage]
-        excluded = 1 << order[stage - 1]
-        for seed in connected_subsets(full ^ excluded, required=prefix):
-            stats.subsets_enumerated += 1
-            # The first uncovered agent under this seed is the stage agent.
-            search([seed], seed, v(seed), stage)
-
-    return SolverResult(best=Partition(best_blocks), best_value=best_val,
+        inc = _Incumbent(singles, singles_val, 0, game.tolerance)
+    stats = SearchStats()
+    # An empty table publishes no level, so no node is ever shortcut.
+    _Search(game, g, pt, DpTable(g.n), inc, stats, bound, deadline, _Control(),
+            lambda: False, structure_hook).step(math.inf)
+    return SolverResult(best=Partition(inc.blocks), best_value=inc.value,
                         stats=stats)
 
 
 def tsp_star_step(table: DpTable, game: Game, g: Graph, partial_blocks,
-                  incumbent_value: Value):
+                  partial_value: Value, comps, incumbent_value: Value):
     """Finish a partial partition optimally from table entries instead of
     searching its subtree.
 
-    Every connected component of the uncovered remainder must already have
-    a table entry; callers check availability (and fall back to ordinary
-    search when it fails) before calling. Returns (blocks, value) when the
-    completion beats the incumbent, else None.
+    `partial_value` is the summed value of `partial_blocks`, and `comps`
+    are the connected components of the agents they leave uncovered; each
+    must already have a table entry, which callers check (falling back to
+    ordinary search when it fails) before calling. Returns (blocks, value)
+    when the completion beats the incumbent, else None.
     """
-    v = game.value
-    covered = 0
-    total = 0
-    for b in partial_blocks:
-        covered |= b
-        total += v(b)
-    rem = g.full_mask & ~covered
-    comps = g.connected_components(rem)
+    total = partial_value
     for comp in comps:
         total += table.v_star(comp)
     if game.improves(total, incumbent_value):
-        blocks = list(partial_blocks) + reconstruct_blocks(table, comps, g)
-        return blocks, total
+        return (list(partial_blocks) + reconstruct_blocks(table, comps, g),
+                total)
     return None

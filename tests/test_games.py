@@ -19,6 +19,14 @@ def test_from_table_accepts_both_lengths():
         assert a.value(m) == b.value(m) == m
 
 
+def test_from_table_reads_one_entry_as_one_agent():
+    # [v] lists the single nonempty mask of a one-agent game, zero included
+    for v in (0, 5):
+        gm = Game.from_table([v])
+        assert gm.n == 1
+        assert gm.value(0) == 0 and gm.value(1) == v
+
+
 def test_from_table_rejects_bad_input():
     with pytest.raises(ValueError):
         Game.from_table([5, 1, 2, 3])  # 2^n entries but nonzero at index 0

@@ -1,30 +1,36 @@
+import math
 import random
 import time
 
 import pytest
 
 from graphcsg import (Game, SearchStats, brute_force_best, build_pseudotree,
-                      d_tsp, make_graph, make_supersub_game, make_tsp_bound,
-                      partition_value, random_table_game, tsp)
+                      d_tsp, dype_star, make_graph, make_supersub_game,
+                      make_tsp_bound, partition_value, random_table_game,
+                      structure_masks, tsp)
 from graphcsg.solvers.dptable import DpTable
 from graphcsg.solvers.hybrid import _Control, _Incumbent, _Search
 
-from conftest import random_connected_edges
+from conftest import canon, random_connected_edges
 
 
-def check_complete_run(gm, g, res):
+def check_anytime_run(gm, g, res):
     want = brute_force_best(gm, g).best_value
     assert res.best_value == want
     assert partition_value(gm, res.best) == want
     assert res.best.covered == g.full_mask
     assert all(g.is_connected(b) for b in res.best)
     assert res.completed
-    assert res.stats.frontier_crossed
     assert res.stats.tsp_star_fallbacks == 0
     assert res.trace[0] == (0, gm.value(g.full_mask))
     for (t0, v0), (t1, v1) in zip(res.trace, res.trace[1:]):
         assert t1 >= t0 and v1 > v0
     assert res.trace[-1][1] == want
+
+
+def check_complete_run(gm, g, res):
+    check_anytime_run(gm, g, res)
+    assert res.stats.frontier_crossed
 
 
 def test_interleaved_matches_oracle():
@@ -72,16 +78,17 @@ def test_degenerate_sizes():
 
 
 def test_sweep_alone_still_terminates():
-    # with the search worker off, the sweep must cross the frontier by
-    # exhausting its own levels
+    # run alone (dype-star), the hybrid's sweep must finish by exhausting
+    # its own levels
     rng = random.Random(103)
     for _ in range(10):
         n = rng.randint(1, 7)
         g = make_graph(n, random_connected_edges(rng, n))
         gm = random_table_game(n, seed=rng.randrange(10 ** 6))
         pt = build_pseudotree(g, 0)
-        res = d_tsp(gm, g, pt, tsp_worker_enabled=False)
-        check_complete_run(gm, g, res)
+        res = dype_star(gm, g, pt)
+        check_anytime_run(gm, g, res)
+        assert res.table.published_level == 2
         assert res.stats.tsp_star_shortcuts == 0
 
 
@@ -134,8 +141,9 @@ def test_unknown_mode_rejected():
 
 def test_search_steps_walk_the_tsp_tree_at_any_budget():
     # bound=None and an empty table: no prune and no shortcut, so stepping
-    # the resumable search must enumerate exactly the subsets tsp does, in
-    # the same order, whatever the budget per step
+    # the resumable search in small budgets must do exactly what one
+    # unbounded step (tsp's walk) does, value calls in the same order, and
+    # reach every structure but the one-block incumbent exactly once
     rng = random.Random(106)
     for _ in range(12):
         n = rng.randint(2, 8)
@@ -149,28 +157,31 @@ def test_search_steps_walk_the_tsp_tree_at_any_budget():
             return base.value(m)
 
         gm = Game(n, value)
-        del seen[:]
-        want = tsp(gm, g, pt)
-        # tsp prices the singletons and the grand coalition first
-        want_seen = seen[n + 1:]
-        for budget in (1, 7, float("inf")):
-            inc = _Incumbent([g.full_mask], gm.value(g.full_mask), 0, 0)
+        runs = {}
+        for budget in (math.inf, 1, 7):
+            inc = _Incumbent([g.full_mask], base.value(g.full_mask), 0, 0)
             del seen[:]
             stats = SearchStats()
+            structures = []
             search = _Search(gm, g, pt, DpTable(n), inc, stats, None, None,
-                             _Control(), lambda: False)
+                             _Control(), lambda: False, structures.append)
             steps = 0
             while search.step(budget):
                 steps += 1
-            assert seen == want_seen, budget
-            assert stats.nodes_expanded == want.stats.nodes_expanded
-            assert stats.structures_visited == want.stats.structures_visited
-            assert stats.subsets_enumerated == want.stats.subsets_enumerated
-            assert stats.tsp_star_shortcuts == 0
             assert search.next_stage == n + 1
-            assert inc.value == want.best_value
+            assert stats.tsp_star_shortcuts == 0
             # every step but the last one spent its whole budget
             assert steps == stats.subsets_enumerated // budget
+            runs[budget] = (list(seen), stats, structures, inc.value)
+        assert runs[1] == runs[math.inf]
+        assert runs[7] == runs[math.inf]
+        _, stats, structures, best = runs[math.inf]
+        assert tsp(base, g, pt).stats == stats
+        assert stats.structures_visited == len(structures)
+        visited = [canon(s) for s in structures] + [canon([g.full_mask])]
+        assert len(visited) == len(set(visited))
+        assert set(visited) == {canon(s) for s in structure_masks(g)}
+        assert best == brute_force_best(base, g).best_value
 
 
 def test_interleaved_work_stays_within_twice_the_sweep():
@@ -182,7 +193,7 @@ def test_interleaved_work_stays_within_twice_the_sweep():
         g = make_graph(n, random_connected_edges(rng, n, extra=n))
         gm = random_table_game(n, seed=rng.randrange(10 ** 6))
         pt = build_pseudotree(g, 0)
-        alone = d_tsp(gm, g, pt, tsp_worker_enabled=False)
+        alone = dype_star(gm, g, pt)
         for kind in ("none", "supersub"):
             res = d_tsp(gm, g, pt, make_tsp_bound(gm, kind))
             assert res.best_value == alone.best_value

@@ -4,10 +4,10 @@ import time
 
 import pytest
 
-from graphcsg import (BudgetExceededError, brute_force_best, build_pseudotree,
-                      dype, make_graph, make_supersub_game, make_tsp_bound,
-                      partition_value, random_table_game, structure_masks,
-                      tsp, tsp_star_step)
+from graphcsg import (BudgetExceededError, Game, brute_force_best,
+                      build_pseudotree, dype, make_graph, make_supersub_game,
+                      make_tsp_bound, partition_value, random_table_game,
+                      structure_masks, tsp, tsp_star_step)
 
 from conftest import FOUR_CYCLE_EDGES, canon, random_connected_edges
 
@@ -106,7 +106,14 @@ def test_tsp_star_step_completes_optimally():
         rem = g.full_mask & ~covered
         if rem == 0:
             continue
-        got = tsp_star_step(table, gm, g, blocks, float("-inf"))
+        # the search hands over the partial's value, summed in block order,
+        # and the remainder's components
+        partial = 0
+        for b in blocks:
+            partial += gm.value(b)
+        comps = g.connected_components(rem)
+        got = tsp_star_step(table, gm, g, blocks, partial, comps,
+                            float("-inf"))
         assert got is not None
         done_blocks, total = got
         want = partition_value(gm, blocks) + max(
@@ -119,7 +126,8 @@ def test_tsp_star_step_completes_optimally():
             cov |= b
         assert cov == g.full_mask
         # a completion that cannot beat the incumbent is withheld
-        assert tsp_star_step(table, gm, g, blocks, total) is None
+        assert tsp_star_step(table, gm, g, blocks, partial, comps,
+                             total) is None
 
 
 def test_tsp_deadline():
@@ -128,3 +136,29 @@ def test_tsp_deadline():
     pt = build_pseudotree(g, 0)
     with pytest.raises(BudgetExceededError):
         tsp(gm, g, pt, deadline=time.monotonic() - 1)
+
+
+def test_tsp_stops_soon_after_the_deadline():
+    # A deadline that passes at the K-th value call stops the search within
+    # one stride of 1,024 ticks (one value call each), past the n + 1 calls
+    # that price the two starting incumbents.
+    n, K = 10, 2000
+    g = make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    base = random_table_game(n, seed=4)
+    pt = build_pseudotree(g, 0)
+    calls = 0
+    deadline = None
+
+    def value(m):
+        nonlocal calls
+        calls += 1
+        if calls == K:
+            while time.monotonic() < deadline:
+                pass
+        return base.value(m)
+
+    gm = Game(n, value)
+    deadline = time.monotonic() + 0.05
+    with pytest.raises(BudgetExceededError):
+        tsp(gm, g, pt, deadline=deadline)
+    assert K <= calls <= K + 1024 + n
