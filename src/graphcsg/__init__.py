@@ -2,20 +2,20 @@
 partition must induce a connected subgraph, and the partition maximizes
 the sum of block values."""
 
-from .games import (Game, Partition, Value, coalition_value, make_cfss_bound,
+from .games import (Game, Partition, Value, make_cfss_bound,
                     make_supersub_game, make_tsp_bound, partition_value,
-                    random_table_game, upper_bound_cfss, upper_bound_tsp)
+                    random_table_game)
 from .graph import DisconnectedGraphError, Graph, make_graph
 from .harness import (VerifyReport, matrix_instance, run_bench,
                       solve_instance, verify_matrix)
 from .instances import (InstanceFile, InstanceFormatError, gen_instance,
                         model_edges, parse_instance, parse_instance_text,
                         realize_instance, write_instance)
-from .pseudotree import Pseudotree, breadth_first_position, build_pseudotree
+from .pseudotree import Pseudotree, build_pseudotree
 from .solvers import (BudgetExceededError, DpTable, InternalInvariantError,
                       SearchStats, SolverResult, brute_force_best, cfss,
-                      d_tsp, dype, dype_star, enumerate_feasible_structures,
-                      reconstruct, structure_masks, tsp, tsp_star_step)
+                      d_tsp, dype, dype_star, structure_masks, tsp,
+                      tsp_star_step)
 
 __version__ = "0.1.0"
 
@@ -28,13 +28,9 @@ __all__ = [
     "DisconnectedGraphError",
     "Pseudotree",
     "build_pseudotree",
-    "breadth_first_position",
-    "coalition_value",
     "partition_value",
     "make_supersub_game",
     "random_table_game",
-    "upper_bound_tsp",
-    "upper_bound_cfss",
     "make_tsp_bound",
     "make_cfss_bound",
     "DpTable",
@@ -43,7 +39,6 @@ __all__ = [
     "BudgetExceededError",
     "InternalInvariantError",
     "brute_force_best",
-    "enumerate_feasible_structures",
     "structure_masks",
     "dype",
     "dype_star",
@@ -51,7 +46,6 @@ __all__ = [
     "tsp_star_step",
     "d_tsp",
     "cfss",
-    "reconstruct",
     "InstanceFile",
     "InstanceFormatError",
     "parse_instance",

@@ -9,11 +9,12 @@ split is what makes the pruning bounds in this module admissible.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
-from .masks import agents_of, iter_agents
+from .masks import agents_of
 
 Value = int | float
 
@@ -27,18 +28,17 @@ class Game:
     merge-rewarding and merge-penalizing parts.
 
     `value(mask)` must return 0 for the empty mask. When `sup_value` and
-    `sub_value` are given they must sum to `value` pointwise; the
-    `is_super_subadditive` flag asserts the split has the merge properties
-    required by the bounds.
+    `sub_value` are given they must sum to `value` pointwise, and giving
+    them is the caller's promise that `sup_value` never loses and
+    `sub_value` never gains from merging disjoint sets: the bounds trust
+    any split they find (`decomposed`) and do not check it.
     """
 
-    __slots__ = ("n", "value", "sup_value", "sub_value",
-                 "is_super_subadditive", "tolerance")
+    __slots__ = ("n", "value", "sup_value", "sub_value", "tolerance")
 
     def __init__(self, n: int, value: Callable[[int], Value], *,
                  sup_value: Callable[[int], Value] | None = None,
                  sub_value: Callable[[int], Value] | None = None,
-                 is_super_subadditive: bool = False,
                  tolerance: Value = 0):
         if not 1 <= n <= 63:
             raise ValueError(f"agent count must be in 1..63, got {n}")
@@ -52,7 +52,6 @@ class Game:
         self.value = value
         self.sup_value = sup_value
         self.sub_value = sub_value
-        self.is_super_subadditive = is_super_subadditive
         self.tolerance = tolerance
 
     @property
@@ -69,14 +68,15 @@ class Game:
         """Build a game from explicit values in mask order.
 
         Accepts either 2^n entries (index = mask, entry 0 must be 0) or
-        2^n - 1 entries for the nonempty masks 1..2^n-1.
+        2^n - 1 entries for the nonempty masks 1..2^n-1. Either way the
+        2^n-entry list the game reads is the only copy made.
         """
-        vals = list(values)
-        m = len(vals)
-        if m > 1 and (m & (m - 1)) == 0 and vals[0] == 0:
-            full = vals
+        m = len(values)
+        if m > 1 and (m & (m - 1)) == 0 and values[0] == 0:
+            full = list(values)
         elif (m + 1) & m == 0 and m >= 1:
-            full = [0] + vals
+            full = [0]
+            full += values
         else:
             raise ValueError(
                 f"table must list values for all nonempty masks; got {m} entries")
@@ -84,7 +84,6 @@ class Game:
         if n > 20:
             raise ValueError(f"tabulated games support n <= 20, got n={n}")
         sup = sub = None
-        flag = False
         if decompose:
             k = _split_factor(full, n)
             table = full
@@ -97,9 +96,8 @@ class Game:
                 p = c.bit_count()
                 return -_k * p * p
 
-            flag = True
         return cls(n, full.__getitem__, sup_value=sup, sub_value=sub,
-                   is_super_subadditive=flag, tolerance=tolerance)
+                   tolerance=tolerance)
 
 
 def _split_factor(values: Sequence[Value], n: int) -> int:
@@ -127,8 +125,8 @@ def _split_factor(values: Sequence[Value], n: int) -> int:
                         worst = k
                 s = (s - 1) & rest
         return worst
-    hi = max(values[1:])
-    lo = min(values[1:])
+    hi = max(itertools.islice(values, 1, None))
+    lo = min(itertools.islice(values, 1, None))
     gap = 2 * hi - lo
     return max(0, -(-gap // 2)) if gap > 0 else 0
 
@@ -180,8 +178,7 @@ def make_supersub_game(n: int, weights: Sequence[int] | None = None,
     def value(c):
         return sup(c) + sub(c)
 
-    return Game(n, value, sup_value=sup, sub_value=sub,
-                is_super_subadditive=True, tolerance=tolerance)
+    return Game(n, value, sup_value=sup, sub_value=sub, tolerance=tolerance)
 
 
 def random_table_game(n: int, seed: int | random.Random | None = None, *,
@@ -193,7 +190,7 @@ def random_table_game(n: int, seed: int | random.Random | None = None, *,
     if not 1 <= n <= 20:
         raise ValueError(f"tabulated games support n in 1..20, got {n}")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    vals = [0] + [rng.randint(lo, hi) for _ in range(1, 1 << n)]
+    vals = [rng.randint(lo, hi) for _ in range(1, 1 << n)]
     return Game.from_table(vals, decompose=decompose)
 
 
@@ -232,50 +229,14 @@ class Partition:
     def agent_lists(self) -> list[list[int]]:
         return [agents_of(b) for b in self.blocks]
 
-    @classmethod
-    def singletons(cls, n: int) -> "Partition":
-        return cls(1 << a for a in range(n))
-
     def __repr__(self) -> str:
         return f"Partition({self.agent_lists()})"
-
-
-def coalition_value(game: Game, c: int) -> Value:
-    """Value of a single coalition mask."""
-    return game.value(c)
 
 
 def partition_value(game: Game, p: Partition | Iterable[int]) -> Value:
     """Sum of block values; the empty partition is worth 0."""
     v = game.value
     return sum(v(b) for b in p)
-
-
-def upper_bound_tsp(game: Game, p: Partition | Iterable[int],
-                    remainder: int) -> Value:
-    """Bound on the value of any completion of partial partition p over the
-    uncovered remainder: reward of keeping the whole remainder together
-    plus the cost of splitting it into singletons. Admissible for any game
-    carrying a valid split; raises when the game has none."""
-    if not game.decomposed:
-        raise ValueError("upper_bound_tsp needs a game with a reward/cost split")
-    total = partition_value(game, p) + game.sup_value(remainder)
-    sub = game.sub_value
-    for a in iter_agents(remainder):
-        total += sub(1 << a)
-    return total
-
-
-def upper_bound_cfss(game: Game, p: Partition | Iterable[int],
-                     p_merge: Partition | Iterable[int]) -> Value:
-    """Bound on the value of any coarsening reachable from contraction
-    state p whose maximal allowed merge is p_merge: cost part evaluated on
-    the current blocks, reward part on the fully merged ones."""
-    if not game.decomposed:
-        raise ValueError("upper_bound_cfss needs a game with a reward/cost split")
-    sub = game.sub_value
-    sup = game.sup_value
-    return sum(sub(b) for b in p) + sum(sup(b) for b in p_merge)
 
 
 def make_tsp_bound(game: Game, kind: str | None):

@@ -182,26 +182,6 @@ class Graph:
                     # every later sibling would exclude a required agent
                     break
 
-    def connected_subsets_reference(
-        self, ground: int, required: int = 0, forbidden: int = 0
-    ) -> Iterator[int]:
-        """Filter-based reference for connected_subsets.
-
-        Walks all submasks of the ground set and keeps the connected ones
-        that contain `required`. Kept deliberately independent of the
-        streaming enumerator so the two can be checked against each other.
-        """
-        ground &= self.full_mask & ~forbidden
-        if required & ~ground:
-            return
-        sub = ground
-        while True:
-            if sub and not required & ~sub and self.is_connected(sub):
-                yield sub
-            if sub == 0:
-                return
-            sub = (sub - 1) & ground
-
 
 def make_graph(n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
     """Construct a Graph; edge pairs are validated and normalized."""

@@ -12,6 +12,7 @@ from .games import (Game, Partition, Value, make_cfss_bound, make_tsp_bound,
                     partition_value, random_table_game)
 from .graph import Graph
 from .instances import model_edges
+from .masks import agents_of
 from .pseudotree import build_pseudotree
 from .solvers import (BudgetExceededError, SolverResult, audit_dp_table,
                       brute_force_best, cfss, d_tsp, dype, dype_star,
@@ -85,9 +86,7 @@ def _subgame(game: Game, agents: list[int]):
         sup = lambda m: gsup(expand(m))
         sub = lambda m: gsub(expand(m))
     local = Game(len(agents), lambda m: v(expand(m)), sup_value=sup,
-                 sub_value=sub,
-                 is_super_subadditive=game.is_super_subadditive,
-                 tolerance=game.tolerance)
+                 sub_value=sub, tolerance=game.tolerance)
     return local, expand
 
 
@@ -117,12 +116,7 @@ def solve_instance(game: Game, g: Graph, algorithm: str, *, bound=None,
     anytime = algorithm in ANYTIME_ALGORITHMS
     parts = []
     for comp in comps:
-        agents = []
-        m = comp
-        while m:
-            b = m & -m
-            m ^= b
-            agents.append(b.bit_length() - 1)
+        agents = agents_of(comp)
         local_edges = []
         index = {a: i for i, a in enumerate(agents)}
         for u, w in g.edges:

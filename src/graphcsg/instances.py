@@ -20,6 +20,7 @@ compact supersub form goes up to the solver-wide cap of 63 agents.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 
 from .games import Game, make_supersub_game
@@ -28,6 +29,10 @@ from .graph import Graph
 _TABLE_MAX_N = 20
 _MAX_N = 63
 _GNP_RETRIES = 1000
+# Table values are printed and parsed in batches of about this many, so a
+# 2^20-entry table never holds a million token strings at once.
+_BATCH = 4096
+_SPACE = re.compile(r"\s")
 
 MODELS = ("path", "cycle", "star", "complete", "gnp")
 
@@ -56,6 +61,20 @@ def _int_token(tok: str, lineno: int, what: str) -> int:
             f"line {lineno}: {what} {tok!r} is not an integer") from None
 
 
+def _table_values(text: str, lineno: int) -> list[int]:
+    """The integers of a table line's value text, split in batches cut at
+    whitespace; the same tokens as `text.split()`."""
+    vals = []
+    pos = 0
+    while pos < len(text):
+        cut = _SPACE.search(text, pos + 4 * _BATCH)
+        end = cut.start() if cut else len(text)
+        vals += [_int_token(t, lineno, "table value")
+                 for t in text[pos:end].split()]
+        pos = end
+    return vals
+
+
 def parse_instance_text(text: str) -> InstanceFile:
     """Parse instance text into its file-level form, without realizing the
     game or graph. Raises InstanceFormatError with the offending line."""
@@ -73,7 +92,9 @@ def parse_instance_text(text: str) -> InstanceFile:
         line = raw.strip()
         if not line:
             continue
-        toks = line.split()
+        toks = line.split(None, 2)
+        if toks[:2] != ["game", "table"]:
+            toks = line.split()
         key = toks[0]
         if not saw_header:
             if toks != ["csg", "1"]:
@@ -121,8 +142,8 @@ def parse_instance_text(text: str) -> InstanceFile:
                     raise InstanceFormatError(
                         f"line {lineno}: table games are capped at "
                         f"n <= {_TABLE_MAX_N}, got n={n}")
-                vals = [_int_token(t, lineno, "table value")
-                        for t in toks[2:]]
+                vals = _table_values(toks[2] if len(toks) > 2 else "",
+                                     lineno)
                 want = (1 << n) - 1
                 if len(vals) != want:
                     raise InstanceFormatError(
@@ -188,7 +209,10 @@ def write_instance(inst: InstanceFile) -> str:
     for i, j in inst.edges:
         lines.append(f"e {i} {j}")
     if inst.game_kind == "table":
-        lines.append("game table " + " ".join(str(x) for x in inst.table))
+        t = inst.table
+        lines.append("game table " + " ".join(
+            " ".join(map(str, t[i:i + _BATCH]))
+            for i in range(0, len(t), _BATCH)))
     elif inst.game_kind == "supersub":
         line = ("game supersub w " + " ".join(str(w) for w in inst.weights)
                 + f" k {inst.kappa}")
@@ -210,7 +234,7 @@ def realize_instance(inst: InstanceFile) -> tuple[Game, Graph, int | None]:
     """
     g = Graph(inst.n, inst.edges)
     if inst.game_kind == "table":
-        game = Game.from_table((0,) + inst.table, decompose=True)
+        game = Game.from_table(inst.table, decompose=True)
     elif inst.game_kind == "supersub":
         game = make_supersub_game(inst.n, weights=inst.weights,
                                   kappa=inst.kappa)

@@ -7,18 +7,6 @@ everything downstream (graphs, games, solvers) passes masks around.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-
-AgentSet = int
-
-
-def mask_of(agents: Iterable[int]) -> int:
-    """Build a mask from agent indices."""
-    m = 0
-    for a in agents:
-        m |= 1 << a
-    return m
-
 
 def agents_of(mask: int) -> list[int]:
     """List the agent indices of a mask in ascending order."""
@@ -28,16 +16,3 @@ def agents_of(mask: int) -> list[int]:
         out.append(b.bit_length() - 1)
         mask ^= b
     return out
-
-
-def iter_agents(mask: int) -> Iterator[int]:
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
-
-
-def lowest_agent(mask: int) -> int:
-    if mask == 0:
-        raise ValueError("empty agent set")
-    return (mask & -mask).bit_length() - 1

@@ -99,8 +99,3 @@ def build_pseudotree(g: Graph, root: int = 0) -> Pseudotree:
             stack.pop()
     order = sorted(range(n), key=lambda a: (depth[a], disc[a]))
     return Pseudotree(root, tuple(parent), tuple(depth), tuple(order))
-
-
-def breadth_first_position(pt: Pseudotree, a: int) -> int:
-    """1-based position of agent a in the pseudotree's breadth-first order."""
-    return pt.position(a)

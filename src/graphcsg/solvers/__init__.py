@@ -2,12 +2,10 @@
 
 from .base import (BudgetExceededError, InternalInvariantError, SearchStats,
                    SolverResult, TracePoint)
-from .contraction import (ContractedState, cfss, initial_state,
-                          merged_partition, state_children)
+from .contraction import cfss
 from .dp import audit_dp_table, dype, dype_star
-from .dptable import DpTable, reconstruct, reconstruct_blocks
-from .exhaustive import (ORACLE_MAX_N, brute_force_best,
-                         enumerate_feasible_structures, structure_masks)
+from .dptable import DpTable, reconstruct_blocks
+from .exhaustive import ORACLE_MAX_N, brute_force_best, structure_masks
 from .hybrid import d_tsp
 from .treesearch import tsp, tsp_star_step
 
@@ -18,7 +16,6 @@ __all__ = [
     "SolverResult",
     "TracePoint",
     "DpTable",
-    "reconstruct",
     "reconstruct_blocks",
     "dype",
     "dype_star",
@@ -27,12 +24,7 @@ __all__ = [
     "tsp_star_step",
     "d_tsp",
     "cfss",
-    "ContractedState",
-    "initial_state",
-    "state_children",
-    "merged_partition",
     "brute_force_best",
-    "enumerate_feasible_structures",
     "structure_masks",
     "ORACLE_MAX_N",
 ]

@@ -1,21 +1,19 @@
 """Search over coalition structures by contracting graph edges.
 
-Every search state is itself a coalition structure: the current blocks
-plus, between adjacent blocks, an edge that is either solid (may still be
-contracted) or dashed (permanently forbidden). The children of a state
-contract its solid edges one by one, and the i-th child first marks the
-preceding i-1 edges dashed, which makes the traversal visit every feasible
-structure exactly once starting from the all-singletons root.
-
-Dashed bookkeeping lives on the original graph edges: a block-pair edge is
-dashed as soon as any original edge crossing the pair is dashed, which is
-exactly the merge rule for contracted parallel edges.
+A search state is a `(blocks, dashed)` pair: the blocks of a coalition
+structure, sorted by lowest agent, and a mask over the original graph
+edges that are dashed (permanently forbidden). Between adjacent blocks
+the edge is solid (may still be contracted) unless a crossing original
+edge is dashed, which is exactly the merge rule for contracted parallel
+edges. `_children` lists a state's children: the i-th contracts the i-th
+solid edge and first marks the preceding i-1 edges dashed, which makes the
+walk from the all-singletons root visit every feasible structure exactly
+once. `cfss` walks the tree with it, and so do the tests.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from ..games import Game, Partition
 from ..graph import Graph
@@ -23,22 +21,6 @@ from .base import (BudgetExceededError, SearchStats, SolverResult,
                    require_connected)
 
 _DEADLINE_STRIDE = 512
-
-
-@dataclass(frozen=True)
-class ContractedState:
-    """Blocks of the structure plus the dashed set over original edge
-    indices. Blocks are kept sorted by lowest agent."""
-
-    blocks: tuple[int, ...]
-    dashed: int
-
-    def partition(self) -> Partition:
-        return Partition(self.blocks)
-
-
-def initial_state(g: Graph) -> ContractedState:
-    return ContractedState(tuple(1 << a for a in range(g.n)), 0)
 
 
 def _solid_pairs(g: Graph, blocks, dashed: int):
@@ -62,25 +44,39 @@ def _solid_pairs(g: Graph, blocks, dashed: int):
             if not cross & dashed]
 
 
-def _merge_blocks(blocks, i: int, j: int):
-    # i < j, so the union keeps block i's lowest agent and the tuple order.
-    return blocks[:i] + (blocks[i] | blocks[j],) + blocks[i + 1:j] \
-        + blocks[j + 1:]
-
-
-def state_children(g: Graph, state: ContractedState):
-    """Children of a state in deterministic order, marks applied."""
-    acc = state.dashed
-    for i, j, cross in _solid_pairs(g, state.blocks, state.dashed):
-        yield ContractedState(_merge_blocks(state.blocks, i, j), acc)
+def _children(blocks, dashed: int, pairs):
+    """Children of state (blocks, dashed) in order, given its solid
+    `pairs`, as (i, j, child_blocks, child_dashed): block i absorbs
+    block j."""
+    acc = dashed
+    for i, j, cross in pairs:
+        # i < j, so the union keeps block i's lowest agent and the order.
+        yield i, j, (blocks[:i] + (blocks[i] | blocks[j],) + blocks[i + 1:j]
+                     + blocks[j + 1:]), acc
         acc |= cross
 
 
-def merged_partition(g: Graph, state: ContractedState) -> Partition:
-    """Coarsening that merges every group of blocks connected through
-    solid edges. Every structure in the state's subtree refines it."""
-    pairs = _solid_pairs(g, state.blocks, state.dashed)
-    return Partition(_merge_all(state.blocks, pairs))
+def _merge_all(blocks, pairs):
+    """Coarsening that merges every group of blocks joined by the solid
+    `pairs` (union-find over block indices). Every structure in the
+    state's subtree refines it."""
+    parent = list(range(len(blocks)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j, _ in pairs:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
+    groups: dict[int, int] = {}
+    for idx, b in enumerate(blocks):
+        r = find(idx)
+        groups[r] = groups.get(r, 0) | b
+    return tuple(groups[r] for r in sorted(groups))
 
 
 def cfss(game: Game, g: Graph, bound=None, *, deadline: float | None = None,
@@ -123,34 +119,9 @@ def cfss(game: Game, g: Graph, bound=None, *, deadline: float | None = None,
             if not best_val < bound(blocks, merged):
                 stats.nodes_pruned += 1
                 return
-        acc = dashed
-        for i, j, cross in pairs:
-            nb = _merge_blocks(blocks, i, j)
-            nv = value - v(blocks[i]) - v(blocks[j]) + v(nb[i])
-            visit(nb, nv, acc)
-            acc |= cross
+        for i, j, nb, nd in _children(blocks, dashed, pairs):
+            visit(nb, value - v(blocks[i]) - v(blocks[j]) + v(nb[i]), nd)
 
     visit(tuple(1 << a for a in range(n)), root_val, 0)
     return SolverResult(best=Partition(best_blocks), best_value=best_val,
                         stats=stats)
-
-
-def _merge_all(blocks, pairs):
-    """Union-find over block indices along solid pairs."""
-    parent = list(range(len(blocks)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j, _ in pairs:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-    groups: dict[int, int] = {}
-    for idx, b in enumerate(blocks):
-        r = find(idx)
-        groups[r] = groups.get(r, 0) | b
-    return tuple(groups[r] for r in sorted(groups))

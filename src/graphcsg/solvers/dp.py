@@ -19,6 +19,7 @@ import time
 
 from ..games import Game, Partition
 from ..graph import Graph
+from ..masks import agents_of
 from ..pseudotree import Pseudotree
 from .base import (BudgetExceededError, InternalInvariantError, SearchStats,
                    SolverResult, _Control, _Incumbent, deadline_passed,
@@ -28,9 +29,12 @@ from .dptable import DpTable, reconstruct_blocks
 _DEADLINE_STRIDE = 256
 
 
-def _best_anchored_split(v, g: Graph, table_values, c: int, anchor_bit: int):
+def _best_anchored_split(v, g: Graph, table_values, c: int, anchor_bit: int,
+                         deadline: float | None = None):
     """Best value over connected blocks S containing the anchor inside c,
-    where the rest of c is settled by table lookups per component.
+    where the rest of c is settled by table lookups per component. With a
+    deadline it is checked every `_DEADLINE_STRIDE` blocks; level fills
+    pass none and check between entries instead.
 
     Returns (value, block, subsets_scanned).
     """
@@ -41,6 +45,10 @@ def _best_anchored_split(v, g: Graph, table_values, c: int, anchor_bit: int):
     try:
         for s in g.connected_subsets(c, required=anchor_bit):
             count += 1
+            if deadline is not None and count % _DEADLINE_STRIDE == 0 \
+                    and time.monotonic() >= deadline:
+                raise BudgetExceededError(
+                    "deadline hit during the closing split")
             val = v(s)
             rest = c & ~s
             while rest:
@@ -104,7 +112,7 @@ def dype(game: Game, g: Graph, pt: Pseudotree, *,
     for level in range(n, 1, -1):
         _solve_level(v, g, pt, table, level, stats, deadline)
     best, sub, cnt = _best_anchored_split(v, g, table.values, full,
-                                          1 << pt.order[0])
+                                          1 << pt.order[0], deadline)
     stats.subsets_enumerated += cnt
     table.put(full, best, sub)
     stats.dp_subproblems += 1
@@ -211,13 +219,7 @@ def audit_dp_table(table: DpTable, game: Game, g: Graph,
     tv = table.values
     pos = pt.position
     for c, stored in table.values.items():
-        agents = []
-        m = c
-        while m:
-            b = m & -m
-            m ^= b
-            agents.append(b.bit_length() - 1)
-        anchor = min(agents, key=pos)
+        anchor = min(agents_of(c), key=pos)
         best, _, _ = _best_anchored_split(v, g, tv, c, 1 << anchor)
         if best != stored:
             raise InternalInvariantError(

@@ -9,7 +9,7 @@ of the agent order is safe to consult.
 
 from __future__ import annotations
 
-from ..games import Partition, Value
+from ..games import Value
 from ..graph import Graph
 from .base import InternalInvariantError
 
@@ -84,8 +84,3 @@ def reconstruct_blocks(table: DpTable, blocks, g: Graph) -> list[int]:
             work.append(comp)
             rest &= ~comp
     return out
-
-
-def reconstruct(table: DpTable, seed: Partition, g: Graph) -> Partition:
-    """Partition-level wrapper over reconstruct_blocks."""
-    return Partition(reconstruct_blocks(table, seed.blocks, g))

@@ -42,12 +42,6 @@ def structure_masks(g: Graph, ground: int | None = None):
     yield from rec(ground)
 
 
-def enumerate_feasible_structures(g: Graph):
-    """`structure_masks` wrapped into Partition objects."""
-    for masks in structure_masks(g):
-        yield Partition(masks)
-
-
 def brute_force_best(game: Game, g: Graph, *, max_n: int = ORACLE_MAX_N,
                      deadline: float | None = None) -> SolverResult:
     """Scan every feasible structure and keep the first-found maximum."""

@@ -86,6 +86,25 @@ def feasible_partitions_by_filter(n, edges):
     return out
 
 
+def connected_subsets_reference(g, ground, required=0, forbidden=0):
+    """Filter-based reference for `Graph.connected_subsets`.
+
+    Walks all submasks of the ground set and keeps the connected ones
+    that contain `required`. Kept deliberately independent of the
+    streaming enumerator so the two can be checked against each other.
+    """
+    ground &= g.full_mask & ~forbidden
+    if required & ~ground:
+        return
+    sub = ground
+    while True:
+        if sub and not required & ~sub and g.is_connected(sub):
+            yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & ground
+
+
 def random_connected_edges(rng, n, extra=None):
     """Random spanning tree plus a few extra edges."""
     if n == 1:

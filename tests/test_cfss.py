@@ -7,18 +7,25 @@ import pytest
 from graphcsg import (BudgetExceededError, brute_force_best, cfss, make_graph,
                       make_cfss_bound, make_supersub_game, partition_value,
                       random_table_game, structure_masks)
-from graphcsg.solvers.contraction import (initial_state, merged_partition,
-                                          state_children)
+from graphcsg.solvers.contraction import _children, _merge_all, _solid_pairs
 
 from conftest import FOUR_CYCLE_EDGES, canon, random_connected_edges
 
 
-def test_initial_state_is_singletons():
-    g = make_graph(3, [(0, 1), (1, 2)])
-    s = initial_state(g)
-    assert s.blocks == (1, 2, 4)
-    assert s.dashed == 0
-    assert s.partition().blocks == (1, 2, 4)
+def root_state(g):
+    return tuple(1 << a for a in range(g.n)), 0
+
+
+def children_of(g, blocks, dashed):
+    """(child_blocks, child_dashed) pairs, from cfss's own expansion."""
+    pairs = _solid_pairs(g, blocks, dashed)
+    return [(kid, kd) for _, _, kid, kd in _children(blocks, dashed, pairs)]
+
+
+def walk_states(g, blocks, dashed):
+    yield blocks, dashed
+    for kid, kd in children_of(g, blocks, dashed):
+        yield from walk_states(g, kid, kd)
 
 
 def test_children_merge_one_adjacent_pair():
@@ -26,49 +33,49 @@ def test_children_merge_one_adjacent_pair():
     for _ in range(20):
         n = rng.randint(2, 7)
         g = make_graph(n, random_connected_edges(rng, n))
-        state = initial_state(g)
-        stack = [state]
+        stack = [root_state(g)]
         while stack:
-            st = stack.pop()
-            kids = list(state_children(g, st))
+            blocks, dashed = stack.pop()
             seen = set()
-            for kid in kids:
-                assert len(kid.blocks) == len(st.blocks) - 1
-                assert kid.dashed & st.dashed == st.dashed
-                old = set(st.blocks)
-                new = set(kid.blocks)
+            for kid, kd in children_of(g, blocks, dashed):
+                assert len(kid) == len(blocks) - 1
+                assert kd & dashed == dashed
+                old = set(blocks)
+                new = set(kid)
                 merged = list(new - old)
                 gone = sorted(old - new)
                 assert len(merged) == 1 and len(gone) == 2
                 assert merged[0] == gone[0] | gone[1]
                 assert g.is_connected(merged[0])
-                key = canon(kid.blocks)
+                key = canon(kid)
                 assert key not in seen  # siblings all differ
                 seen.add(key)
-                stack.append(kid)
-
-
-def walk_states(g, state):
-    yield state
-    for kid in state_children(g, state):
-        yield from walk_states(g, kid)
+                stack.append((kid, kd))
 
 
 def test_contraction_tree_covers_structures_exactly_once():
+    """The walk and cfss's hook both see every feasible structure once."""
     rng = random.Random(91)
     for _ in range(20):
         n = rng.randint(1, 7)
         g = make_graph(n, random_connected_edges(rng, n))
-        seen = [canon(st.blocks) for st in walk_states(g, initial_state(g))]
+        seen = [canon(b) for b, _ in walk_states(g, *root_state(g))]
         assert len(seen) == len(set(seen)), (n, g.edges)
         assert set(seen) == {canon(s) for s in structure_masks(g)}
+    g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    gm = random_table_game(5, seed=4)
+    hooked = []
+    cfss(gm, g, structure_hook=lambda s: hooked.append(canon(s)))
+    assert len(hooked) == len(set(hooked))
+    assert set(hooked) == {canon(s) for s in structure_masks(g)}
 
 
 def test_pinned_tree_sizes():
-    g = make_graph(4, FOUR_CYCLE_EDGES)
-    assert sum(1 for _ in walk_states(g, initial_state(g))) == 12
-    k4 = make_graph(4, itertools.combinations(range(4), 2))
-    assert sum(1 for _ in walk_states(k4, initial_state(k4))) == 15
+    for g, size in ((make_graph(4, FOUR_CYCLE_EDGES), 12),
+                    (make_graph(4, itertools.combinations(range(4), 2)), 15)):
+        assert sum(1 for _ in walk_states(g, *root_state(g))) == size
+        gm = random_table_game(4, seed=size)
+        assert cfss(gm, g).stats.structures_visited == size
 
 
 def test_merged_partition_is_reachable_coarsening():
@@ -77,11 +84,11 @@ def test_merged_partition_is_reachable_coarsening():
     for _ in range(10):
         n = rng.randint(2, 6)
         g = make_graph(n, random_connected_edges(rng, n))
-        for st in walk_states(g, initial_state(g)):
-            limit = merged_partition(g, st)
-            for sub in walk_states(g, st):
-                for b in sub.blocks:
-                    assert any(b & m == b for m in limit.blocks), (st, sub)
+        for blocks, dashed in walk_states(g, *root_state(g)):
+            limit = _merge_all(blocks, _solid_pairs(g, blocks, dashed))
+            for sub, _ in walk_states(g, blocks, dashed):
+                for b in sub:
+                    assert any(b & m == b for m in limit), (blocks, sub)
 
 
 def test_cfss_matches_oracle():
@@ -96,15 +103,6 @@ def test_cfss_matches_oracle():
         assert all(g.is_connected(b) for b in res.best)
         assert res.stats.structures_visited == \
             sum(1 for _ in structure_masks(g))
-
-
-def test_cfss_hook_sees_every_structure_once():
-    g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-    gm = random_table_game(5, seed=4)
-    seen = []
-    cfss(gm, g, structure_hook=lambda s: seen.append(canon(s)))
-    assert len(seen) == len(set(seen))
-    assert set(seen) == {canon(s) for s in structure_masks(g)}
 
 
 def test_cfss_with_bound_stays_exact_and_prunes():

@@ -4,9 +4,9 @@ import time
 import pytest
 
 from graphcsg import (BudgetExceededError, Game, InternalInvariantError,
-                      Partition, brute_force_best, build_pseudotree, dype,
+                      brute_force_best, build_pseudotree, dype,
                       dype_star, make_graph, partition_value,
-                      random_table_game, reconstruct)
+                      random_table_game)
 from graphcsg.solvers.dp import audit_dp_table
 from graphcsg.solvers.dptable import DpTable, reconstruct_blocks
 
@@ -110,8 +110,6 @@ def test_reconstruction_returns_optimal_feasible_blocks():
         blocks = reconstruct_blocks(res.table, [g.full_mask], g)
         assert partition_value(gm, blocks) == res.best_value
         assert all(g.is_connected(b) for b in blocks)
-        p = reconstruct(res.table, Partition([g.full_mask]), g)
-        assert partition_value(gm, p) == res.best_value
 
 
 def test_dype_star_trace_contract():
@@ -178,3 +176,36 @@ def test_dype_star_stops_soon_after_the_deadline():
     res = dype_star(gm, g, pt, deadline=deadline)
     assert not res.completed
     assert res.stats.subsets_enumerated <= K + 1024
+
+
+def test_dype_stops_soon_after_the_deadline_in_the_closing_split():
+    # On a star the level fills are tiny and the closing split scans all
+    # 2^(n-1) blocks around the centre. A deadline that passes at the
+    # split's first value call stops it within one stride of 256 blocks.
+    n = 10
+    g = make_graph(n, [(0, a) for a in range(1, n)])
+    base = random_table_game(n, seed=5)
+    pt = build_pseudotree(g, 0)
+    calls = 0
+    K = -1  # no stall while the fill's value calls are counted
+    deadline = None
+
+    def value(m):
+        nonlocal calls
+        calls += 1
+        if calls == K:
+            while time.monotonic() < deadline:
+                pass
+        return base.value(m)
+
+    gm = Game(n, value)
+    calls = 0
+    dype(gm, g, pt)
+    split = sum(1 for _ in g.connected_subsets(g.full_mask, required=1))
+    assert split == 1 << (n - 1)
+    K = calls - split + 1
+    calls = 0
+    deadline = time.monotonic() + 0.05
+    with pytest.raises(BudgetExceededError):
+        dype(gm, g, pt, deadline=deadline)
+    assert K <= calls <= K + 256 + n

@@ -3,9 +3,8 @@ import random
 
 import pytest
 
-from graphcsg import (Game, Partition, coalition_value, make_cfss_bound,
-                      make_supersub_game, make_tsp_bound, partition_value,
-                      random_table_game, upper_bound_cfss, upper_bound_tsp)
+from graphcsg import (Game, Partition, make_cfss_bound, make_supersub_game,
+                      make_tsp_bound, partition_value, random_table_game)
 
 
 def popcount(m):
@@ -73,7 +72,7 @@ def test_partition_rejects_overlap_and_empty():
 
 def test_partition_value_sums_blocks():
     gm = Game.from_table([0, 1, 2, 10])
-    assert coalition_value(gm, 0b11) == 10
+    assert gm.value(0b11) == 10
     assert partition_value(gm, Partition([0b11])) == 10
     assert partition_value(gm, [0b01, 0b10]) == 3
 
@@ -83,7 +82,7 @@ def test_supersub_game_pinned_values():
     assert gm.value(0b01) == 1
     assert gm.value(0b10) == 1
     assert gm.value(0b11) == 4
-    assert gm.decomposed and gm.is_super_subadditive
+    assert gm.decomposed
     gm2 = make_supersub_game(3, weights=(2, 0, 1), kappa=1)
     # (sum of weights) * |C| - kappa * |C|^2
     assert gm2.value(0b101) == 3 * 2 - 1 * 4
@@ -127,7 +126,7 @@ def test_random_table_game_synthetic_split():
     for _ in range(15):
         n = rng.randint(1, 6)
         gm = random_table_game(n, seed=rng.randrange(10 ** 6))
-        assert gm.decomposed and gm.is_super_subadditive
+        assert gm.decomposed
         for m in range(1 << n):
             assert gm.value(m) == gm.sup_value(m) + gm.sub_value(m)
         for a, b in disjoint_pairs(n):
@@ -156,7 +155,7 @@ def test_upper_bound_tsp_dominates_extensions_spot_check():
         rem = full & ~fixed
         if not rem:
             continue
-        ub = upper_bound_tsp(gm, [fixed], rem)
+        ub = make_tsp_bound(gm, "supersub")(gm.value(fixed), rem)
         best = max(gm.value(fixed) + sum_over_partition(gm, part)
                    for part in partitions_of_mask(rem))
         assert ub >= best
@@ -191,7 +190,7 @@ def test_upper_bound_cfss_dominates_merges_spot_check():
         gm = make_supersub_game(n, seed=rng.randrange(10 ** 6))
         full = (1 << n) - 1
         singles = [1 << a for a in range(n)]
-        ub = upper_bound_cfss(gm, singles, [full])
+        ub = make_cfss_bound(gm, "supersub")(singles, [full])
         # every partition is a coarsening of singletons within one merge set
         for part in partitions_of_mask(full):
             assert ub >= sum_over_partition(gm, part)
@@ -211,7 +210,12 @@ def test_bound_factories():
     assert f(5, 0b111) == f(0, 0b111) + 5
     h = make_cfss_bound(dec, "supersub")
     singles = [1, 2, 4]
-    assert h(singles, [0b111]) == upper_bound_cfss(dec, singles, [0b111])
+    # cost part on the current blocks, reward part on the merged ones
+    assert h(singles, [0b111]) == \
+        sum(dec.sub_value(b) for b in singles) + dec.sup_value(0b111)
+    assert h([0b011, 0b100], [0b011, 0b100]) == \
+        dec.sub_value(0b011) + dec.sub_value(0b100) \
+        + dec.sup_value(0b011) + dec.sup_value(0b100)
     with pytest.raises(ValueError):
         make_tsp_bound(dec, "tighter")
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -48,7 +49,7 @@ def test_realize_supersub_instance():
     gm, g, root = realize_instance(inst)
     assert gm.value(0b11) == 4
     assert gm.value(0b01) == 1
-    assert gm.is_super_subadditive
+    assert gm.decomposed
 
 
 def test_parse_instance_convenience():
@@ -57,6 +58,23 @@ def test_parse_instance_convenience():
     assert root == 1
     assert gm.value(0b111) == 7
     assert g.n == 3
+
+
+def test_round_trip_table_spanning_many_batches():
+    # 2^14 - 1 values print and parse in several batches; the text is the
+    # one-join text, and a bad token in a later batch is still named.
+    inst = gen_instance("gnp", 14, game_kind="table", seed=5)
+    text = write_instance(inst)
+    assert text.splitlines()[-1] == \
+        "game table " + " ".join(str(x) for x in inst.table)
+    assert parse_instance_text(text) == inst
+    head, _, values = text.rpartition("game table ")
+    toks = values.split()
+    with pytest.raises(InstanceFormatError, match="needs 16383 values"):
+        parse_instance_text(head + "game table " + " ".join(toks[:-1]))
+    toks[-3] = "7x"
+    with pytest.raises(InstanceFormatError, match="'7x' is not an integer"):
+        parse_instance_text(head + "game table " + "\t".join(toks))
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -125,3 +143,36 @@ def test_instance_file_rejects_unknown_kind():
     with pytest.raises(ValueError):
         realize_instance(InstanceFile(n=2, edges=((0, 1),),
                                       game_kind="mystery"))
+
+
+def test_realize_instance_copies_the_table_once():
+    # The game's 2^n-entry list is the only table-sized allocation, so the
+    # peak stays near what the realized instance keeps. n = 17 is past the
+    # graph's per-subset caches, which would otherwise dominate both sides.
+    inst = gen_instance("path", 17, game_kind="table", seed=1)
+    tracemalloc.start()
+    try:
+        realized = realize_instance(inst)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert realized[0].value((1 << 17) - 1) == inst.table[-1]
+    assert peak <= 1.5 * kept, (peak, kept)
+
+
+def test_table_text_round_trip_holds_no_string_per_value():
+    # Printing and parsing work in batches: their peaks stay within a few
+    # table-sized arrays, where one string object per value would take
+    # about 60 bytes a value.
+    inst = gen_instance("path", 17, game_kind="table", seed=1)
+    peaks = []
+    tracemalloc.start()
+    try:
+        text = write_instance(inst)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        parse_instance_text(text)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) <= 40 * len(inst.table), peaks

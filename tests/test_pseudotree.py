@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from graphcsg import breadth_first_position, build_pseudotree, make_graph
+from graphcsg import build_pseudotree, make_graph
 
 from conftest import random_connected_edges
 
@@ -33,7 +33,6 @@ def test_order_is_a_permutation_and_positions_invert():
         for i, a in enumerate(pt.order, start=1):
             assert pt.position(a) == i
             assert pt.agent_at(i) == a
-            assert breadth_first_position(pt, a) == i
 
 
 def test_every_edge_joins_ancestor_and_descendant():
