@@ -54,7 +54,6 @@ def test_children_merge_one_adjacent_pair():
 
 
 def test_contraction_tree_covers_structures_exactly_once():
-    """The walk and cfss's hook both see every feasible structure once."""
     rng = random.Random(91)
     for _ in range(20):
         n = rng.randint(1, 7)
@@ -62,12 +61,6 @@ def test_contraction_tree_covers_structures_exactly_once():
         seen = [canon(b) for b, _ in walk_states(g, *root_state(g))]
         assert len(seen) == len(set(seen)), (n, g.edges)
         assert set(seen) == {canon(s) for s in structure_masks(g)}
-    g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-    gm = random_table_game(5, seed=4)
-    hooked = []
-    cfss(gm, g, structure_hook=lambda s: hooked.append(canon(s)))
-    assert len(hooked) == len(set(hooked))
-    assert set(hooked) == {canon(s) for s in structure_masks(g)}
 
 
 def test_pinned_tree_sizes():
@@ -103,6 +96,15 @@ def test_cfss_matches_oracle():
         assert all(g.is_connected(b) for b in res.best)
         assert res.stats.structures_visited == \
             sum(1 for _ in structure_masks(g))
+
+
+def test_cfss_hook_sees_every_structure_once():
+    g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    gm = random_table_game(5, seed=4)
+    seen = []
+    cfss(gm, g, structure_hook=lambda s: seen.append(canon(s)))
+    assert len(seen) == len(set(seen))
+    assert set(seen) == {canon(s) for s in structure_masks(g)}
 
 
 def test_cfss_with_bound_stays_exact_and_prunes():

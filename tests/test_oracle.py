@@ -4,8 +4,9 @@ import time
 
 import pytest
 
-from graphcsg import (BudgetExceededError, brute_force_best, make_graph,
-                      partition_value, random_table_game, structure_masks)
+from graphcsg import (BudgetExceededError, Partition, brute_force_best,
+                      make_graph, partition_value, random_table_game,
+                      structure_masks)
 
 from conftest import (FOUR_CYCLE_EDGES, canon, feasible_partitions_by_filter,
                       random_connected_edges)
@@ -30,11 +31,9 @@ def test_four_cycle_has_12_feasible_structures():
 
 def test_structures_match_independent_filter():
     rng = random.Random(60)
-    cases = [(3, [(0, 1), (1, 2)])]
     for _ in range(25):
         n = rng.randint(1, 6)
-        cases.append((n, random_connected_edges(rng, n)))
-    for n, edges in cases:
+        edges = random_connected_edges(rng, n)
         g = make_graph(n, edges)
         got = {canon(s) for s in structure_masks(g)}
         assert len(got) == sum(1 for _ in structure_masks(g))
@@ -48,6 +47,14 @@ def test_structures_of_disconnected_graph_and_sub_ground():
     # restricting the ground set enumerates partitions of that subset only
     sub = {canon(s) for s in structure_masks(g, ground=0b0011)}
     assert sub == {canon([0b0011]), canon([0b0001, 0b0010])}
+
+
+def test_enumerate_feasible_structures_yields_partitions():
+    g = make_graph(3, [(0, 1), (1, 2)])
+    parts = [Partition(s) for s in structure_masks(g)]
+    assert all(p.covered == 0b111 for p in parts)
+    assert {canon(p.blocks) for p in parts} == \
+        feasible_partitions_by_filter(3, [(0, 1), (1, 2)])
 
 
 def test_brute_force_matches_exhaustive_scan():
