@@ -3,18 +3,21 @@
 The sweep walks the breadth-first order backwards. At each position it
 tabulates, for every connected set anchored there whose complement stays
 connected, the best way to carve off a connected block around the anchor
-and partition the leftovers optimally. A final pass over blocks containing
-the first agent assembles the optimum for the whole agent set.
+and partition the leftovers optimally. Only the tree search (treesearch.py)
+assembles whole structures: once level L is published, the table finishes
+every seed of search stage L (the first-agent blocks that hold every agent
+before position L and leave out the agent at L).
 
-The anytime variant is the same fill run level by level by a `_Sweep`
-worker, which after each level also scans every candidate first-agent
-block compatible with that level and keeps a running incumbent partition,
-so it can be stopped early with a feasible answer in hand. The hybrid
-solver runs this same worker in turns with its tree search.
+`dype` fills every level and then runs every stage from the one-block
+partition. The anytime `dype_star` runs a `_Sweep` worker, which runs each
+level's stage right after filling it, so it keeps a running incumbent and
+can be stopped early with a feasible answer in hand. The hybrid solver
+runs this same worker in turns with its tree search.
 """
 
 from __future__ import annotations
 
+import math
 import time
 
 from ..games import Game, Partition
@@ -22,33 +25,33 @@ from ..graph import Graph
 from ..masks import agents_of
 from ..pseudotree import Pseudotree
 from .base import (BudgetExceededError, InternalInvariantError, SearchStats,
-                   SolverResult, _Control, _Incumbent, deadline_passed,
-                   require_connected)
-from .dptable import DpTable, reconstruct_blocks
+                   SolverResult, _Control, _Incumbent, require_connected)
+from .dptable import DpTable
+from .treesearch import _Search
 
 _DEADLINE_STRIDE = 256
 
 
 def _best_anchored_split(v, g: Graph, table_values, c: int, anchor_bit: int,
-                         deadline: float | None = None):
+                         deadline: float | None = None, ticks: int = 0):
     """Best value over connected blocks S containing the anchor inside c,
-    where the rest of c is settled by table lookups per component. With a
-    deadline it is checked every `_DEADLINE_STRIDE` blocks; level fills
-    pass none and check between entries instead.
+    where the rest of c is settled by table lookups per component. A level
+    fill passes its deadline and `ticks`, its subset count so far: counting
+    on from there, the deadline is checked every `_DEADLINE_STRIDE` subsets.
 
-    Returns (value, block, subsets_scanned).
+    Returns (value, block, blocks_scanned); value is None when the deadline
+    passed.
     """
     best_val = None
     best_sub = 0
     component_of = g.component_of
-    count = 0
+    count = ticks
     try:
         for s in g.connected_subsets(c, required=anchor_bit):
             count += 1
-            if deadline is not None and count % _DEADLINE_STRIDE == 0 \
+            if deadline is not None and count % _DEADLINE_STRIDE == 1 \
                     and time.monotonic() >= deadline:
-                raise BudgetExceededError(
-                    "deadline hit during the closing split")
+                return None, 0, count - ticks
             val = v(s)
             rest = c & ~s
             while rest:
@@ -61,7 +64,7 @@ def _best_anchored_split(v, g: Graph, table_values, c: int, anchor_bit: int,
     except KeyError as e:
         raise InternalInvariantError(
             f"missing table entry for mask {e.args[0]}") from None
-    return best_val, best_sub, count
+    return best_val, best_sub, count - ticks
 
 
 def _solve_level(v, g: Graph, pt: Pseudotree, table: DpTable, level: int,
@@ -73,119 +76,84 @@ def _solve_level(v, g: Graph, pt: Pseudotree, table: DpTable, level: int,
     full = g.full_mask
     is_connected = g.is_connected
     tv = table.values
-    seen = 0
+    ticks = 0
     solved = 0
-    inner = 0
-    # Inner split subsets count toward the stride too: one entry can scan
-    # thousands of them. The first check comes at the level's first subset.
-    next_check = 0
-    for c in g.connected_subsets(ground, required=anchor_bit):
-        seen += 1
-        if deadline is not None and seen + inner > next_check:
-            next_check = seen + inner + _DEADLINE_STRIDE
-            if time.monotonic() >= deadline:
-                stats.subsets_enumerated += seen + inner
-                stats.dp_subproblems += solved
+    # Entries and their inner split subsets share one stride: one entry
+    # can scan thousands of subsets. The first check comes at the level's
+    # first subset.
+    try:
+        for c in g.connected_subsets(ground, required=anchor_bit):
+            ticks += 1
+            if deadline is not None and ticks % _DEADLINE_STRIDE == 1 \
+                    and time.monotonic() >= deadline:
                 raise BudgetExceededError(
                     "deadline hit while filling the table")
-        if not is_connected(full & ~c):
-            continue
-        val, sub, cnt = _best_anchored_split(v, g, tv, c, anchor_bit)
-        inner += cnt
-        table.put(c, val, sub)
-        solved += 1
-    stats.subsets_enumerated += seen + inner
-    stats.dp_subproblems += solved
+            if not is_connected(full & ~c):
+                continue
+            val, sub, cnt = _best_anchored_split(v, g, tv, c, anchor_bit,
+                                                 deadline, ticks)
+            ticks += cnt
+            if val is None:
+                raise BudgetExceededError(
+                    "deadline hit while splitting a table entry")
+            table.put(c, val, sub)
+            solved += 1
+    finally:
+        stats.subsets_enumerated += ticks
+        stats.dp_subproblems += solved
     table.published_level = level
 
 
 def dype(game: Game, g: Graph, pt: Pseudotree, *,
          deadline: float | None = None) -> SolverResult:
     """Exact table-filling solver; returns an optimal partition of all
-    agents into connected blocks."""
+    agents into connected blocks (to within the game's tolerance)."""
     require_connected(g)
-    n = g.n
     full = g.full_mask
-    v = game.value
-    table = DpTable(n)
+    table = DpTable(g.n)
     stats = SearchStats()
-    for level in range(n, 1, -1):
-        _solve_level(v, g, pt, table, level, stats, deadline)
-    best, sub, cnt = _best_anchored_split(v, g, table.values, full,
-                                          1 << pt.order[0], deadline)
-    stats.subsets_enumerated += cnt
-    table.put(full, best, sub)
+    for level in range(g.n, 1, -1):
+        _solve_level(game.value, g, pt, table, level, stats, deadline)
+    # With every level published the table finishes every seed, so the
+    # search prices each first-agent block but the full set exactly once.
+    inc = _Incumbent([full], game.value(full), 0, game.tolerance)
+    _Search(game, g, pt, table, inc, stats, None, deadline,
+            _Control()).step(math.inf)
+    # The first block holds the first agent: it is the full set's witness.
+    table.put(full, inc.value, inc.blocks[0])
     stats.dp_subproblems += 1
-    blocks = reconstruct_blocks(table, [full], g)
-    return SolverResult(best=Partition(blocks), best_value=best, stats=stats,
-                        table=table)
+    return SolverResult(best=Partition(inc.blocks), best_value=inc.value,
+                        stats=stats, table=table)
 
 
 class _Sweep:
     """Table-filling worker; `next_level` is its frontier. `dype_star` runs
-    it alone and `d_tsp` takes turns between it and the search."""
+    it alone and `d_tsp` takes turns between it and the search. It fills
+    levels over the table, stats and deadline of the stage search it owns."""
 
-    __slots__ = ("game", "g", "pt", "table", "inc", "stats", "deadline",
-                 "control", "next_level")
+    __slots__ = ("next_level", "_search")
 
     def __init__(self, game, g, pt, table, inc, stats, deadline, control):
-        self.game = game
-        self.g = g
-        self.pt = pt
-        self.table = table
-        self.inc = inc
-        self.stats = stats
-        self.deadline = deadline
-        self.control = control
         self.next_level = g.n
+        self._search = _Search(game, g, pt, table, inc, stats, None, deadline,
+                               control)
 
     def step(self) -> bool:
         """Fill one level and scan the first blocks it settles."""
         level = self.next_level
         if level < 2:
             return False
-        _solve_level(self.game.value, self.g, self.pt, self.table, level,
-                     self.stats, self.deadline)
+        s = self._search
+        _solve_level(s.game.value, s.g, s.pt, s.table, level, s.stats,
+                     s.deadline)
         self._scan(level)
         self.next_level = level - 1
         return True
 
     def _scan(self, level: int) -> None:
-        """Price every first-agent block whose first excluded agent sits at
-        this level; the table now prices all of their complements."""
-        g = self.g
-        game = self.game
-        v = game.value
-        table = self.table
-        inc = self.inc
-        full = g.full_mask
-        tv = table.values
-        component_of = g.component_of
-        ground = full ^ (1 << self.pt.order[level - 1])
-        seen = 0
-        for s in g.connected_subsets(ground,
-                                     required=self.pt.prefix_masks[level]):
-            seen += 1
-            if seen % _DEADLINE_STRIDE == 0:
-                if deadline_passed(self.deadline):
-                    self.stats.subsets_enumerated += seen
-                    raise BudgetExceededError("deadline hit during level scan")
-                if self.control.stop:
-                    break
-            val = v(s)
-            rest = full & ~s
-            try:
-                while rest:
-                    comp = component_of(rest)
-                    val += tv[comp]
-                    rest &= ~comp
-            except KeyError as e:
-                raise InternalInvariantError(
-                    f"missing table entry for mask {e.args[0]}") from None
-            if game.improves(val, inc.value):
-                comps = g.connected_components(full & ~s)
-                inc.offer([s] + reconstruct_blocks(table, comps, g), val)
-        self.stats.subsets_enumerated += seen
+        """Run search stage `level`, whose seeds the table now finishes."""
+        self._search.next_stage = self._search.last_stage = level
+        self._search.step(math.inf)
 
 
 def dype_star(game: Game, g: Graph, pt: Pseudotree, *, on_incumbent=None,

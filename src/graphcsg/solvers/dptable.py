@@ -30,20 +30,6 @@ class DpTable:
         self.values[c] = value
         self.subsets[c] = best_subset
 
-    def v_star(self, c: int) -> Value:
-        try:
-            return self.values[c]
-        except KeyError:
-            raise InternalInvariantError(
-                f"missing table entry for mask {c}") from None
-
-    def best_subset(self, c: int) -> int:
-        try:
-            return self.subsets[c]
-        except KeyError:
-            raise InternalInvariantError(
-                f"missing table entry for mask {c}") from None
-
     def __contains__(self, c: int) -> bool:
         return c in self.values
 

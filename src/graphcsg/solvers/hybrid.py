@@ -2,15 +2,17 @@
 
 `d_tsp` drives the two workers that `dype_star` and `tsp` run alone: the
 sweep (`dp._Sweep`) fills table levels from the back of the breadth-first
-order and after each level scans the candidate first-agent blocks that
-level settles; the search (`treesearch._Search`) consumes seed stages from
-the front. Both families are indexed the same way (by the first agent, in
-order, excluded from the first block), so once the sweep's next level
-drops below the search's pending stage the two sides have jointly covered
-every structure and the shared incumbent is optimal.
+order and after each level runs that level's search stage, whose seeds the
+table finishes; the search (`treesearch._Search`) consumes seed stages
+from the front. Both families are indexed the same way (by the first
+agent, in order, excluded from the first block), so once the sweep's next
+level drops below the search's pending stage the two sides have jointly
+covered every structure and the shared incumbent is optimal. After every
+sweep level the search's `last_stage` is lowered to the sweep's next
+level, so it never starts a stage the sweep has already run.
 
 Work is measured in ticks: one enumerated subset, or one table entry a
-shortcut looks up. Interleaved, the two sides take equal turns: a sweep
+completion looks up. Interleaved, the two sides take equal turns: a sweep
 level, then as many search ticks as that level enumerated subsets. Equal
 shares keep the hybrid within about twice its faster side (the
 time-sharing argument for algorithm portfolios) and keep the run
@@ -65,12 +67,16 @@ def d_tsp(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
     sweep_stats = SearchStats()
     search_stats = SearchStats()
     sweep = _Sweep(game, g, pt, table, inc, sweep_stats, deadline, control)
+    search = _Search(game, g, pt, table, inc, search_stats, bound, deadline,
+                     control)
 
     def crossed() -> bool:
         return sweep.next_level < search.next_stage
 
-    search = _Search(game, g, pt, table, inc, search_stats, bound, deadline,
-                     control, crossed)
+    def sweep_step() -> bool:
+        more = sweep.step()
+        search.last_stage = sweep.next_level
+        return more
 
     completed = True
     if mode == "interleaved":
@@ -80,7 +86,7 @@ def d_tsp(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
                     completed = False
                     break
                 before = sweep_stats.subsets_enumerated
-                sweep.step()
+                sweep_step()
                 if not crossed():
                     search.step(sweep_stats.subsets_enumerated - before)
         except BudgetExceededError:
@@ -106,7 +112,7 @@ def d_tsp(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
             target=run, args=(lambda: search.step(_DEADLINE_STRIDE),),
             name="block-search", daemon=True)
         worker.start()
-        run(sweep.step)
+        run(sweep_step)
         worker.join()
         if control.error is not None:
             raise control.error

@@ -8,10 +8,14 @@ exactly once. A bound hook may prune subtrees whose optimistic value
 cannot beat the incumbent.
 
 `_Search` keeps its open nodes on an explicit stack, so it can pause
-between any two nodes. `tsp` runs it alone over an empty table, from the
-better of the one-block and all-singletons partitions; the hybrid runs it
-in turns with the table-filling sweep, and there a node whose remainder
-the table covers is finished by `tsp_star_step` instead.
+between any two nodes, and it is the only code that assembles whole
+structures. A node whose remainder lies within the table's published
+levels is finished by `tsp_star_step` instead of searched. `tsp` runs the
+search alone over an empty table, from the better of the one-block and
+all-singletons partitions. The sweep (dp.py) runs stage L once level L is
+published, so the table finishes every seed of it; `dype` runs every stage
+once the whole table is filled; the hybrid runs the search in turns with
+the sweep.
 """
 
 from __future__ import annotations
@@ -38,17 +42,18 @@ class _Search:
     seeds of the pending stage; each frame above it is a node, holding its
     children iterator, covered mask, value, order position and the block
     chosen to reach it (the seed frame covers nothing). `next_stage` is the
-    frontier (the stage whose seeds are pending, n+1 once all stages are
-    done); it advances only once a stage's whole seed frame is exhausted.
+    frontier (the stage whose seeds are pending); it advances only once a
+    stage's whole seed frame is exhausted. The search stops before any
+    stage past `last_stage` (n unless a driver lowers it).
     `structure_hook`, when given, observes every full structure reached.
     """
 
     __slots__ = ("game", "g", "pt", "table", "inc", "stats", "bound",
-                 "deadline", "control", "crossed", "structure_hook",
-                 "next_stage", "_stack")
+                 "deadline", "control", "structure_hook", "next_stage",
+                 "last_stage", "_stack")
 
     def __init__(self, game, g, pt, table, inc, stats, bound, deadline,
-                 control, crossed, structure_hook=None):
+                 control, structure_hook=None):
         self.game = game
         self.g = g
         self.pt = pt
@@ -58,23 +63,23 @@ class _Search:
         self.bound = bound
         self.deadline = deadline
         self.control = control
-        self.crossed = crossed
         self.structure_hook = structure_hook
         self.next_stage = 2
+        self.last_stage = g.n
         self._stack = []
 
     def step(self, budget) -> bool:
         """Advance the search by about `budget` ticks, where a tick is one
         subset handled: a seed or child enumerated, or a remainder
-        component a table shortcut looks up. False when out of work,
-        crossed or told to stop; True when the budget ran out first."""
+        component a table completion looks up. False when past
+        `last_stage` or told to stop; True when the budget ran out first."""
         g = self.g
-        n = g.n
         full = g.full_mask
         connected_subsets = g.connected_subsets
         order = self.pt.order
-        v = self.game.value
-        tol = self.game.tolerance
+        game = self.game
+        v = game.value
+        tol = game.tolerance
         table = self.table
         inc = self.inc
         stats = self.stats
@@ -96,7 +101,7 @@ class _Search:
                     limit = min(budget, ticks + _DEADLINE_STRIDE)
                 if not stack:
                     stage = self.next_stage
-                    if stage > n or self.control.stop or self.crossed():
+                    if stage > self.last_stage or self.control.stop:
                         return False
                     # A seed holds every agent before the stage agent and
                     # leaves it out, so its node opens at position `stage`.
@@ -132,16 +137,28 @@ class _Search:
                     npos = pos + 1
                     while (1 << order[npos - 1]) & ncov:
                         npos += 1
-                    if npos < table.published_level \
-                            or not (spent := self._finish(c, ncov, nval)):
-                        stack.append((connected_subsets(
-                            full & ~ncov, required=1 << order[npos - 1]),
-                            ncov, nval, npos, c))
-                        break
-                    ticks += spent
-                    looked_up += spent
-                    if ticks >= limit:
-                        break
+                    if npos >= table.published_level:
+                        done = tsp_star_step(table, game, g, full & ~ncov,
+                                             nval, inc.value)
+                        if done is not None:
+                            spent, total, rest = done
+                            if not seeds:
+                                stats.tsp_star_shortcuts += 1
+                            if rest is not None:
+                                inc.offer(self._partial() + [c] + rest, total)
+                            ticks += spent
+                            looked_up += spent
+                            if ticks >= limit:
+                                break
+                            continue
+                        stats.tsp_star_fallbacks += 1
+                        log.warning("no table completion below partial %s; "
+                                    "searching the subtree instead",
+                                    [hex(b) for b in self._partial() + [c]])
+                    stack.append((connected_subsets(
+                        full & ~ncov, required=1 << order[npos - 1]),
+                        ncov, nval, npos, c))
+                    break
                 else:
                     stack.pop()
                     if not stack:
@@ -154,26 +171,6 @@ class _Search:
     def _partial(self) -> list:
         """The blocks chosen on the way to the open node, seed first."""
         return [frame[4] for frame in self._stack[1:]]
-
-    def _finish(self, block, covered, value) -> int:
-        """Finish the node reached by `block` from the table. Returns the
-        ticks spent (one per remainder component looked up), or 0 when an
-        entry is missing and the node must be searched instead."""
-        g = self.g
-        table = self.table
-        partial = self._partial() + [block]
-        comps = g.connected_components(g.full_mask & ~covered)
-        if all(c in table for c in comps):
-            self.stats.tsp_star_shortcuts += 1
-            res = tsp_star_step(table, self.game, g, partial, value, comps,
-                                self.inc.value)
-            if res is not None:
-                self.inc.offer(*res)
-            return len(comps)
-        self.stats.tsp_star_fallbacks += 1
-        log.warning("table completion unavailable below partial %s; "
-                    "searching the subtree instead", [hex(b) for b in partial])
-        return 0
 
 
 def tsp(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
@@ -198,26 +195,37 @@ def tsp(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
     stats = SearchStats()
     # An empty table publishes no level, so no node is ever shortcut.
     _Search(game, g, pt, DpTable(g.n), inc, stats, bound, deadline, _Control(),
-            lambda: False, structure_hook).step(math.inf)
+            structure_hook).step(math.inf)
     return SolverResult(best=Partition(inc.blocks), best_value=inc.value,
                         stats=stats)
 
 
-def tsp_star_step(table: DpTable, game: Game, g: Graph, partial_blocks,
-                  partial_value: Value, comps, incumbent_value: Value):
+def tsp_star_step(table: DpTable, game: Game, g: Graph, rest: int,
+                  partial_value: Value, incumbent_value: Value):
     """Finish a partial partition optimally from table entries instead of
     searching its subtree.
 
-    `partial_value` is the summed value of `partial_blocks`, and `comps`
-    are the connected components of the agents they leave uncovered; each
-    must already have a table entry, which callers check (falling back to
-    ordinary search when it fails) before calling. Returns (blocks, value)
-    when the completion beats the incumbent, else None.
+    `partial_value` is the summed value of the partial's blocks and `rest`
+    the agents they leave uncovered. Returns None when some component of
+    `rest` has no table entry (the caller then searches the subtree). Else
+    returns (lookups, total, blocks): the components looked up, the
+    completed value, and the remainder's optimal blocks when the completion
+    beats the incumbent (None otherwise, so nothing is built for a loser).
     """
+    tv = table.values
+    component_of = g.component_of
     total = partial_value
-    for comp in comps:
-        total += table.v_star(comp)
+    lookups = 0
+    r = rest
+    try:
+        while r:
+            comp = component_of(r)
+            total += tv[comp]
+            lookups += 1
+            r &= ~comp
+    except KeyError:
+        return None
     if game.improves(total, incumbent_value):
-        return (list(partial_blocks) + reconstruct_blocks(table, comps, g),
-                total)
-    return None
+        return (lookups, total,
+                reconstruct_blocks(table, g.connected_components(rest), g))
+    return lookups, total, None

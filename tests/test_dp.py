@@ -7,6 +7,7 @@ from graphcsg import (BudgetExceededError, Game, InternalInvariantError,
                       brute_force_best, build_pseudotree, dype,
                       dype_star, make_graph, partition_value,
                       random_table_game)
+from graphcsg.solvers import dp
 from graphcsg.solvers.dp import audit_dp_table
 from graphcsg.solvers.dptable import DpTable, reconstruct_blocks
 
@@ -85,12 +86,15 @@ def test_audit_rejects_corrupted_witness():
 def test_table_entries_are_write_once():
     t = DpTable(3)
     t.put(0b011, 7, 0b001)
-    assert t.v_star(0b011) == 7
-    assert t.best_subset(0b011) == 0b001
+    assert t.values[0b011] == 7
+    assert t.subsets[0b011] == 0b001
     with pytest.raises(InternalInvariantError):
         t.put(0b011, 8, 0b001)
+    assert (t.values[0b011], t.subsets[0b011]) == (7, 0b001)
+    # a missing entry is reported as a fault, not read as a KeyError
+    g = make_graph(3, [(0, 1), (1, 2)])
     with pytest.raises(InternalInvariantError):
-        t.v_star(0b111)
+        reconstruct_blocks(t, [0b111], g)
 
 
 def test_published_level_reaches_bottom():
@@ -178,10 +182,13 @@ def test_dype_star_stops_soon_after_the_deadline():
     assert res.stats.subsets_enumerated <= K + 1024
 
 
-def test_dype_stops_soon_after_the_deadline_in_the_closing_split():
-    # On a star the level fills are tiny and the closing split scans all
-    # 2^(n-1) blocks around the centre. A deadline that passes at the
-    # split's first value call stops it within one stride of 256 blocks.
+def test_dype_stops_soon_after_the_deadline_in_the_final_search():
+    # On a star the level fills are tiny, and once they are done the search
+    # prices the 2^(n-1) - 1 first blocks around the centre (all but the
+    # full set) from the table. A deadline that passes at the search's
+    # first value call stops it within one stride of 1,024 ticks; each
+    # block also costs a tick per component it leaves, so on this star
+    # that is under 256 blocks.
     n = 10
     g = make_graph(n, [(0, a) for a in range(1, n)])
     base = random_table_game(n, seed=5)
@@ -201,11 +208,76 @@ def test_dype_stops_soon_after_the_deadline_in_the_closing_split():
     gm = Game(n, value)
     calls = 0
     dype(gm, g, pt)
-    split = sum(1 for _ in g.connected_subsets(g.full_mask, required=1))
-    assert split == 1 << (n - 1)
-    K = calls - split + 1
+    seeds = sum(1 for _ in g.connected_subsets(g.full_mask, required=1)) - 1
+    assert seeds == (1 << (n - 1)) - 1
+    K = calls - seeds + 1
     calls = 0
     deadline = time.monotonic() + 0.05
     with pytest.raises(BudgetExceededError):
         dype(gm, g, pt, deadline=deadline)
     assert K <= calls <= K + 256 + n
+
+
+def test_dype_star_stops_soon_after_the_deadline_inside_a_split():
+    # On K12 the last level's largest entry splits over 2^10 blocks. A
+    # deadline that passes at that split's first value call is noticed
+    # inside the split, within one stride of 256 subsets.
+    n = 12
+    g = make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    base = random_table_game(n, seed=6)
+    pt = build_pseudotree(g, 0)
+    calls = 0
+    K = -1
+    deadline = None
+
+    def value(m):
+        nonlocal calls
+        calls += 1
+        if calls == K:
+            while time.monotonic() < deadline:
+                pass
+        return base.value(m)
+
+    split = dp._best_anchored_split
+    largest = (0, 0)  # (agents, first value call) of the largest split
+
+    def spy(v, g, tv, c, anchor_bit, *args):
+        nonlocal largest
+        if c.bit_count() > largest[0]:
+            largest = (c.bit_count(), calls + 1)
+        return split(v, g, tv, c, anchor_bit, *args)
+
+    gm = Game(n, value)
+    t0 = time.monotonic()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dp, "_best_anchored_split", spy)
+        dype_star(gm, g, pt)
+    assert largest[0] == n - 1
+    K = largest[1]
+    calls = 0
+    # late enough that the run reaches the K-th value call before it
+    deadline = time.monotonic() + 2 * (time.monotonic() - t0) + 0.5
+    res = dype_star(gm, g, pt, deadline=deadline)
+    assert not res.completed
+    assert K <= calls <= K + 256 + n
+
+
+def test_dype_and_dype_star_do_the_same_work():
+    # dype's final search prices the seeds that dype-star's level scans
+    # price, so both enumerate the same subsets; only dype's table holds
+    # the full set's entry
+    rng = random.Random(75)
+    for _ in range(15):
+        gm, g = random_instance(rng)
+        pt = build_pseudotree(g, rng.randrange(g.n))
+        exact = dype(gm, g, pt)
+        anytime = dype_star(gm, g, pt)
+        assert exact.best_value == anytime.best_value
+        assert exact.stats.subsets_enumerated \
+            == anytime.stats.subsets_enumerated
+        full = g.full_mask
+        assert full in exact.table and full not in anytime.table
+        assert {c: x for c, x in exact.table.values.items() if c != full} \
+            == anytime.table.values
+        assert {c: x for c, x in exact.table.subsets.items() if c != full} \
+            == anytime.table.subsets

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import time
@@ -5,7 +6,7 @@ import time
 import pytest
 
 from graphcsg import (Game, SearchStats, brute_force_best, build_pseudotree,
-                      d_tsp, dype_star, make_graph, make_supersub_game,
+                      d_tsp, dype, dype_star, make_graph, make_supersub_game,
                       make_tsp_bound, partition_value, random_table_game,
                       structure_masks, tsp)
 from graphcsg.solvers.dptable import DpTable
@@ -164,7 +165,7 @@ def test_search_steps_walk_the_tsp_tree_at_any_budget():
             stats = SearchStats()
             structures = []
             search = _Search(gm, g, pt, DpTable(n), inc, stats, None, None,
-                             _Control(), lambda: False, structures.append)
+                             _Control(), structures.append)
             steps = 0
             while search.step(budget):
                 steps += 1
@@ -214,3 +215,29 @@ def test_interleaved_runs_are_deterministic():
             assert a.stats == b.stats
             assert [v for _, v in a.trace] == [v for _, v in b.trace]
             assert a.best == b.best
+
+
+def test_solvers_leave_no_reference_cycle():
+    # with the cyclic collector off, dropping a result must free its table
+    # and every worker's: nothing a run builds may refer back to itself
+    rng = random.Random(109)
+    g = make_graph(8, random_connected_edges(rng, 8))
+    gm = random_table_game(8, seed=56)
+    pt = build_pseudotree(g, 0)
+    runs = [lambda: dype(gm, g, pt), lambda: dype_star(gm, g, pt),
+            lambda: tsp(gm, g, pt), lambda: d_tsp(gm, g, pt),
+            lambda: d_tsp(gm, g, pt, mode="parallel")]
+
+    def live_tables():
+        return sum(isinstance(o, DpTable) for o in gc.get_objects())
+
+    gc.collect()
+    before = live_tables()
+    gc.disable()
+    try:
+        for run in runs:
+            res = run()
+            del res
+            assert live_tables() == before
+    finally:
+        gc.enable()

@@ -107,18 +107,18 @@ def test_tsp_star_step_completes_optimally():
         if rem == 0:
             continue
         # the search hands over the partial's value, summed in block order,
-        # and the remainder's components
+        # and the agents it leaves uncovered
         partial = 0
         for b in blocks:
             partial += gm.value(b)
-        comps = g.connected_components(rem)
-        got = tsp_star_step(table, gm, g, blocks, partial, comps,
-                            float("-inf"))
+        got = tsp_star_step(table, gm, g, rem, partial, float("-inf"))
         assert got is not None
-        done_blocks, total = got
+        lookups, total, rest_blocks = got
+        assert lookups == len(g.connected_components(rem))
         want = partition_value(gm, blocks) + max(
             partition_value(gm, s) for s in structure_masks(g, ground=rem))
         assert total == want
+        done_blocks = blocks + rest_blocks
         assert partition_value(gm, done_blocks) == total
         cov = 0
         for b in done_blocks:
@@ -126,8 +126,8 @@ def test_tsp_star_step_completes_optimally():
             cov |= b
         assert cov == g.full_mask
         # a completion that cannot beat the incumbent is withheld
-        assert tsp_star_step(table, gm, g, blocks, partial, comps,
-                             total) is None
+        assert tsp_star_step(table, gm, g, rem, partial, total) \
+            == (lookups, total, None)
 
 
 def test_tsp_deadline():
