@@ -18,6 +18,19 @@ from .instances import (MODELS, InstanceFormatError, gen_instance,
 from .solvers import BudgetExceededError
 
 
+class _UsageError(Exception):
+    """A flag value argparse cannot check by itself; exits with 2."""
+
+
+def _algorithms(text: str) -> tuple[str, ...]:
+    """The names in a comma-separated --algorithms value."""
+    algorithms = tuple(a for a in text.split(",") if a)
+    bad = set(algorithms) - set(ALGORITHMS)
+    if bad:
+        raise _UsageError(f"unknown algorithms: {', '.join(sorted(bad))}")
+    return algorithms
+
+
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bound", choices=("none", "supersub"), default="none",
                    help="pruning bound for tsp/d-tsp/cfss")
@@ -137,14 +150,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     models = tuple(m for m in args.models.split(",") if m)
-    algorithms = None
-    if args.algorithms:
-        algorithms = tuple(a for a in args.algorithms.split(",") if a)
-        bad = set(algorithms) - set(ALGORITHMS)
-        if bad:
-            print(f"unknown algorithms: {', '.join(sorted(bad))}",
-                  file=sys.stderr)
-            return 2
+    algorithms = _algorithms(args.algorithms) if args.algorithms else None
     report = verify_matrix(
         models=models, ns=range(args.n_min, args.n_max + 1),
         games_per_cell=args.games, base_seed=args.seed,
@@ -157,12 +163,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    algorithms = tuple(a for a in args.algorithms.split(",") if a)
-    bad = set(algorithms) - set(ALGORITHMS)
-    if bad:
-        print(f"unknown algorithms: {', '.join(sorted(bad))}",
-              file=sys.stderr)
-        return 2
+    algorithms = _algorithms(args.algorithms)
     loaded = []
     for path in args.instances:
         game, g, root = _load_instance(path)
@@ -194,6 +195,9 @@ def main(argv=None) -> int:
             return _cmd_verify(args)
         if args.command == "bench":
             return _cmd_bench(args)
+    except _UsageError as e:
+        print(e, file=sys.stderr)
+        return 2
     except (InstanceFormatError, OSError, ValueError) as e:
         print(f"instance error: {e}", file=sys.stderr)
         return 3

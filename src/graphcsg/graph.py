@@ -73,19 +73,6 @@ class Graph:
     def __hash__(self) -> int:
         return hash((self.n, self.edges))
 
-    def neighbors_of_set(self, s: int) -> int:
-        """Union of neighbor masks over the members of s (may overlap s)."""
-        nbr = self._nbr
-        if nbr is not None:
-            return nbr[s]
-        out = 0
-        adj = self.adj
-        while s:
-            b = s & -s
-            s ^= b
-            out |= adj[b.bit_length() - 1]
-        return out
-
     def component_of(self, s: int) -> int:
         """Connected component of s that contains its lowest-index agent."""
         if s == 0:

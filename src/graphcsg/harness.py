@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 from .games import (Game, Partition, Value, make_cfss_bound, make_tsp_bound,
@@ -373,11 +373,6 @@ class BenchRow:
     nodes_pruned: int
 
 
-BENCH_FIELDS = ("instance", "algorithm", "rep", "status", "value", "wall_ms",
-                "subsets_enumerated", "dp_entries", "nodes_expanded",
-                "nodes_pruned")
-
-
 def write_trace_csv(path, trace) -> None:
     """Trace points as CSV; equal timestamps are bumped forward so the
     column is strictly increasing."""
@@ -437,13 +432,10 @@ def run_bench(instances, algorithms, *, budget_ms: float | None = None,
                         out / f"{name}.{alg}.r{rep}.trace.csv", trace)
     if out is not None:
         with open(out / "report.csv", "w", newline="") as f:
+            # csv writes None (a run with no value) as an empty cell
             w = csv.writer(f)
-            w.writerow(BENCH_FIELDS)
-            for r in rows:
-                w.writerow([r.instance, r.algorithm, r.rep, r.status,
-                            "" if r.value is None else r.value, r.wall_ms,
-                            r.subsets_enumerated, r.dp_entries,
-                            r.nodes_expanded, r.nodes_pruned])
+            w.writerow(col.name for col in fields(BenchRow))
+            w.writerows(astuple(r) for r in rows)
     return rows
 
 

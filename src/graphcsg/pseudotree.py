@@ -48,12 +48,6 @@ class Pseudotree:
             raise ValueError(f"agent {a} out of range for n={self.n}")
         return self._pos[a]
 
-    def agent_at(self, i: int) -> int:
-        """Agent at 1-based position i."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"position {i} out of range for n={self.n}")
-        return self.order[i - 1]
-
     def is_ancestor(self, anc: int, node: int) -> bool:
         """True when anc lies on the root path of node (inclusive)."""
         while node != -1:

@@ -1,4 +1,4 @@
-"""Exact dynamic-programming solvers driven by a pseudotree order.
+"""Dynamic-programming sweep and the driver of the pseudotree solvers.
 
 The sweep walks the breadth-first order backwards. At each position it
 tabulates, for every connected set anchored there whose complement stays
@@ -8,16 +8,18 @@ assembles whole structures: once level L is published, the table finishes
 every seed of search stage L (the first-agent blocks that hold every agent
 before position L and leave out the agent at L).
 
-`dype` fills every level and then runs every stage from the one-block
-partition. The anytime `dype_star` runs a `_Sweep` worker, which runs each
-level's stage right after filling it, so it keeps a running incumbent and
-can be stopped early with a feasible answer in hand. The hybrid solver
-runs this same worker in turns with its tree search.
+`_drive` steps a `_Sweep` worker, which runs each level's stage right
+after filling it, so the incumbent improves level by level; the hybrid
+(hybrid.py) has it take turns with the tree search. The anytime
+`dype_star` is the sweep alone. The exact `dype` is the same sweep run to
+the end: it raises instead of returning an unfinished incumbent, and keeps
+no trace.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import time
 
 from ..games import Game, Partition
@@ -25,9 +27,10 @@ from ..graph import Graph
 from ..masks import agents_of
 from ..pseudotree import Pseudotree
 from .base import (BudgetExceededError, InternalInvariantError, SearchStats,
-                   SolverResult, _Control, _Incumbent, require_connected)
+                   SolverResult, _Control, _Incumbent, deadline_passed,
+                   require_connected)
 from .dptable import DpTable
-from .treesearch import _Search
+from .treesearch import _DEADLINE_STRIDE as _SEARCH_STRIDE, _Search
 
 _DEADLINE_STRIDE = 256
 
@@ -104,32 +107,10 @@ def _solve_level(v, g: Graph, pt: Pseudotree, table: DpTable, level: int,
     table.published_level = level
 
 
-def dype(game: Game, g: Graph, pt: Pseudotree, *,
-         deadline: float | None = None) -> SolverResult:
-    """Exact table-filling solver; returns an optimal partition of all
-    agents into connected blocks (to within the game's tolerance)."""
-    require_connected(g)
-    full = g.full_mask
-    table = DpTable(g.n)
-    stats = SearchStats()
-    for level in range(g.n, 1, -1):
-        _solve_level(game.value, g, pt, table, level, stats, deadline)
-    # With every level published the table finishes every seed, so the
-    # search prices each first-agent block but the full set exactly once.
-    inc = _Incumbent([full], game.value(full), 0, game.tolerance)
-    _Search(game, g, pt, table, inc, stats, None, deadline,
-            _Control()).step(math.inf)
-    # The first block holds the first agent: it is the full set's witness.
-    table.put(full, inc.value, inc.blocks[0])
-    stats.dp_subproblems += 1
-    return SolverResult(best=Partition(inc.blocks), best_value=inc.value,
-                        stats=stats, table=table)
-
-
 class _Sweep:
-    """Table-filling worker; `next_level` is its frontier. `dype_star` runs
-    it alone and `d_tsp` takes turns between it and the search. It fills
-    levels over the table, stats and deadline of the stage search it owns."""
+    """Table-filling worker; `next_level` is its frontier. `_drive` steps it
+    alone or in turns with the search. It fills levels over the table,
+    stats and deadline of the stage search it owns."""
 
     __slots__ = ("next_level", "_search")
 
@@ -156,27 +137,100 @@ class _Sweep:
         self._search.step(math.inf)
 
 
+def _drive(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
+           search: bool = True, mode: str = "interleaved", on_incumbent=None,
+           deadline: float | None = None) -> SolverResult:
+    """Run the sweep, and with `search` the tree search, over one table and
+    one incumbent until the sweep's next level drops below the search's
+    pending stage. `d_tsp` describes the two modes; with `search` off the
+    search never gets a turn. Hitting the deadline returns the incumbent
+    with completed=False instead of raising."""
+    require_connected(g)
+    if mode not in ("interleaved", "parallel"):
+        raise ValueError(f"unknown mode {mode!r}")
+    full = g.full_mask
+    table = DpTable(g.n)
+    inc = _Incumbent([full], game.value(full), time.monotonic(),
+                     game.tolerance, on_incumbent)
+    control = _Control()
+    sweep_stats = SearchStats()
+    search_stats = SearchStats()
+    sweep = _Sweep(game, g, pt, table, inc, sweep_stats, deadline, control)
+    searcher = _Search(game, g, pt, table, inc, search_stats, bound, deadline,
+                       control)
+
+    def crossed() -> bool:
+        return sweep.next_level < searcher.next_stage
+
+    def sweep_step() -> bool:
+        more = sweep.step()
+        searcher.last_stage = sweep.next_level
+        return more
+
+    completed = True
+    if mode == "interleaved" or not search:
+        try:
+            while not crossed():
+                if deadline_passed(deadline):
+                    completed = False
+                    break
+                before = sweep_stats.subsets_enumerated
+                sweep_step()
+                if search and not crossed():
+                    searcher.step(sweep_stats.subsets_enumerated - before)
+        except BudgetExceededError:
+            completed = False
+    else:
+        def run(step):
+            try:
+                while not control.stop and not crossed():
+                    if deadline_passed(deadline):
+                        control.deadline_hit = True
+                        control.stop = True
+                        break
+                    if not step():
+                        break
+            except BudgetExceededError:
+                control.deadline_hit = True
+                control.stop = True
+            except BaseException as e:
+                control.error = e
+                control.stop = True
+
+        worker = threading.Thread(
+            target=run, args=(lambda: searcher.step(_SEARCH_STRIDE),),
+            name="block-search", daemon=True)
+        worker.start()
+        run(sweep_step)
+        worker.join()
+        if control.error is not None:
+            raise control.error
+        completed = not control.deadline_hit
+
+    stats = sweep_stats.merged_with(search_stats)
+    stats.frontier_crossed = search and crossed()
+    return SolverResult(best=Partition(inc.blocks), best_value=inc.value,
+                        stats=stats, trace=inc.trace, completed=completed,
+                        table=table)
+
+
+def dype(game: Game, g: Graph, pt: Pseudotree, *,
+         deadline: float | None = None) -> SolverResult:
+    """The `dype_star` sweep run to the end: an optimal partition (to within
+    the game's tolerance), or BudgetExceededError when the deadline hits."""
+    res = _drive(game, g, pt, search=False, deadline=deadline)
+    if not res.completed:
+        raise BudgetExceededError("deadline hit before the sweep finished")
+    res.trace = []
+    return res
+
+
 def dype_star(game: Game, g: Graph, pt: Pseudotree, *, on_incumbent=None,
               deadline: float | None = None) -> SolverResult:
     """Anytime variant: keeps a feasible incumbent from the start (the
     one-block partition) and improves it after every completed level."""
-    require_connected(g)
-    t0 = time.monotonic()
-    full = g.full_mask
-    table = DpTable(g.n)
-    stats = SearchStats()
-    inc = _Incumbent([full], game.value(full), t0, game.tolerance,
-                     on_incumbent)
-    sweep = _Sweep(game, g, pt, table, inc, stats, deadline, _Control())
-    completed = True
-    try:
-        while sweep.step():
-            pass
-    except BudgetExceededError:
-        completed = False
-    return SolverResult(best=Partition(inc.blocks), best_value=inc.value,
-                        stats=stats, trace=inc.trace, completed=completed,
-                        table=table)
+    return _drive(game, g, pt, search=False, on_incumbent=on_incumbent,
+                  deadline=deadline)
 
 
 def audit_dp_table(table: DpTable, game: Game, g: Graph,

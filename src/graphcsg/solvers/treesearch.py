@@ -12,9 +12,9 @@ between any two nodes, and it is the only code that assembles whole
 structures. A node whose remainder lies within the table's published
 levels is finished by `tsp_star_step` instead of searched. `tsp` runs the
 search alone over an empty table, from the better of the one-block and
-all-singletons partitions. The sweep (dp.py) runs stage L once level L is
-published, so the table finishes every seed of it; `dype` runs every stage
-once the whole table is filled; the hybrid runs the search in turns with
+all-singletons partitions. The sweep (dp.py), which `dype` and
+`dype_star` run alone, runs stage L once level L is published, so the
+table finishes every seed of it; the hybrid runs the search in turns with
 the sweep.
 """
 

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from graphcsg import (BudgetExceededError, Game, InternalInvariantError,
-                      brute_force_best, build_pseudotree, dype,
+                      Partition, brute_force_best, build_pseudotree, dype,
                       dype_star, make_graph, partition_value,
                       random_table_game)
 from graphcsg.solvers import dp
@@ -110,10 +110,30 @@ def test_reconstruction_returns_optimal_feasible_blocks():
     for _ in range(15):
         gm, g = random_instance(rng, n_max=7)
         pt = build_pseudotree(g, 0)
+        table = dype(gm, g, pt).table
+        for c, val in table.values.items():
+            blocks = reconstruct_blocks(table, [c], g)
+            assert all(g.is_connected(b) for b in blocks)
+            # Partition rejects overlapping blocks
+            assert Partition(blocks).covered == c
+            assert partition_value(gm, blocks) == val
+
+
+def test_dype_tables_pass_the_audit_under_a_tolerance():
+    # a tolerance lets the incumbent stop short of the optimum, but every
+    # table entry still holds the recurrence's exact value
+    rng = random.Random(76)
+    for _ in range(200):
+        n = rng.randint(3, 8)
+        g = make_graph(n, random_connected_edges(rng, n))
+        base = random_table_game(n, seed=rng.randrange(10 ** 6))
+        gm = Game(n, base.value, tolerance=3)
+        pt = build_pseudotree(g, rng.randrange(n))
         res = dype(gm, g, pt)
-        blocks = reconstruct_blocks(res.table, [g.full_mask], g)
-        assert partition_value(gm, blocks) == res.best_value
-        assert all(g.is_connected(b) for b in blocks)
+        audit_dp_table(res.table, gm, g, pt)
+        want = brute_force_best(base, g).best_value
+        assert want - 3 <= res.best_value <= want
+        assert partition_value(gm, res.best) == res.best_value
 
 
 def test_dype_star_trace_contract():
@@ -182,19 +202,20 @@ def test_dype_star_stops_soon_after_the_deadline():
     assert res.stats.subsets_enumerated <= K + 1024
 
 
-def test_dype_stops_soon_after_the_deadline_in_the_final_search():
-    # On a star the level fills are tiny, and once they are done the search
-    # prices the 2^(n-1) - 1 first blocks around the centre (all but the
-    # full set) from the table. A deadline that passes at the search's
-    # first value call stops it within one stride of 1,024 ticks; each
-    # block also costs a tick per component it leaves, so on this star
-    # that is under 256 blocks.
-    n = 10
+def test_dype_stops_soon_after_the_deadline_in_the_last_scan():
+    # On a star the level fills are tiny, and the sweep's last call is the
+    # scan of stage 2: it prices the 2^(n-2) first blocks around the centre
+    # that leave out the agent at position 2, each from the table. A
+    # deadline that passes at that scan's first value call stops it within
+    # one stride of 1,024 ticks; each block also costs a tick per component
+    # it leaves, so on this star that is under 256 blocks, well short of
+    # the stage's 1,024.
+    n = 12
     g = make_graph(n, [(0, a) for a in range(1, n)])
     base = random_table_game(n, seed=5)
     pt = build_pseudotree(g, 0)
     calls = 0
-    K = -1  # no stall while the fill's value calls are counted
+    K = -1  # no stall while the run's value calls are counted
     deadline = None
 
     def value(m):
@@ -208,8 +229,9 @@ def test_dype_stops_soon_after_the_deadline_in_the_final_search():
     gm = Game(n, value)
     calls = 0
     dype(gm, g, pt)
-    seeds = sum(1 for _ in g.connected_subsets(g.full_mask, required=1)) - 1
-    assert seeds == (1 << (n - 1)) - 1
+    seeds = sum(1 for _ in g.connected_subsets(
+        g.full_mask ^ (1 << pt.order[1]), required=1 << pt.order[0]))
+    assert seeds == 1 << (n - 2)
     K = calls - seeds + 1
     calls = 0
     deadline = time.monotonic() + 0.05
@@ -263,9 +285,8 @@ def test_dype_star_stops_soon_after_the_deadline_inside_a_split():
 
 
 def test_dype_and_dype_star_do_the_same_work():
-    # dype's final search prices the seeds that dype-star's level scans
-    # price, so both enumerate the same subsets; only dype's table holds
-    # the full set's entry
+    # dype is dype-star's sweep run to the end: same answer, same work,
+    # same table
     rng = random.Random(75)
     for _ in range(15):
         gm, g = random_instance(rng)
@@ -273,11 +294,8 @@ def test_dype_and_dype_star_do_the_same_work():
         exact = dype(gm, g, pt)
         anytime = dype_star(gm, g, pt)
         assert exact.best_value == anytime.best_value
-        assert exact.stats.subsets_enumerated \
-            == anytime.stats.subsets_enumerated
-        full = g.full_mask
-        assert full in exact.table and full not in anytime.table
-        assert {c: x for c, x in exact.table.values.items() if c != full} \
-            == anytime.table.values
-        assert {c: x for c, x in exact.table.subsets.items() if c != full} \
-            == anytime.table.subsets
+        assert exact.best == anytime.best
+        assert exact.stats == anytime.stats
+        assert exact.table.values == anytime.table.values
+        assert exact.table.subsets == anytime.table.subsets
+        assert exact.trace == []

@@ -32,15 +32,6 @@ def test_make_graph_normalizes_edges():
     assert g.adj[1] == 0b101
 
 
-def test_neighbors_of_set_four_cycle(four_cycle):
-    # the result is a plain union of neighbor masks, so it may overlap s
-    g = four_cycle
-    assert g.neighbors_of_set(0b0001) == 0b1010
-    assert g.neighbors_of_set(0b0101) == 0b1010
-    assert g.neighbors_of_set(g.full_mask) == g.full_mask
-    assert g.neighbors_of_set(0) == 0
-
-
 def test_is_connected_matches_bfs():
     rng = random.Random(31)
     for _ in range(40):

@@ -9,8 +9,9 @@ from graphcsg import (Game, SearchStats, brute_force_best, build_pseudotree,
                       d_tsp, dype, dype_star, make_graph, make_supersub_game,
                       make_tsp_bound, partition_value, random_table_game,
                       structure_masks, tsp)
+from graphcsg.solvers.base import _Control, _Incumbent
 from graphcsg.solvers.dptable import DpTable
-from graphcsg.solvers.hybrid import _Control, _Incumbent, _Search
+from graphcsg.solvers.treesearch import _Search
 
 from conftest import canon, random_connected_edges
 

@@ -32,7 +32,6 @@ def test_order_is_a_permutation_and_positions_invert():
         assert pt.order[0] == root
         for i, a in enumerate(pt.order, start=1):
             assert pt.position(a) == i
-            assert pt.agent_at(i) == a
 
 
 def test_every_edge_joins_ancestor_and_descendant():
