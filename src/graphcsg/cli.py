@@ -1,13 +1,14 @@
 """Command-line interface: gen, solve, verify, bench.
 
 Exit codes: 0 success, 1 verification mismatch or no result produced,
-2 usage error (argparse), 3 unreadable or invalid instance.
+2 usage error (argparse), 3 unreadable or invalid instance, 4 solver fault.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 
 from .harness import (ALGORITHMS, ANYTIME_ALGORITHMS, DEFAULT_MODELS,
@@ -15,7 +16,7 @@ from .harness import (ALGORITHMS, ANYTIME_ALGORITHMS, DEFAULT_MODELS,
                       verify_matrix, write_trace_csv)
 from .instances import (MODELS, InstanceFormatError, gen_instance,
                         parse_instance, write_instance)
-from .solvers import BudgetExceededError
+from .solvers import ORACLE_MAX_N, BudgetExceededError
 
 
 class _UsageError(Exception):
@@ -118,6 +119,10 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     game, g, root = _load_instance(args.instance)
+    largest = max(map(int.bit_count, g.connected_components(g.full_mask)))
+    if args.algorithm == "oracle" and largest > ORACLE_MAX_N:
+        raise ValueError(f"the oracle is capped at components of n <= "
+                         f"{ORACLE_MAX_N}, got n = {largest}")
     try:
         res = solve_instance(game, g, args.algorithm, bound=args.bound,
                              mode=args.mode, root=root,
@@ -125,6 +130,10 @@ def _cmd_solve(args) -> int:
     except BudgetExceededError as e:
         print(f"no result: {e}", file=sys.stderr)
         return 1
+    except Exception as e:  # the instance was read: a solver fault
+        traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
     print(f"value {res.best_value}")
     print(f"blocks {res.best.agent_lists()}")
     print(f"status {'complete' if res.completed else 'timeout'}")

@@ -32,6 +32,9 @@ class Game:
     them is the caller's promise that `sup_value` never loses and
     `sub_value` never gains from merging disjoint sets: the bounds trust
     any split they find (`decomposed`) and do not check it.
+
+    A new incumbent must beat the old one by more than `tolerance`, so a run
+    may end up to the tolerance below the optimum per connected component.
     """
 
     __slots__ = ("n", "value", "sup_value", "sub_value", "tolerance")

@@ -97,7 +97,9 @@ def solve_instance(game: Game, g: Graph, algorithm: str, *, bound=None,
     """Run one algorithm on one instance. Disconnected graphs are split
     into components, solved independently, and merged: block union, value
     sum, and for anytime algorithms a single stitched trace whose baseline
-    counts unfinished components at their one-block value.
+    counts unfinished components at their one-block value. Each component
+    keeps its own incumbent, so the answer may sit up to `game.tolerance`
+    below the optimum per component.
 
     The result never holds a DP table (`table` is None on every path), so
     a caller that keeps many results keeps no tables; call the solvers

@@ -8,6 +8,10 @@ assembles whole structures: once level L is published, the table finishes
 every seed of search stage L (the first-agent blocks that hold every agent
 before position L and leave out the agent at L).
 
+Each sweep memoises every split remainder's summed component entries, so
+a recurring remainder is walked once; entries are write-once, and the sums
+fold right (`_remainder_value`), so they are exact for integer games.
+
 `_drive` steps a `_Sweep` worker, which runs each level's stage right
 after filling it, so the incumbent improves level by level; the hybrid
 (hybrid.py) has it take turns with the tree search. The anytime
@@ -35,19 +39,34 @@ from .treesearch import _DEADLINE_STRIDE as _SEARCH_STRIDE, _Search
 _DEADLINE_STRIDE = 256
 
 
+def _remainder_value(g: Graph, table_values, memo: dict, rest: int):
+    """Summed entries of the components of `rest`, stored for `rest` and
+    each tail walked as its first component's entry + the tail's value (a
+    right fold). A missing entry raises KeyError before anything is stored."""
+    comp = g.component_of(rest)
+    val = table_values[comp]
+    tail = rest & ~comp
+    if tail not in memo:
+        _remainder_value(g, table_values, memo, tail)
+    memo[rest] = val = val + memo[tail]
+    return val
+
+
 def _best_anchored_split(v, g: Graph, table_values, c: int, anchor_bit: int,
-                         deadline: float | None = None, ticks: int = 0):
+                         memo: dict, deadline: float | None = None,
+                         ticks: int = 0):
     """Best value over connected blocks S containing the anchor inside c,
-    where the rest of c is settled by table lookups per component. A level
-    fill passes its deadline and `ticks`, its subset count so far: counting
-    on from there, the deadline is checked every `_DEADLINE_STRIDE` subsets.
+    the rest of c priced through `memo` (remainder -> its components' summed
+    entries; start it as {0: 0}). A level fill passes its deadline and
+    `ticks`, its subset count so far: counting on from there, the deadline
+    is checked every `_DEADLINE_STRIDE` subsets.
 
     Returns (value, block, blocks_scanned); value is None when the deadline
     passed.
     """
     best_val = None
     best_sub = 0
-    component_of = g.component_of
+    get = memo.get
     count = ticks
     try:
         for s in g.connected_subsets(c, required=anchor_bit):
@@ -55,12 +74,11 @@ def _best_anchored_split(v, g: Graph, table_values, c: int, anchor_bit: int,
             if deadline is not None and count % _DEADLINE_STRIDE == 1 \
                     and time.monotonic() >= deadline:
                 return None, 0, count - ticks
-            val = v(s)
             rest = c & ~s
-            while rest:
-                comp = component_of(rest)
-                val += table_values[comp]
-                rest &= ~comp
+            r = get(rest)
+            if r is None:
+                r = _remainder_value(g, table_values, memo, rest)
+            val = v(s) + r
             if best_val is None or val > best_val:
                 best_val = val
                 best_sub = s
@@ -71,7 +89,8 @@ def _best_anchored_split(v, g: Graph, table_values, c: int, anchor_bit: int,
 
 
 def _solve_level(v, g: Graph, pt: Pseudotree, table: DpTable, level: int,
-                 stats: SearchStats, deadline: float | None = None) -> None:
+                 stats: SearchStats, memo: dict,
+                 deadline: float | None = None) -> None:
     """Fill every table entry anchored at the agent holding `level` in the
     order, then publish the level."""
     anchor_bit = 1 << pt.order[level - 1]
@@ -94,7 +113,7 @@ def _solve_level(v, g: Graph, pt: Pseudotree, table: DpTable, level: int,
             if not is_connected(full & ~c):
                 continue
             val, sub, cnt = _best_anchored_split(v, g, tv, c, anchor_bit,
-                                                 deadline, ticks)
+                                                 memo, deadline, ticks)
             ticks += cnt
             if val is None:
                 raise BudgetExceededError(
@@ -112,10 +131,11 @@ class _Sweep:
     alone or in turns with the search. It fills levels over the table,
     stats and deadline of the stage search it owns."""
 
-    __slots__ = ("next_level", "_search")
+    __slots__ = ("next_level", "_search", "_memo")
 
     def __init__(self, game, g, pt, table, inc, stats, deadline, control):
         self.next_level = g.n
+        self._memo = {0: 0}
         self._search = _Search(game, g, pt, table, inc, stats, None, deadline,
                                control)
 
@@ -126,7 +146,7 @@ class _Sweep:
             return False
         s = self._search
         _solve_level(s.game.value, s.g, s.pt, s.table, level, s.stats,
-                     s.deadline)
+                     self._memo, s.deadline)
         self._scan(level)
         self.next_level = level - 1
         return True
@@ -216,8 +236,8 @@ def _drive(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
 
 def dype(game: Game, g: Graph, pt: Pseudotree, *,
          deadline: float | None = None) -> SolverResult:
-    """The `dype_star` sweep run to the end: an optimal partition (to within
-    the game's tolerance), or BudgetExceededError when the deadline hits."""
+    """The `dype_star` sweep run to the end: optimal to within the game's
+    tolerance per component, or BudgetExceededError at the deadline."""
     res = _drive(game, g, pt, search=False, deadline=deadline)
     if not res.completed:
         raise BudgetExceededError("deadline hit before the sweep finished")
@@ -240,9 +260,10 @@ def audit_dp_table(table: DpTable, game: Game, g: Graph,
     v = game.value
     tv = table.values
     pos = pt.position
+    memo = {0: 0}
     for c, stored in table.values.items():
         anchor = min(agents_of(c), key=pos)
-        best, _, _ = _best_anchored_split(v, g, tv, c, 1 << anchor)
+        best, _, _ = _best_anchored_split(v, g, tv, c, 1 << anchor, memo)
         if best != stored:
             raise InternalInvariantError(
                 f"entry for mask {c} stores {stored}, recurrence gives {best}")

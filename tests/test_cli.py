@@ -2,8 +2,9 @@ import io
 
 import pytest
 
+from graphcsg import cli
 from graphcsg.cli import main
-from graphcsg import parse_instance_text
+from graphcsg import InternalInvariantError, parse_instance_text
 
 
 def run(capsys, *argv):
@@ -129,6 +130,32 @@ def test_instance_errors_exit_3(tmp_path, capsys):
     run(capsys, "gen", "--model", "path", "--n", "13", "-o", str(big))
     code, out, err = run(capsys, "solve", str(big), "--algorithm", "oracle")
     assert code == 3
+
+
+def test_oracle_cap_applies_per_component(tmp_path, capsys):
+    # 13 agents in two paths of 7 and 6: each component is within the cap
+    two = tmp_path / "two.csg"
+    edges = "".join(f"e {a} {a + 1}\n" for a in range(12) if a != 6)
+    weights = " ".join(str(a + 1) for a in range(13))
+    two.write_text(f"csg 1\nn 13\n{edges}game supersub w {weights} k 2\n")
+    code, out, err = run(capsys, "solve", str(two), "--algorithm", "oracle")
+    assert code == 0, err
+    assert "status complete" in out
+
+
+def test_solver_faults_exit_4(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "inst.csg"
+    run(capsys, "gen", "--model", "path", "--n", "4", "-o", str(path))
+    for fault in (ValueError("bad split"),
+                  InternalInvariantError("missing table entry")):
+        def solve(*args, **kwargs):
+            raise fault
+        monkeypatch.setattr(cli, "solve_instance", solve)
+        code, out, err = run(capsys, "solve", str(path), "--algorithm",
+                             "dype")
+        assert code == 4
+        assert f"internal error: {type(fault).__name__}: {fault}" in err
+        assert out == ""
 
 
 def test_verify_small_grid(capsys):

@@ -5,13 +5,14 @@ import pytest
 
 from graphcsg import (BudgetExceededError, Game, InternalInvariantError,
                       Partition, brute_force_best, build_pseudotree, dype,
-                      dype_star, make_graph, partition_value,
-                      random_table_game)
+                      dype_star, make_graph, make_supersub_game,
+                      partition_value, random_table_game)
 from graphcsg.solvers import dp
 from graphcsg.solvers.dp import audit_dp_table
 from graphcsg.solvers.dptable import DpTable, reconstruct_blocks
 
-from conftest import FOUR_CYCLE_EDGES, random_connected_edges
+from conftest import (FOUR_CYCLE_EDGES, agents_of, bfs_reach, mask_of,
+                      random_connected_edges)
 
 
 def random_instance(rng, n_max=8):
@@ -299,3 +300,39 @@ def test_dype_and_dype_star_do_the_same_work():
         assert exact.table.values == anytime.table.values
         assert exact.table.subsets == anytime.table.subsets
         assert exact.trace == []
+
+
+def test_sweep_memo_holds_each_remainders_summed_entries():
+    # every remainder the sweep memoises maps to its components' summed
+    # table entries, the components found by a plain BFS
+    rng = random.Random(77)
+    sweeps = []
+    init = dp._Sweep.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        sweeps.append(self)
+
+    checked = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dp._Sweep, "__init__", spy)
+        for _ in range(60):
+            n = rng.randint(3, 10)
+            edges = random_connected_edges(rng, n)
+            g = make_graph(n, edges)
+            seed = rng.randrange(10 ** 6)
+            gm = (random_table_game(n, seed=seed) if rng.random() < 0.5
+                  else make_supersub_game(n, seed=seed))
+            table = dype(gm, g, build_pseudotree(g, rng.randrange(n))).table
+            memo = sweeps[-1]._memo
+            assert memo[0] == 0
+            for rest, val in memo.items():
+                left = set(agents_of(rest))
+                want = 0
+                while left:
+                    comp = bfs_reach(edges, left, min(left))
+                    want += table.values[mask_of(comp)]
+                    left -= comp
+                assert val == want, (edges, rest)
+            checked += len(memo) - 1
+    assert checked > 1000
