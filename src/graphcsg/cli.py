@@ -117,12 +117,25 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_solve(args) -> int:
-    game, g, root = _load_instance(args.instance)
+def _check_oracle_cap(g, algorithms) -> None:
+    """An instance beyond the oracle's cap is an instance error (exit 3),
+    raised before any solve starts."""
     largest = max(map(int.bit_count, g.connected_components(g.full_mask)))
-    if args.algorithm == "oracle" and largest > ORACLE_MAX_N:
+    if "oracle" in algorithms and largest > ORACLE_MAX_N:
         raise ValueError(f"the oracle is capped at components of n <= "
                          f"{ORACLE_MAX_N}, got n = {largest}")
+
+
+def _internal_error(e: Exception) -> int:
+    """Report a fault raised after every instance was read; exits with 4."""
+    traceback.print_exc()
+    print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+    return 4
+
+
+def _cmd_solve(args) -> int:
+    game, g, root = _load_instance(args.instance)
+    _check_oracle_cap(g, (args.algorithm,))
     try:
         res = solve_instance(game, g, args.algorithm, bound=args.bound,
                              mode=args.mode, root=root,
@@ -131,9 +144,7 @@ def _cmd_solve(args) -> int:
         print(f"no result: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # the instance was read: a solver fault
-        traceback.print_exc()
-        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 4
+        return _internal_error(e)
     print(f"value {res.best_value}")
     print(f"blocks {res.best.agent_lists()}")
     print(f"status {'complete' if res.completed else 'timeout'}")
@@ -176,10 +187,14 @@ def _cmd_bench(args) -> int:
     loaded = []
     for path in args.instances:
         game, g, root = _load_instance(path)
+        _check_oracle_cap(g, algorithms)
         loaded.append((Path(path).stem, game, g, root))
-    rows = run_bench(loaded, algorithms, budget_ms=args.budget,
-                     repetitions=args.repetitions, bound=args.bound,
-                     mode=args.mode, out_dir=args.out)
+    try:
+        rows = run_bench(loaded, algorithms, budget_ms=args.budget,
+                         repetitions=args.repetitions, bound=args.bound,
+                         mode=args.mode, out_dir=args.out)
+    except Exception as e:  # every instance was read: a solver fault
+        return _internal_error(e)
     for r in rows:
         val = "-" if r.value is None else r.value
         print(f"{r.instance} {r.algorithm} r{r.rep}: {r.status} "

@@ -134,6 +134,28 @@ def _split_factor(values: Sequence[Value], n: int) -> int:
     return max(0, -(-gap // 2)) if gap > 0 else 0
 
 
+def _byte_sums(xs: Sequence[Value]) -> Callable[[int], Value]:
+    """The function mapping a mask to the sum of its agents' `xs`, read
+    from per-byte tables: table i lists, for each byte b, the sum of x[a]
+    over the agents a = 8*i + k whose bit k is set in b. One lookup per
+    byte, not one step per agent; exact for integers."""
+    tables = []
+    for lo in range(0, len(xs), 8):
+        t = [0]
+        for x in xs[lo:lo + 8]:
+            t += [s + x for s in t]
+        tables.append(t)
+
+    def total(c):
+        s = 0
+        for t in tables:
+            s += t[c & 255]
+            c >>= 8
+        return s
+
+    return total
+
+
 def make_supersub_game(n: int, weights: Sequence[int] | None = None,
                        kappa: int | None = None, *, weight_max: int = 10,
                        kappa_max: int = 5,
@@ -163,23 +185,18 @@ def make_supersub_game(n: int, weights: Sequence[int] | None = None,
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
 
+    weight = _byte_sums(wt)
+
     def sup(c):
-        s = 0
-        k = 0
-        m = c
-        while m:
-            b = m & -m
-            m ^= b
-            s += wt[b.bit_length() - 1]
-            k += 1
-        return s * k
+        return weight(c) * c.bit_count()
 
     def sub(c, _k=kappa):
         p = c.bit_count()
         return -_k * p * p
 
     def value(c):
-        return sup(c) + sub(c)
+        k = c.bit_count()
+        return k * (weight(c) - kappa * k)
 
     return Game(n, value, sup_value=sup, sub_value=sub, tolerance=tolerance)
 
@@ -255,16 +272,10 @@ def make_tsp_bound(game: Game, kind: str | None):
         if not game.decomposed:
             return None
         sup = game.sup_value
-        singles = [game.sub_value(1 << a) for a in range(game.n)]
+        singles = _byte_sums([game.sub_value(1 << a) for a in range(game.n)])
 
         def bound(partial_value, remainder):
-            t = partial_value + sup(remainder)
-            r = remainder
-            while r:
-                b = r & -r
-                r ^= b
-                t += singles[b.bit_length() - 1]
-            return t
+            return partial_value + sup(remainder) + singles(remainder)
 
         return bound
     raise ValueError(f"unknown bound kind {kind!r}")

@@ -9,6 +9,12 @@ edges. `_children` lists a state's children: the i-th contracts the i-th
 solid edge and first marks the preceding i-1 edges dashed, which makes the
 walk from the all-singletons root visit every feasible structure exactly
 once. `cfss` walks the tree with it, and so do the tests.
+
+Each state also carries its crossing map: for every adjacent pair of
+blocks, dashed or not, the mask of original edges between them.
+`_crossing_map` builds the root's map from the graph's edges once;
+`_contract_crossing` derives each child's map from its parent's, so no
+node re-reads all m edges. `_solid_pairs` filters a map by `dashed`.
 """
 
 from __future__ import annotations
@@ -23,9 +29,9 @@ from .base import (BudgetExceededError, SearchStats, SolverResult,
 _DEADLINE_STRIDE = 512
 
 
-def _solid_pairs(g: Graph, blocks, dashed: int):
-    """Solid block-pair edges as (i, j, crossing_edges_mask), ordered by
-    block ids, which equal tuple positions because blocks stay sorted."""
+def _crossing_map(g: Graph, blocks) -> dict[tuple[int, int], int]:
+    """{(i, j): mask of the edges between blocks i < j} over every adjacent
+    pair of `blocks`, built from the graph's edges."""
     block_of = {}
     for idx, b in enumerate(blocks):
         m = b
@@ -40,6 +46,36 @@ def _solid_pairs(g: Graph, blocks, dashed: int):
         if bu != bw:
             key = (bu, bw) if bu < bw else (bw, bu)
             crossing[key] = crossing.get(key, 0) | (1 << k)
+    return crossing
+
+
+def _contract_crossing(crossing, i: int, j: int):
+    """The crossing map once block i absorbs block j (i < j): j becomes i,
+    the blocks above j shift down by one, and the masks of pairs that land
+    on the same pair are OR-ed together (only pairs with j can land on
+    another pair)."""
+    out: dict[tuple[int, int], int] = {}
+    joined = []
+    for key, cross in crossing.items():
+        a, b = key
+        if b < j:
+            out[key] = cross
+        elif a == j or b == j:
+            joined.append((b if a == j else a, cross))
+        else:
+            out[a - 1 if a > j else a, b - 1] = cross
+    for x, cross in joined:
+        if x != i:
+            if x > j:
+                x -= 1
+            key = (x, i) if x < i else (i, x)
+            out[key] = out.get(key, 0) | cross
+    return out
+
+
+def _solid_pairs(crossing, dashed: int):
+    """Solid block-pair edges as (i, j, crossing_edges_mask), ordered by
+    block ids, which equal tuple positions because blocks stay sorted."""
     return [(i, j, cross) for (i, j), cross in sorted(crossing.items())
             if not cross & dashed]
 
@@ -98,7 +134,7 @@ def cfss(game: Game, g: Graph, bound=None, *, deadline: float | None = None,
     best_val = sum(v(b) for b in best_blocks)
     root_val = best_val
 
-    def visit(blocks, value, dashed):
+    def visit(blocks, value, dashed, crossing):
         nonlocal best_blocks, best_val
         stats.structures_visited += 1
         stats.nodes_expanded += 1
@@ -111,7 +147,7 @@ def cfss(game: Game, g: Graph, bound=None, *, deadline: float | None = None,
         if value > best_val + tol:
             best_val = value
             best_blocks = list(blocks)
-        pairs = _solid_pairs(g, blocks, dashed)
+        pairs = _solid_pairs(crossing, dashed)
         if not pairs:
             return
         if bound is not None:
@@ -120,8 +156,10 @@ def cfss(game: Game, g: Graph, bound=None, *, deadline: float | None = None,
                 stats.nodes_pruned += 1
                 return
         for i, j, nb, nd in _children(blocks, dashed, pairs):
-            visit(nb, value - v(blocks[i]) - v(blocks[j]) + v(nb[i]), nd)
+            visit(nb, value - v(blocks[i]) - v(blocks[j]) + v(nb[i]), nd,
+                  _contract_crossing(crossing, i, j))
 
-    visit(tuple(1 << a for a in range(n)), root_val, 0)
+    root = tuple(1 << a for a in range(n))
+    visit(root, root_val, 0, _crossing_map(g, root))
     return SolverResult(best=Partition(best_blocks), best_value=best_val,
                         stats=stats)

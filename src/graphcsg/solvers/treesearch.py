@@ -4,8 +4,9 @@ Stage k enumerates every candidate block for the first agent whose first
 excluded agent (in breadth-first order) is the stage agent; the search
 below a seed repeatedly carves a connected block around the earliest
 uncovered agent, so each structure but the one-block partition is reached
-exactly once. A bound hook may prune subtrees whose optimistic value
-cannot beat the incumbent.
+exactly once. A bound hook may prune any node whose optimistic value
+cannot beat the incumbent, stage seeds included: a pruned seed counts as
+seeded and as pruned, and opens nothing.
 
 `_Search` keeps its open nodes on an explicit stack, so it can pause
 between any two nodes, and it is the only code that assembles whole
@@ -126,7 +127,8 @@ class _Search:
                         if ticks >= limit:
                             break
                         continue
-                    elif bound is not None \
+                    # No seed covers every agent, so seeds are bounded too.
+                    if bound is not None \
                             and not inc.value < bound(nval, full & ~ncov):
                         stats.nodes_pruned += 1
                         if ticks >= limit:
@@ -179,9 +181,10 @@ def tsp(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
     exhaustive with bound=None.
 
     `bound`, when given, maps (partial_value, remainder_mask) to an upper
-    bound on any completion; a subtree is skipped unless its bound strictly
-    beats the incumbent. `structure_hook` observes every full structure the
-    search visits (used by coverage tests).
+    bound on any completion; a stage seed or a node below it is skipped,
+    with its subtree, unless its bound strictly beats the incumbent.
+    `structure_hook` observes every full structure the search visits (used
+    by coverage tests).
     """
     require_connected(g)
     full = g.full_mask

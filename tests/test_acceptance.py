@@ -18,7 +18,8 @@ from graphcsg import (brute_force_best, build_pseudotree, cfss, make_graph,
                       partition_value, random_table_game, structure_masks,
                       tsp, verify_matrix)
 from graphcsg.instances import model_edges
-from graphcsg.solvers.contraction import _children, _merge_all, _solid_pairs
+from graphcsg.solvers.contraction import (_children, _crossing_map,
+                                          _merge_all, _solid_pairs)
 
 from conftest import (FOUR_CYCLE_EDGES, canon, connected_subsets_reference,
                       random_connected_edges)
@@ -154,7 +155,7 @@ def cfss_subtree_max(g, gm, blocks, dashed, bound, failures, label):
     """Best structure value in the contraction subtree of (blocks, dashed),
     walked with cfss's own expansion, checking the bound at every state."""
     best = partition_value(gm, blocks)
-    pairs = _solid_pairs(g, blocks, dashed)
+    pairs = _solid_pairs(_crossing_map(g, blocks), dashed)
     for _, _, kid, kid_dashed in _children(blocks, dashed, pairs):
         best = max(best, cfss_subtree_max(g, gm, kid, kid_dashed, bound,
                                           failures, label))

@@ -7,7 +7,9 @@ import pytest
 from graphcsg import (BudgetExceededError, brute_force_best, cfss, make_graph,
                       make_cfss_bound, make_supersub_game, partition_value,
                       random_table_game, structure_masks)
-from graphcsg.solvers.contraction import _children, _merge_all, _solid_pairs
+from graphcsg.solvers.contraction import (_children, _contract_crossing,
+                                          _crossing_map, _merge_all,
+                                          _solid_pairs)
 
 from conftest import FOUR_CYCLE_EDGES, canon, random_connected_edges
 
@@ -18,7 +20,7 @@ def root_state(g):
 
 def children_of(g, blocks, dashed):
     """(child_blocks, child_dashed) pairs, from cfss's own expansion."""
-    pairs = _solid_pairs(g, blocks, dashed)
+    pairs = _solid_pairs(_crossing_map(g, blocks), dashed)
     return [(kid, kd) for _, _, kid, kd in _children(blocks, dashed, pairs)]
 
 
@@ -71,6 +73,32 @@ def test_pinned_tree_sizes():
         assert cfss(gm, g).stats.structures_visited == size
 
 
+def test_derived_crossing_maps_match_maps_built_from_edges():
+    """cfss derives each child's crossing map from its parent's; on every
+    state of small trees it equals the map built from the edges."""
+    rng = random.Random(96)
+    graphs = [make_graph(4, FOUR_CYCLE_EDGES),
+              make_graph(4, itertools.combinations(range(4), 2)),
+              make_graph(8, itertools.combinations(range(8), 2))]
+    graphs += [make_graph(n, random_connected_edges(rng, n))
+               for n in (rng.randint(1, 8) for _ in range(20))]
+    sizes = []
+    for g in graphs:
+        blocks, dashed = root_state(g)
+        stack = [(blocks, dashed, _crossing_map(g, blocks))]
+        states = 0
+        while stack:
+            blocks, dashed, crossing = stack.pop()
+            states += 1
+            assert crossing == _crossing_map(g, blocks), (g.edges, blocks)
+            pairs = _solid_pairs(crossing, dashed)
+            for i, j, kid, kd in _children(blocks, dashed, pairs):
+                stack.append((kid, kd, _contract_crossing(crossing, i, j)))
+        assert states == sum(1 for _ in structure_masks(g))
+        sizes.append(states)
+    assert sizes[:2] == [12, 15]
+
+
 def test_merged_partition_is_reachable_coarsening():
     """Every structure in a state's subtree refines the merged partition."""
     rng = random.Random(92)
@@ -78,7 +106,8 @@ def test_merged_partition_is_reachable_coarsening():
         n = rng.randint(2, 6)
         g = make_graph(n, random_connected_edges(rng, n))
         for blocks, dashed in walk_states(g, *root_state(g)):
-            limit = _merge_all(blocks, _solid_pairs(g, blocks, dashed))
+            limit = _merge_all(blocks, _solid_pairs(_crossing_map(g, blocks),
+                                                    dashed))
             for sub, _ in walk_states(g, blocks, dashed):
                 for b in sub:
                     assert any(b & m == b for m in limit), (blocks, sub)

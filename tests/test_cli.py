@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from graphcsg import cli
+from graphcsg import cli, harness
 from graphcsg.cli import main
 from graphcsg import InternalInvariantError, parse_instance_text
 
@@ -156,6 +156,32 @@ def test_solver_faults_exit_4(tmp_path, capsys, monkeypatch):
         assert code == 4
         assert f"internal error: {type(fault).__name__}: {fault}" in err
         assert out == ""
+
+
+def test_bench_solver_faults_exit_4(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "inst.csg"
+    run(capsys, "gen", "--model", "path", "--n", "4", "-o", str(path))
+
+    def solve(*args, **kwargs):
+        raise ValueError("solver fault")
+    monkeypatch.setattr(harness, "solve_instance", solve)
+    code, out, err = run(capsys, "bench", str(path), "--algorithms", "dype",
+                         "--out", str(tmp_path / "bench"))
+    assert code == 4
+    assert "internal error: ValueError: solver fault" in err
+    assert "instance error" not in err
+    # instance errors found while loading still exit 3
+    bad = tmp_path / "bad.csg"
+    bad.write_text("csg 1\nn 2\ngame table 1 1\n")
+    code, out, err = run(capsys, "bench", str(path), str(bad),
+                         "--algorithms", "dype", "--out", str(tmp_path / "b"))
+    assert code == 3
+    assert "instance error" in err
+    big = tmp_path / "big.csg"
+    run(capsys, "gen", "--model", "path", "--n", "13", "-o", str(big))
+    code, out, err = run(capsys, "bench", str(big), "--algorithms", "oracle",
+                         "--out", str(tmp_path / "c"))
+    assert code == 3
 
 
 def test_verify_small_grid(capsys):

@@ -110,6 +110,34 @@ def disjoint_pairs(n):
             b = (b - 1) & rest
 
 
+def test_byte_table_pricing_matches_the_bit_loop():
+    """sup, value and the tsp bound read weight sums from per-byte tables;
+    they must equal the sums taken agent by agent."""
+    rng = random.Random(31)
+    for n in (1, 7, 8, 9, 16, 17, 63):
+        weights = [rng.randint(0, 50) for _ in range(n)]
+        kappa = rng.randint(0, 5)
+        gm = make_supersub_game(n, weights, kappa)
+        bound = make_tsp_bound(gm, "supersub")
+        full = (1 << n) - 1
+        if n <= 10:
+            masks = range(full + 1)
+        else:
+            masks = [0, full] + [rng.getrandbits(n) for _ in range(2000)]
+        for m in masks:
+            size = 0
+            total = 0
+            for a in range(n):
+                if m >> a & 1:
+                    size += 1
+                    total += weights[a]
+            assert gm.sup_value(m) == total * size, (n, m)
+            assert gm.value(m) == total * size - kappa * size * size, (n, m)
+            partial = rng.randint(-100, 100)
+            assert bound(partial, m) == \
+                partial + total * size - kappa * size, (n, m)
+
+
 def test_supersub_game_seed_reproducible():
     a = make_supersub_game(4, seed=11)
     b = make_supersub_game(4, seed=11)

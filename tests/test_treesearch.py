@@ -50,6 +50,26 @@ def test_bound_prunes_on_cooperative_games():
     assert bounded.stats.nodes_pruned > 0
 
 
+def test_bound_prunes_stage_seeds():
+    # with kappa = 0 the one-block partition is optimal and the search
+    # starts from it, so the bound cuts every stage seed and nothing opens
+    n = 12
+    g = make_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    gm = make_supersub_game(n, seed=5, kappa=0)
+    pt = build_pseudotree(g, 0)
+    seeds = sum(
+        1 for stage in range(2, n + 1) for c in range(1, g.full_mask + 1)
+        if not c >> pt.order[stage - 1] & 1
+        and c & pt.prefix_masks[stage] == pt.prefix_masks[stage]
+        and g.is_connected(c))
+    res = tsp(gm, g, pt, bound=make_tsp_bound(gm, "supersub"))
+    assert res.best.blocks == (g.full_mask,)
+    assert res.stats.nodes_expanded == 0
+    assert res.stats.subsets_enumerated == seeds
+    assert res.stats.nodes_pruned == seeds
+    assert res.stats.structures_visited == 0
+
+
 def visited_structures(gm, g, pt):
     seen = []
     tsp(gm, g, pt, structure_hook=lambda s: seen.append(canon(s)))
