@@ -1,7 +1,8 @@
 """Command-line interface: gen, solve, verify, bench.
 
 Exit codes: 0 success, 1 verification mismatch or no result produced,
-2 usage error (argparse), 3 unreadable or invalid instance, 4 solver fault.
+2 usage error (a bad flag, or a `bench --out` directory that cannot be
+created), 3 unreadable or invalid instance, 4 solver fault.
 """
 
 from __future__ import annotations
@@ -189,6 +190,10 @@ def _cmd_bench(args) -> int:
         game, g, root = _load_instance(path)
         _check_oracle_cap(g, algorithms)
         loaded.append((Path(path).stem, game, g, root))
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # the message names the path
+        raise _UsageError(f"cannot create --out directory: {e}") from None
     try:
         rows = run_bench(loaded, algorithms, budget_ms=args.budget,
                          repetitions=args.repetitions, bound=args.bound,

@@ -1,16 +1,16 @@
 """Undirected graphs over agents 0..n-1 with bitmask adjacency.
 
-The solvers spend nearly all their time asking connectivity questions and
+The solvers spend nearly all their time finding components and
 enumerating connected subsets, so a Graph precomputes adjacency masks and,
-for small n, caches set-neighborhoods and connectivity verdicts.
+for small n, the neighborhood of every agent set.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-# Above this size the per-subset cache tables would not fit; fall back to
-# per-agent adjacency walks.
+# Above this size the per-subset neighborhood table would not fit; fall
+# back to per-agent adjacency walks.
 _CACHE_MAX_N = 16
 
 _MAX_N = 63
@@ -27,7 +27,7 @@ class Graph:
     `adj[i]` is the neighbor mask of agent i.
     """
 
-    __slots__ = ("n", "edges", "adj", "full_mask", "_nbr", "_conn")
+    __slots__ = ("n", "edges", "adj", "full_mask", "_nbr")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if not 1 <= n <= _MAX_N:
@@ -55,10 +55,8 @@ class Graph:
                 low = m & -m
                 nbr[m] = nbr[m ^ low] | adj[low.bit_length() - 1]
             self._nbr = nbr
-            self._conn = bytearray(size)
         else:
             self._nbr = None
-            self._conn = None
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={list(self.edges)})"
@@ -101,17 +99,7 @@ class Graph:
     def is_connected(self, s: int) -> bool:
         """True when s induces a connected subgraph. Empty and singleton
         sets count as connected."""
-        if s & (s - 1) == 0:
-            return True
-        cache = self._conn
-        if cache is None:
-            return self.component_of(s) == s
-        state = cache[s]
-        if state:
-            return state == 1
-        ok = self.component_of(s) == s
-        cache[s] = 1 if ok else 2
-        return ok
+        return s & (s - 1) == 0 or self.component_of(s) == s
 
     def connected_components(self, s: int) -> list[int]:
         """Components of s as masks, ordered by their lowest agent."""

@@ -3,26 +3,27 @@
 The sweep walks the breadth-first order backwards. At each position it
 tabulates, for every connected set anchored there whose complement stays
 connected, the best way to carve off a connected block around the anchor
-and partition the leftovers optimally. Only the tree search (treesearch.py)
-assembles whole structures: once level L is published, the table finishes
-every seed of search stage L (the first-agent blocks that hold every agent
-before position L and leave out the agent at L).
+and partition the leftovers optimally. Those sets are found from the
+complement side, as DPccp pairs a block with its complement (Moerkotte and
+Neumann, VLDB 2006): they are the connected remainders of stage L's seeds,
+the connected first blocks that hold every agent before position L and
+leave out the agent at L. One pass over the seeds fills level L; then the
+sweep prices every seed as its value plus its remainder's summed entries,
+completing every structure that starts with it. Only the hybrid's own
+search (treesearch.py) uses `tsp_star_step`.
 
-Each sweep memoises every split remainder's summed component entries, so
-a recurring remainder is walked once; entries are write-once, and the sums
-fold right (`_remainder_value`), so they are exact for integer games.
+Each sweep memoises every split and seed remainder's summed component
+entries, so a recurring remainder is walked once; entries are write-once,
+and the sums fold right (`_remainder_value`), so they are exact for
+integer games. Only the sweep's thread touches its memo.
 
-`_drive` steps a `_Sweep` worker, which runs each level's stage right
-after filling it, so the incumbent improves level by level; the hybrid
-(hybrid.py) has it take turns with the tree search. The anytime
-`dype_star` is the sweep alone. The exact `dype` is the same sweep run to
-the end: it raises instead of returning an unfinished incumbent, and keeps
-no trace.
+`_drive` steps a `_Sweep`, alone (`dype_star`) or in turns with the tree
+search (hybrid.py). The exact `dype` is the same sweep run to the end: it
+raises instead of returning an unfinished incumbent, and keeps no trace.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 
@@ -33,7 +34,7 @@ from ..pseudotree import Pseudotree
 from .base import (BudgetExceededError, InternalInvariantError, SearchStats,
                    SolverResult, _Control, _Incumbent, deadline_passed,
                    require_connected)
-from .dptable import DpTable
+from .dptable import DpTable, reconstruct_blocks
 from .treesearch import _DEADLINE_STRIDE as _SEARCH_STRIDE, _Search
 
 _DEADLINE_STRIDE = 256
@@ -42,9 +43,14 @@ _DEADLINE_STRIDE = 256
 def _remainder_value(g: Graph, table_values, memo: dict, rest: int):
     """Summed entries of the components of `rest`, stored for `rest` and
     each tail walked as its first component's entry + the tail's value (a
-    right fold). A missing entry raises KeyError before anything is stored."""
+    right fold). A missing entry is a fault, raised before anything is
+    stored."""
     comp = g.component_of(rest)
-    val = table_values[comp]
+    try:
+        val = table_values[comp]
+    except KeyError:
+        raise InternalInvariantError(
+            f"missing table entry for mask {comp}") from None
     tail = rest & ~comp
     if tail not in memo:
         _remainder_value(g, table_values, memo, tail)
@@ -68,49 +74,48 @@ def _best_anchored_split(v, g: Graph, table_values, c: int, anchor_bit: int,
     best_sub = 0
     get = memo.get
     count = ticks
-    try:
-        for s in g.connected_subsets(c, required=anchor_bit):
-            count += 1
-            if deadline is not None and count % _DEADLINE_STRIDE == 1 \
-                    and time.monotonic() >= deadline:
-                return None, 0, count - ticks
-            rest = c & ~s
-            r = get(rest)
-            if r is None:
-                r = _remainder_value(g, table_values, memo, rest)
-            val = v(s) + r
-            if best_val is None or val > best_val:
-                best_val = val
-                best_sub = s
-    except KeyError as e:
-        raise InternalInvariantError(
-            f"missing table entry for mask {e.args[0]}") from None
+    for s in g.connected_subsets(c, required=anchor_bit):
+        count += 1
+        if deadline is not None and count % _DEADLINE_STRIDE == 1 \
+                and time.monotonic() >= deadline:
+            return None, 0, count - ticks
+        rest = c & ~s
+        r = get(rest)
+        if r is None:
+            r = _remainder_value(g, table_values, memo, rest)
+        val = v(s) + r
+        if best_val is None or val > best_val:
+            best_val = val
+            best_sub = s
     return best_val, best_sub, count - ticks
 
 
 def _solve_level(v, g: Graph, pt: Pseudotree, table: DpTable, level: int,
                  stats: SearchStats, memo: dict,
-                 deadline: float | None = None) -> None:
+                 deadline: float | None = None) -> list:
     """Fill every table entry anchored at the agent holding `level` in the
-    order, then publish the level."""
+    order (the stage seeds' connected remainders, each also memoised as its
+    own summed value), publish the level, and return the seeds."""
     anchor_bit = 1 << pt.order[level - 1]
-    ground = pt.suffix_masks[level]
     full = g.full_mask
-    is_connected = g.is_connected
+    component_of = g.component_of
     tv = table.values
+    seeds = []
     ticks = 0
     solved = 0
-    # Entries and their inner split subsets share one stride: one entry
-    # can scan thousands of subsets. The first check comes at the level's
-    # first subset.
+    # Seeds and split subsets share one stride, as one entry can split
+    # over thousands; the first check comes at the level's first seed.
     try:
-        for c in g.connected_subsets(ground, required=anchor_bit):
+        for d in g.connected_subsets(full ^ anchor_bit,
+                                     required=pt.prefix_masks[level]):
             ticks += 1
             if deadline is not None and ticks % _DEADLINE_STRIDE == 1 \
                     and time.monotonic() >= deadline:
                 raise BudgetExceededError(
                     "deadline hit while filling the table")
-            if not is_connected(full & ~c):
+            seeds.append(d)
+            c = full & ~d
+            if component_of(c) != c:
                 continue
             val, sub, cnt = _best_anchored_split(v, g, tv, c, anchor_bit,
                                                  memo, deadline, ticks)
@@ -119,42 +124,71 @@ def _solve_level(v, g: Graph, pt: Pseudotree, table: DpTable, level: int,
                 raise BudgetExceededError(
                     "deadline hit while splitting a table entry")
             table.put(c, val, sub)
+            memo[c] = val
             solved += 1
     finally:
         stats.subsets_enumerated += ticks
         stats.dp_subproblems += solved
     table.published_level = level
+    return seeds
 
 
 class _Sweep:
     """Table-filling worker; `next_level` is its frontier. `_drive` steps it
-    alone or in turns with the search. It fills levels over the table,
-    stats and deadline of the stage search it owns."""
+    alone or in turns with the search. Each step fills a level and then
+    prices that level's stage seeds itself, from the table."""
 
-    __slots__ = ("next_level", "_search", "_memo")
+    __slots__ = ("game", "g", "pt", "table", "inc", "stats", "deadline",
+                 "next_level", "_memo")
 
-    def __init__(self, game, g, pt, table, inc, stats, deadline, control):
+    def __init__(self, game, g, pt, table, inc, stats, deadline):
+        self.game = game
+        self.g = g
+        self.pt = pt
+        self.table = table
+        self.inc = inc
+        self.stats = stats
+        self.deadline = deadline
         self.next_level = g.n
         self._memo = {0: 0}
-        self._search = _Search(game, g, pt, table, inc, stats, None, deadline,
-                               control)
 
     def step(self) -> bool:
-        """Fill one level and scan the first blocks it settles."""
+        """Fill one level and scan the seeds it settles."""
         level = self.next_level
         if level < 2:
             return False
-        s = self._search
-        _solve_level(s.game.value, s.g, s.pt, s.table, level, s.stats,
-                     self._memo, s.deadline)
-        self._scan(level)
+        seeds = _solve_level(self.game.value, self.g, self.pt, self.table,
+                             level, self.stats, self._memo, self.deadline)
+        self._scan(level, seeds)
         self.next_level = level - 1
         return True
 
-    def _scan(self, level: int) -> None:
-        """Run search stage `level`, whose seeds the table now finishes."""
-        self._search.next_stage = self._search.last_stage = level
-        self._search.step(math.inf)
+    def _scan(self, level: int, seeds: list) -> None:
+        """Price each seed D of stage `level` as v(D) plus its remainder's
+        summed entries (from the memo), and offer every total that beats
+        the incumbent, in seed order, as D and the remainder's blocks."""
+        v = self.game.value
+        tol = self.game.tolerance
+        g = self.g
+        table = self.table
+        memo = self._memo
+        inc = self.inc
+        deadline = self.deadline
+        count = 0
+        for d in seeds:
+            count += 1
+            if deadline is not None and count % _DEADLINE_STRIDE == 1 \
+                    and time.monotonic() >= deadline:
+                raise BudgetExceededError(
+                    f"deadline hit while scanning level {level}")
+            rest = g.full_mask & ~d
+            r = memo.get(rest)
+            if r is None:
+                r = _remainder_value(g, table.values, memo, rest)
+            total = v(d) + r
+            if total > inc.value + tol:
+                inc.offer([d] + reconstruct_blocks(
+                    table, g.connected_components(rest), g), total)
 
 
 def _drive(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
@@ -175,7 +209,7 @@ def _drive(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
     control = _Control()
     sweep_stats = SearchStats()
     search_stats = SearchStats()
-    sweep = _Sweep(game, g, pt, table, inc, sweep_stats, deadline, control)
+    sweep = _Sweep(game, g, pt, table, inc, sweep_stats, deadline)
     searcher = _Search(game, g, pt, table, inc, search_stats, bound, deadline,
                        control)
 

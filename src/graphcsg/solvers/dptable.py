@@ -30,9 +30,6 @@ class DpTable:
         self.values[c] = value
         self.subsets[c] = best_subset
 
-    def __contains__(self, c: int) -> bool:
-        return c in self.values
-
     def __len__(self) -> int:
         return len(self.values)
 

@@ -9,14 +9,13 @@ cannot beat the incumbent, stage seeds included: a pruned seed counts as
 seeded and as pruned, and opens nothing.
 
 `_Search` keeps its open nodes on an explicit stack, so it can pause
-between any two nodes, and it is the only code that assembles whole
-structures. A node whose remainder lies within the table's published
-levels is finished by `tsp_star_step` instead of searched. `tsp` runs the
-search alone over an empty table, from the better of the one-block and
-all-singletons partitions. The sweep (dp.py), which `dype` and
-`dype_star` run alone, runs stage L once level L is published, so the
-table finishes every seed of it; the hybrid runs the search in turns with
-the sweep.
+between any two nodes. A node whose remainder lies within the table's
+published levels is finished by `tsp_star_step` instead of searched; only
+the hybrid's search reaches that path. `tsp` runs the search alone over
+an empty table, from the better of the one-block and all-singletons
+partitions. The sweep (dp.py), which `dype` and `dype_star` run alone,
+prices the seeds of stage L itself once level L is published; the hybrid
+runs this search in turns with the sweep.
 """
 
 from __future__ import annotations

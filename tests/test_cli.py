@@ -184,6 +184,23 @@ def test_bench_solver_faults_exit_4(tmp_path, capsys, monkeypatch):
     assert code == 3
 
 
+def test_bench_out_directory_that_cannot_be_created_exits_2(
+        tmp_path, capsys, monkeypatch):
+    path = tmp_path / "inst.csg"
+    run(capsys, "gen", "--model", "path", "--n", "4", "-o", str(path))
+    plain_file = tmp_path / "notadir"
+    plain_file.write_text("")
+    solved = []
+    monkeypatch.setattr(harness, "solve_instance",
+                        lambda *args, **kwargs: solved.append(args))
+    code, out, err = run(capsys, "bench", str(path), "--algorithms", "dype",
+                         "--out", str(plain_file / "x"))
+    assert code == 2
+    assert "cannot create --out directory" in err
+    assert "internal error" not in err and "Traceback" not in err
+    assert solved == []  # refused before any solve
+
+
 def test_verify_small_grid(capsys):
     code, out, err = run(capsys, "verify", "--models", "path,cycle",
                          "--n-max", "4", "--games", "2")

@@ -7,12 +7,13 @@ from graphcsg import (BudgetExceededError, Game, InternalInvariantError,
                       Partition, brute_force_best, build_pseudotree, dype,
                       dype_star, make_graph, make_supersub_game,
                       partition_value, random_table_game)
-from graphcsg.solvers import dp
+from graphcsg.solvers import base, dp
 from graphcsg.solvers.dp import audit_dp_table
 from graphcsg.solvers.dptable import DpTable, reconstruct_blocks
+from graphcsg.solvers.treesearch import tsp_star_step
 
-from conftest import (FOUR_CYCLE_EDGES, agents_of, bfs_reach, mask_of,
-                      random_connected_edges)
+from conftest import (FOUR_CYCLE_EDGES, agents_of, bfs_reach,
+                      is_connected_agents, mask_of, random_connected_edges)
 
 
 def random_instance(rng, n_max=8):
@@ -206,11 +207,10 @@ def test_dype_star_stops_soon_after_the_deadline():
 def test_dype_stops_soon_after_the_deadline_in_the_last_scan():
     # On a star the level fills are tiny, and the sweep's last call is the
     # scan of stage 2: it prices the 2^(n-2) first blocks around the centre
-    # that leave out the agent at position 2, each from the table. A
-    # deadline that passes at that scan's first value call stops it within
-    # one stride of 1,024 ticks; each block also costs a tick per component
-    # it leaves, so on this star that is under 256 blocks, well short of
-    # the stage's 1,024.
+    # that leave out the agent at position 2, each from the table, with one
+    # value call per block. A deadline that passes at that scan's first
+    # value call is seen at the scan's next check, which comes 256 seeds
+    # later, well short of the stage's 1,024.
     n = 12
     g = make_graph(n, [(0, a) for a in range(1, n)])
     base = random_table_game(n, seed=5)
@@ -336,3 +336,114 @@ def test_sweep_memo_holds_each_remainders_summed_entries():
                 assert val == want, (edges, rest)
             checked += len(memo) - 1
     assert checked > 1000
+
+
+def random_sweep_instance(rng):
+    """A random connected graph, root and game, table or supersub, with
+    a tolerance now and then."""
+    n = rng.randint(2, 9)
+    edges = random_connected_edges(rng, n)
+    g = make_graph(n, edges)
+    seed = rng.randrange(10 ** 6)
+    base_game = (random_table_game(n, seed=seed) if rng.random() < 0.5
+                 else make_supersub_game(n, seed=seed))
+    gm = Game(n, base_game.value, tolerance=rng.choice((0, 0, 3)))
+    return gm, g, edges, build_pseudotree(g, rng.randrange(n))
+
+
+def test_each_level_writes_the_anchored_sets_with_connected_complements():
+    # level L's entries: connected, holding the agent at position L, inside
+    # the suffix from L, with a nonempty connected complement (plain BFS)
+    rng = random.Random(78)
+    solve_level = dp._solve_level
+    for _ in range(60):
+        gm, g, edges, pt = random_sweep_instance(rng)
+        written = {}
+
+        def spy(v, g, pt, table, level, *args):
+            before = set(table.values)
+            seeds = solve_level(v, g, pt, table, level, *args)
+            written[level] = set(table.values) - before
+            return seeds
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dp, "_solve_level", spy)
+            dype(gm, g, pt)
+        n = g.n
+        for level in range(2, n + 1):
+            anchor = pt.order[level - 1]
+            suffix = set(pt.order[level - 1:])
+            want = set()
+            for c in range(1, 1 << n):
+                members = set(agents_of(c))
+                rest = set(range(n)) - members
+                if anchor in members and members <= suffix and rest \
+                        and is_connected_agents(edges, members) \
+                        and is_connected_agents(edges, rest):
+                    want.add(c)
+            assert written[level] == want, (edges, pt.root, level)
+        assert set(written) == set(range(2, n + 1))
+
+
+def test_scan_offers_what_tsp_star_step_completes():
+    # the sweep prices each stage seed from its memo; the search's table
+    # completion over the same table, seeds and incumbent offers the same
+    # structures at the same totals, in the same order
+    rng = random.Random(79)
+    scan = dp._Sweep._scan
+    offer = base._Incumbent.offer
+    offered = None
+    checked = offers = 0
+
+    def spy_scan(self, level, seeds):
+        nonlocal offered, checked, offers
+        g, pt, game = self.g, self.pt, self.game
+        full = g.full_mask
+        assert seeds == list(g.connected_subsets(
+            full ^ (1 << pt.order[level - 1]),
+            required=pt.prefix_masks[level]))
+        want = []
+        incumbent = self.inc.value
+        for d in seeds:
+            _, total, rest = tsp_star_step(self.table, game, g, full & ~d,
+                                           game.value(d), incumbent)
+            if rest is not None:
+                want.append(([d] + rest, total))
+                incumbent = total
+        offered = []
+        scan(self, level, seeds)
+        assert offered == want
+        checked += len(seeds)
+        offers += len(want)
+        offered = None
+
+    def spy_offer(self, blocks, value):
+        if offered is not None:
+            offered.append((list(blocks), value))
+        return offer(self, blocks, value)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dp._Sweep, "_scan", spy_scan)
+        mp.setattr(base._Incumbent, "offer", spy_offer)
+        for _ in range(60):
+            gm, g, edges, pt = random_sweep_instance(rng)
+            res = dype_star(gm, g, pt)
+            assert res.best_value == partition_value(gm, res.best)
+    assert checked > 500 and offers > 100
+
+
+def test_dype_counts_each_seed_and_each_inner_split_subset_once():
+    rng = random.Random(80)
+    for _ in range(40):
+        gm, g, edges, pt = random_sweep_instance(rng)
+        res = dype(gm, g, pt)
+        full = g.full_mask
+        seeds = sum(1 for level in range(2, g.n + 1)
+                    for _ in g.connected_subsets(
+                        full ^ (1 << pt.order[level - 1]),
+                        required=pt.prefix_masks[level]))
+        inner = sum(1 for c in res.table.values
+                    for _ in g.connected_subsets(
+                        c, required=1 << min(agents_of(c), key=pt.position)))
+        assert res.stats.subsets_enumerated == seeds + inner
+        assert res.stats.dp_subproblems == len(res.table)
