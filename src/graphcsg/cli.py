@@ -1,8 +1,10 @@
 """Command-line interface: gen, solve, verify, bench.
 
 Exit codes: 0 success, 1 verification mismatch or no result produced,
-2 usage error (a bad flag, or a `bench --out` directory that cannot be
-created), 3 unreadable or invalid instance, 4 solver fault.
+2 usage error (a bad flag, a `verify` grid that holds no run, or a
+`bench --out` directory that cannot be created), 3 unreadable or invalid
+instance, 4 solver fault (for `verify`, also a grid run that raised
+InternalInvariantError).
 """
 
 from __future__ import annotations
@@ -10,26 +12,32 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from dataclasses import fields
 from pathlib import Path
 
 from .harness import (ALGORITHMS, ANYTIME_ALGORITHMS, DEFAULT_MODELS,
-                      inconsistent_instances, run_bench, solve_instance,
-                      verify_matrix, write_trace_csv)
+                      MATRIX_RUNS, inconsistent_instances, parse_model,
+                      run_bench, solve_instance, verify_matrix,
+                      write_trace_csv)
 from .instances import (MODELS, InstanceFormatError, gen_instance,
                         parse_instance, write_instance)
 from .solvers import ORACLE_MAX_N, BudgetExceededError
+
+# The algorithms that `verify` compares against the oracle, in table order.
+_VERIFY_ALGORITHMS = tuple(dict.fromkeys(alg for alg, _, _ in MATRIX_RUNS))
 
 
 class _UsageError(Exception):
     """A flag value argparse cannot check by itself; exits with 2."""
 
 
-def _algorithms(text: str) -> tuple[str, ...]:
+def _algorithms(text: str, allowed=ALGORITHMS) -> tuple[str, ...]:
     """The names in a comma-separated --algorithms value."""
     algorithms = tuple(a for a in text.split(",") if a)
-    bad = set(algorithms) - set(ALGORITHMS)
+    bad = set(algorithms) - set(allowed)
     if bad:
-        raise _UsageError(f"unknown algorithms: {', '.join(sorted(bad))}")
+        raise _UsageError(f"unknown algorithms: {', '.join(sorted(bad))} "
+                          f"(choose from {', '.join(allowed)})")
     return algorithms
 
 
@@ -82,16 +90,16 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--games", type=int, default=100,
                         help="games per (model, n) cell")
     verify.add_argument("--algorithms", default=None,
-                        help="comma-separated subset of: dype, tsp, "
-                             "dype-star, d-tsp, cfss")
+                        help="comma-separated subset of: "
+                             + ", ".join(_VERIFY_ALGORITHMS))
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--quiet", action="store_true",
                         help="suppress per-cell progress lines")
 
     bench = sub.add_parser("bench", help="run timed sweeps, emit CSV")
     bench.add_argument("instances", nargs="+", help="instance files")
-    bench.add_argument("--algorithms",
-                       default="dype,tsp,dype-star,d-tsp,cfss")
+    bench.add_argument("--algorithms", default=",".join(
+        a for a in ALGORITHMS if a != "oracle"))
     bench.add_argument("--repetitions", type=int, default=1)
     bench.add_argument("--out", default="bench_out",
                        help="directory for report.csv and trace files")
@@ -128,7 +136,7 @@ def _check_oracle_cap(g, algorithms) -> None:
 
 
 def _internal_error(e: Exception) -> int:
-    """Report a fault raised after every instance was read; exits with 4."""
+    """Report a fault raised after every input was checked; exits with 4."""
     traceback.print_exc()
     print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
     return 4
@@ -149,16 +157,8 @@ def _cmd_solve(args) -> int:
     print(f"value {res.best_value}")
     print(f"blocks {res.best.agent_lists()}")
     print(f"status {'complete' if res.completed else 'timeout'}")
-    s = res.stats
-    print("stats "
-          f"subsets_enumerated={s.subsets_enumerated} "
-          f"dp_subproblems={s.dp_subproblems} "
-          f"nodes_expanded={s.nodes_expanded} "
-          f"nodes_pruned={s.nodes_pruned} "
-          f"structures_visited={s.structures_visited} "
-          f"tsp_star_shortcuts={s.tsp_star_shortcuts} "
-          f"tsp_star_fallbacks={s.tsp_star_fallbacks} "
-          f"frontier_crossed={s.frontier_crossed}")
+    print("stats " + " ".join(f"{f.name}={getattr(res.stats, f.name)}"
+                              for f in fields(res.stats)))
     if args.trace is not None:
         if args.algorithm in ANYTIME_ALGORITHMS:
             write_trace_csv(args.trace, res.trace)
@@ -171,16 +171,30 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     models = tuple(m for m in args.models.split(",") if m)
-    algorithms = _algorithms(args.algorithms) if args.algorithms else None
-    report = verify_matrix(
-        models=models, ns=range(args.n_min, args.n_max + 1),
-        games_per_cell=args.games, base_seed=args.seed,
-        algorithms=algorithms,
-        progress=None if args.quiet else lambda line: print(line))
+    try:
+        for spec in models:
+            parse_model(spec)
+    except ValueError as e:
+        raise _UsageError(f"--models: {e}") from None
+    algorithms = (_algorithms(args.algorithms, _VERIFY_ALGORITHMS)
+                  if args.algorithms else _VERIFY_ALGORITHMS)
+    if not 1 <= args.n_min <= args.n_max <= ORACLE_MAX_N:
+        raise _UsageError(f"need 1 <= --n-min <= --n-max <= {ORACLE_MAX_N}, "
+                          f"the oracle's cap")
+    if not (models and algorithms and args.games >= 1):
+        raise _UsageError("the grid holds no solver run")
+    try:
+        report = verify_matrix(
+            models=models, ns=range(args.n_min, args.n_max + 1),
+            games_per_cell=args.games, base_seed=args.seed,
+            algorithms=algorithms,
+            progress=None if args.quiet else lambda line: print(line))
+    except Exception as e:  # the grid was checked: a solver fault
+        return _internal_error(e)
     for line in report.failure_lines():
         print(line)
     print(report.summary())
-    return 0 if report.ok else 1
+    return 4 if report.faults else 0 if report.ok else 1
 
 
 def _cmd_bench(args) -> int:

@@ -110,11 +110,10 @@ class Graph:
             s &= ~comp
         return comps
 
-    def connected_subsets(
-        self, ground: int, required: int = 0, forbidden: int = 0
-    ) -> Iterator[int]:
+    def connected_subsets(self, ground: int,
+                          required: int = 0) -> Iterator[int]:
         """Yield every nonempty connected subset S with
-        required <= S <= ground minus forbidden, exactly once.
+        required <= S <= ground, exactly once.
 
         Enumeration grows a connected set from a seed agent one frontier
         vertex at a time; each branch bans the vertices already offered to
@@ -122,7 +121,7 @@ class Graph:
         A multi-agent `required` may span several components of the seed's
         neighborhood: supersets are emitted only once they absorb all of it.
         """
-        ground &= self.full_mask & ~forbidden
+        ground &= self.full_mask
         if required & ~ground:
             return
         adj = self.adj

@@ -11,12 +11,12 @@ from pathlib import Path
 from .games import (Game, Partition, Value, make_cfss_bound, make_tsp_bound,
                     partition_value, random_table_game)
 from .graph import Graph
-from .instances import model_edges
+from .instances import MODELS, model_edges
 from .masks import agents_of
 from .pseudotree import build_pseudotree
-from .solvers import (BudgetExceededError, SolverResult, audit_dp_table,
-                      brute_force_best, cfss, d_tsp, dype, dype_star,
-                      structure_masks, tsp)
+from .solvers import (BudgetExceededError, InternalInvariantError,
+                      SolverResult, audit_dp_table, brute_force_best, cfss,
+                      d_tsp, dype, dype_star, structure_masks, tsp)
 from .solvers.base import SearchStats
 
 ALGORITHMS = ("oracle", "dype", "tsp", "dype-star", "d-tsp", "cfss")
@@ -192,18 +192,16 @@ class VerifyReport:
     audit_failures: list[str] = field(default_factory=list)
     trace_violations: list[str] = field(default_factory=list)
     crossing_failures: list[str] = field(default_factory=list)
-    fallback_events: list[str] = field(default_factory=list)
+    faults: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not (self.value_mismatches or self.feasibility_failures
-                    or self.audit_failures or self.trace_violations
-                    or self.crossing_failures or self.fallback_events)
+        return not self.failure_lines()
 
     def failure_lines(self) -> list[str]:
         return (self.value_mismatches + self.feasibility_failures
                 + self.audit_failures + self.trace_violations
-                + self.crossing_failures + self.fallback_events)
+                + self.crossing_failures + self.faults)
 
     def summary(self) -> str:
         state = "pass" if self.ok else "FAIL"
@@ -212,19 +210,21 @@ class VerifyReport:
 
 
 def parse_model(spec: str) -> tuple[str, float | None]:
-    """'gnp:0.5' -> ('gnp', 0.5); plain names pass through."""
-    if ":" in spec:
-        name, _, ptxt = spec.partition(":")
-        try:
-            p = float(ptxt)
-        except ValueError:
-            raise ValueError(f"bad model spec {spec!r}") from None
-        if name != "gnp":
-            raise ValueError(f"model {name!r} takes no parameter")
-        return name, p
-    if spec == "gnp":
-        return "gnp", 0.5
-    return spec, None
+    """'gnp:0.5' -> ('gnp', 0.5), 'gnp' -> ('gnp', 0.5), 'path' -> ('path',
+    None); ValueError for an unknown model, or a parameter that is not
+    gnp's edge probability."""
+    name, colon, ptxt = spec.partition(":")
+    if name not in MODELS or colon and name != "gnp":
+        raise ValueError(f"bad model spec {spec!r}")
+    if name != "gnp":
+        return name, None
+    try:
+        p = float(ptxt) if colon else 0.5
+    except ValueError:
+        raise ValueError(f"bad model spec {spec!r}") from None
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"gnp edge probability must be in [0, 1], got {p}")
+    return name, p
 
 
 def matrix_seed(base_seed: int, model_index: int, n: int, index: int) -> int:
@@ -268,7 +268,8 @@ def verify_matrix(*, models=DEFAULT_MODELS, ns=range(1, 10),
                   bound_factory=None, progress=None) -> VerifyReport:
     """Compare every solver against the brute-force optimum over the full
     instance grid, auditing DP tables, anytime traces, and the hybrid's
-    frontier bookkeeping along the way.
+    frontier bookkeeping along the way. A run that raises
+    InternalInvariantError is reported in `faults`, and the sweep goes on.
 
     `bound_factory(game, kind)` overrides pruning-bound construction (the
     fault-injection hook used by tests); `algorithms` limits the matrix
@@ -299,16 +300,8 @@ def verify_matrix(*, models=DEFAULT_MODELS, ns=range(1, 10),
 
                 v = game.value
                 if shared_structures is not None:
-                    best = None
-                    best_val = 0
-                    for masks in shared_structures:
-                        val = 0
-                        for b in masks:
-                            val += v(b)
-                        if best is None or val > best_val:
-                            best_val = val
-                            best = masks
-                    optimum = best_val
+                    optimum = max(sum(map(v, masks))
+                                  for masks in shared_structures)
                 else:
                     optimum = brute_force_best(game, g).best_value
 
@@ -317,9 +310,13 @@ def verify_matrix(*, models=DEFAULT_MODELS, ns=range(1, 10),
                         + (f"+{bound_kind}" if bound_kind else "") \
                         + (f"/{mode}" if mode else "")
                     report.runs += 1
-                    res = _solve_connected(game, g, alg, bound=bound_kind,
-                                           mode=mode,
-                                           bound_factory=bound_factory)
+                    try:
+                        res = _solve_connected(game, g, alg, bound=bound_kind,
+                                               mode=mode,
+                                               bound_factory=bound_factory)
+                    except InternalInvariantError as e:
+                        report.faults.append(f"{where}: {e}")
+                        continue
 
                     if res.best_value != optimum:
                         report.value_mismatches.append(
@@ -342,16 +339,11 @@ def verify_matrix(*, models=DEFAULT_MODELS, ns=range(1, 10),
                     if alg in ANYTIME_ALGORITHMS:
                         _check_trace(res, v(g.full_mask), optimum, where,
                                      report.trace_violations)
-                    if alg == "d-tsp":
-                        if not res.stats.frontier_crossed or not res.completed:
-                            report.crossing_failures.append(
-                                f"{where}: run ended without the frontiers "
-                                f"crossing")
-                        if res.stats.tsp_star_fallbacks:
-                            report.fallback_events.append(
-                                f"{where}: "
-                                f"{res.stats.tsp_star_fallbacks} table "
-                                f"completion fallbacks")
+                    if alg == "d-tsp" and not (res.stats.frontier_crossed
+                                               and res.completed):
+                        report.crossing_failures.append(
+                            f"{where}: run ended without the frontiers "
+                            f"crossing")
             if progress is not None:
                 progress(f"{model_spec} n={n}: {report.summary()}")
     return report
@@ -443,14 +435,8 @@ def run_bench(instances, algorithms, *, budget_ms: float | None = None,
 
 def inconsistent_instances(rows: list[BenchRow]) -> list[str]:
     """Instance names whose completed runs disagree on the best value."""
-    seen: dict[str, Value] = {}
-    bad = []
+    values: dict[str, set[Value]] = {}
     for r in rows:
-        if r.status != "ok" or r.value is None:
-            continue
-        if r.instance in seen:
-            if seen[r.instance] != r.value:
-                bad.append(r.instance)
-        else:
-            seen[r.instance] = r.value
-    return sorted(set(bad))
+        if r.status == "ok" and r.value is not None:
+            values.setdefault(r.instance, set()).add(r.value)
+    return sorted(name for name, vs in values.items() if len(vs) > 1)

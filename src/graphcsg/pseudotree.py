@@ -20,7 +20,7 @@ class Pseudotree:
     """
 
     __slots__ = ("n", "root", "parent", "depth", "order", "_pos",
-                 "prefix_masks", "suffix_masks")
+                 "prefix_masks")
 
     def __init__(self, root: int, parent: tuple[int, ...],
                  depth: tuple[int, ...], order: tuple[int, ...]):
@@ -34,13 +34,11 @@ class Pseudotree:
         for i, a in enumerate(order):
             pos[a] = i + 1
         self._pos = tuple(pos)
-        # prefix_masks[i] = agents at positions < i; suffix_masks[i] = positions >= i
+        # prefix_masks[i] = agents at positions < i
         prefix = [0] * (n + 2)
         for i in range(1, n + 2):
             prefix[i] = prefix[i - 1] | (1 << order[i - 2] if i >= 2 else 0)
-        full = (1 << n) - 1
         self.prefix_masks = tuple(prefix)
-        self.suffix_masks = tuple(full & ~p for p in prefix)
 
     def position(self, a: int) -> int:
         """1-based breadth-first position of agent a."""

@@ -1,11 +1,11 @@
 """Shared solver types: run statistics, results, control errors, and the
-incumbent and stop flags that the sweep and search workers share."""
+incumbent that the sweep and search workers share."""
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 from ..games import Partition, Value
@@ -34,20 +34,16 @@ class SearchStats:
     nodes_pruned: int = 0
     structures_visited: int = 0
     tsp_star_shortcuts: int = 0
+    # Always 0 (a table miss raises); perfbench/tracing.py still reads it.
     tsp_star_fallbacks: int = 0
     frontier_crossed: bool = False
 
     def merged_with(self, other: "SearchStats") -> "SearchStats":
-        return SearchStats(
-            subsets_enumerated=self.subsets_enumerated + other.subsets_enumerated,
-            dp_subproblems=self.dp_subproblems + other.dp_subproblems,
-            nodes_expanded=self.nodes_expanded + other.nodes_expanded,
-            nodes_pruned=self.nodes_pruned + other.nodes_pruned,
-            structures_visited=self.structures_visited + other.structures_visited,
-            tsp_star_shortcuts=self.tsp_star_shortcuts + other.tsp_star_shortcuts,
-            tsp_star_fallbacks=self.tsp_star_fallbacks + other.tsp_star_fallbacks,
-            frontier_crossed=self.frontier_crossed or other.frontier_crossed,
-        )
+        """Counters summed; `frontier_crossed` when either crossed."""
+        merged = SearchStats(*(getattr(self, f.name) + getattr(other, f.name)
+                               for f in fields(SearchStats)))
+        merged.frontier_crossed = self.frontier_crossed or other.frontier_crossed
+        return merged
 
 
 # (elapsed_microseconds, incumbent_value) points; values never decrease.
@@ -76,15 +72,6 @@ def elapsed_us(t0: float) -> int:
 
 def deadline_passed(deadline: float | None) -> bool:
     return deadline is not None and time.monotonic() >= deadline
-
-
-class _Control:
-    __slots__ = ("stop", "deadline_hit", "error")
-
-    def __init__(self):
-        self.stop = False
-        self.deadline_hit = False
-        self.error = None
 
 
 class _Incumbent:

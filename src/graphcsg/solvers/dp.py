@@ -32,7 +32,7 @@ from ..graph import Graph
 from ..masks import agents_of
 from ..pseudotree import Pseudotree
 from .base import (BudgetExceededError, InternalInvariantError, SearchStats,
-                   SolverResult, _Control, _Incumbent, deadline_passed,
+                   SolverResult, _Incumbent, deadline_passed,
                    require_connected)
 from .dptable import DpTable, reconstruct_blocks
 from .treesearch import _DEADLINE_STRIDE as _SEARCH_STRIDE, _Search
@@ -206,12 +206,10 @@ def _drive(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
     table = DpTable(g.n)
     inc = _Incumbent([full], game.value(full), time.monotonic(),
                      game.tolerance, on_incumbent)
-    control = _Control()
     sweep_stats = SearchStats()
     search_stats = SearchStats()
     sweep = _Sweep(game, g, pt, table, inc, sweep_stats, deadline)
-    searcher = _Search(game, g, pt, table, inc, search_stats, bound, deadline,
-                       control)
+    searcher = _Search(game, g, pt, table, inc, search_stats, bound, deadline)
 
     def crossed() -> bool:
         return sweep.next_level < searcher.next_stage
@@ -235,31 +233,31 @@ def _drive(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
         except BudgetExceededError:
             completed = False
     else:
-        def run(step):
+        stop = threading.Event()
+        errors = [None, None]  # one slot per worker, read after the join
+
+        def run(slot, step):
             try:
-                while not control.stop and not crossed():
+                while not stop.is_set() and not crossed():
                     if deadline_passed(deadline):
-                        control.deadline_hit = True
-                        control.stop = True
-                        break
+                        raise BudgetExceededError("deadline hit")
                     if not step():
                         break
-            except BudgetExceededError:
-                control.deadline_hit = True
-                control.stop = True
             except BaseException as e:
-                control.error = e
-                control.stop = True
+                errors[slot] = e
+            finally:
+                stop.set()
 
         worker = threading.Thread(
-            target=run, args=(lambda: searcher.step(_SEARCH_STRIDE),),
+            target=run, args=(1, lambda: searcher.step(_SEARCH_STRIDE)),
             name="block-search", daemon=True)
         worker.start()
-        run(sweep_step)
+        run(0, sweep_step)
         worker.join()
-        if control.error is not None:
-            raise control.error
-        completed = not control.deadline_hit
+        for e in errors:
+            if e is not None and not isinstance(e, BudgetExceededError):
+                raise e
+        completed = errors == [None, None]
 
     stats = sweep_stats.merged_with(search_stats)
     stats.frontier_crossed = search and crossed()
@@ -306,15 +304,10 @@ def audit_dp_table(table: DpTable, game: Game, g: Graph,
                 or not g.is_connected(witness):
             raise InternalInvariantError(
                 f"entry for mask {c} has an invalid witness block {witness}")
-        val = v(witness)
         rest = c & ~witness
-        while rest:
-            comp = g.component_of(rest)
-            if comp not in tv:
-                raise InternalInvariantError(
-                    f"witness for mask {c} references missing entry {comp}")
-            val += tv[comp]
-            rest &= ~comp
+        if rest not in memo:
+            _remainder_value(g, tv, memo, rest)
+        val = v(witness) + memo[rest]
         if val != stored:
             raise InternalInvariantError(
                 f"witness for mask {c} prices at {val}, entry stores {stored}")

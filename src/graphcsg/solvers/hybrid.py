@@ -21,10 +21,12 @@ deterministic.
 Before expanding a node the search consults the table: when the whole
 uncovered remainder lies within published levels, the best completion is a
 handful of lookups (`tsp_star_step`, which only this search calls) and
-the subtree is skipped. The needed entries are expected to exist whenever
-that trigger fires (remainder components keep connected complements); a
-missing entry is logged, counted, and answered by falling back to plain
-search for that node.
+the subtree is skipped. The entries always exist. The covered set is
+connected: so is the seed, and each later block holds the first uncovered
+agent, whose tree parent is covered. Every remainder component touches it,
+so each has a connected complement and is an entry of the published level
+of its first agent. A miss is a fault and raises InternalInvariantError,
+as in the sweep's own lookups.
 """
 
 from __future__ import annotations

@@ -11,26 +11,25 @@ seeded and as pruned, and opens nothing.
 `_Search` keeps its open nodes on an explicit stack, so it can pause
 between any two nodes. A node whose remainder lies within the table's
 published levels is finished by `tsp_star_step` instead of searched; only
-the hybrid's search reaches that path. `tsp` runs the search alone over
-an empty table, from the better of the one-block and all-singletons
-partitions. The sweep (dp.py), which `dype` and `dype_star` run alone,
-prices the seeds of stage L itself once level L is published; the hybrid
-runs this search in turns with the sweep.
+the hybrid's search reaches that path, and a missing entry there is an
+`InternalInvariantError`. `tsp` runs the search alone over an empty
+table, from the better of the one-block and all-singletons partitions.
+The sweep (dp.py), which `dype` and `dype_star` run alone, prices the
+seeds of stage L itself once level L is published; the hybrid runs this
+search in turns with the sweep.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 
 from ..games import Game, Partition, Value
 from ..graph import Graph
 from ..pseudotree import Pseudotree
-from .base import (BudgetExceededError, SearchStats, SolverResult, _Control,
-                   _Incumbent, deadline_passed, require_connected)
+from .base import (BudgetExceededError, InternalInvariantError, SearchStats,
+                   SolverResult, _Incumbent, deadline_passed,
+                   require_connected)
 from .dptable import DpTable, reconstruct_blocks
-
-log = logging.getLogger(__name__)
 
 _DEADLINE_STRIDE = 1024
 
@@ -49,11 +48,11 @@ class _Search:
     """
 
     __slots__ = ("game", "g", "pt", "table", "inc", "stats", "bound",
-                 "deadline", "control", "structure_hook", "next_stage",
-                 "last_stage", "_stack")
+                 "deadline", "structure_hook", "next_stage", "last_stage",
+                 "_stack")
 
     def __init__(self, game, g, pt, table, inc, stats, bound, deadline,
-                 control, structure_hook=None):
+                 structure_hook=None):
         self.game = game
         self.g = g
         self.pt = pt
@@ -62,7 +61,6 @@ class _Search:
         self.stats = stats
         self.bound = bound
         self.deadline = deadline
-        self.control = control
         self.structure_hook = structure_hook
         self.next_stage = 2
         self.last_stage = g.n
@@ -72,7 +70,7 @@ class _Search:
         """Advance the search by about `budget` ticks, where a tick is one
         subset handled: a seed or child enumerated, or a remainder
         component a table completion looks up. False when past
-        `last_stage` or told to stop; True when the budget ran out first."""
+        `last_stage`; True when the budget ran out first."""
         g = self.g
         full = g.full_mask
         connected_subsets = g.connected_subsets
@@ -101,7 +99,7 @@ class _Search:
                     limit = min(budget, ticks + _DEADLINE_STRIDE)
                 if not stack:
                     stage = self.next_stage
-                    if stage > self.last_stage or self.control.stop:
+                    if stage > self.last_stage:
                         return False
                     # A seed holds every agent before the stage agent and
                     # leaves it out, so its node opens at position `stage`.
@@ -139,23 +137,17 @@ class _Search:
                     while (1 << order[npos - 1]) & ncov:
                         npos += 1
                     if npos >= table.published_level:
-                        done = tsp_star_step(table, game, g, full & ~ncov,
-                                             nval, inc.value)
-                        if done is not None:
-                            spent, total, rest = done
-                            if not seeds:
-                                stats.tsp_star_shortcuts += 1
-                            if rest is not None:
-                                inc.offer(self._partial() + [c] + rest, total)
-                            ticks += spent
-                            looked_up += spent
-                            if ticks >= limit:
-                                break
-                            continue
-                        stats.tsp_star_fallbacks += 1
-                        log.warning("no table completion below partial %s; "
-                                    "searching the subtree instead",
-                                    [hex(b) for b in self._partial() + [c]])
+                        spent, total, rest = tsp_star_step(
+                            table, game, g, full & ~ncov, nval, inc.value)
+                        if not seeds:
+                            stats.tsp_star_shortcuts += 1
+                        if rest is not None:
+                            inc.offer(self._partial() + [c] + rest, total)
+                        ticks += spent
+                        looked_up += spent
+                        if ticks >= limit:
+                            break
+                        continue
                     stack.append((connected_subsets(
                         full & ~ncov, required=1 << order[npos - 1]),
                         ncov, nval, npos, c))
@@ -196,7 +188,7 @@ def tsp(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
         inc = _Incumbent(singles, singles_val, 0, game.tolerance)
     stats = SearchStats()
     # An empty table publishes no level, so no node is ever shortcut.
-    _Search(game, g, pt, DpTable(g.n), inc, stats, bound, deadline, _Control(),
+    _Search(game, g, pt, DpTable(g.n), inc, stats, bound, deadline,
             structure_hook).step(math.inf)
     return SolverResult(best=Partition(inc.blocks), best_value=inc.value,
                         stats=stats)
@@ -208,11 +200,11 @@ def tsp_star_step(table: DpTable, game: Game, g: Graph, rest: int,
     searching its subtree.
 
     `partial_value` is the summed value of the partial's blocks and `rest`
-    the agents they leave uncovered. Returns None when some component of
-    `rest` has no table entry (the caller then searches the subtree). Else
-    returns (lookups, total, blocks): the components looked up, the
-    completed value, and the remainder's optimal blocks when the completion
-    beats the incumbent (None otherwise, so nothing is built for a loser).
+    the agents they leave uncovered. Returns (lookups, total, blocks): the
+    components looked up, the completed value, and the remainder's optimal
+    blocks when the completion beats the incumbent (None otherwise, so
+    nothing is built for a loser). A component of `rest` with no table
+    entry is a fault (hybrid.py says why) and raises InternalInvariantError.
     """
     tv = table.values
     component_of = g.component_of
@@ -226,7 +218,8 @@ def tsp_star_step(table: DpTable, game: Game, g: Graph, rest: int,
             lookups += 1
             r &= ~comp
     except KeyError:
-        return None
+        raise InternalInvariantError(
+            f"missing table entry for mask {comp}") from None
     if game.improves(total, incumbent_value):
         return (lookups, total,
                 reconstruct_blocks(table, g.connected_components(rest), g))

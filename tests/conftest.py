@@ -86,14 +86,14 @@ def feasible_partitions_by_filter(n, edges):
     return out
 
 
-def connected_subsets_reference(g, ground, required=0, forbidden=0):
+def connected_subsets_reference(g, ground, required=0):
     """Filter-based reference for `Graph.connected_subsets`.
 
     Walks all submasks of the ground set and keeps the connected ones
     that contain `required`. Kept deliberately independent of the
     streaming enumerator so the two can be checked against each other.
     """
-    ground &= g.full_mask & ~forbidden
+    ground &= g.full_mask
     if required & ~ground:
         return
     sub = ground

@@ -240,8 +240,8 @@ def test_criterion_6_anytime_contract(grid):
 
 def test_criterion_7_frontier_crossing_and_guard(grid):
     report, _ = grid
-    problems = report.crossing_failures + report.fallback_events
-    emit(7, "hybrid frontiers cross and the table guard stays silent",
+    problems = report.crossing_failures + report.faults
+    emit(7, "hybrid frontiers cross and no grid run faults",
          not problems,
          f"both modes across the grid"
          + ("" if not problems else "; first: " + problems[0]))

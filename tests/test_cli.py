@@ -1,10 +1,12 @@
 import io
+from dataclasses import fields
 
 import pytest
 
 from graphcsg import cli, harness
 from graphcsg.cli import main
-from graphcsg import InternalInvariantError, parse_instance_text
+from graphcsg import InternalInvariantError, SearchStats, parse_instance_text
+from graphcsg.solvers import treesearch
 
 
 def run(capsys, *argv):
@@ -47,6 +49,19 @@ def test_gen_then_solve_round_trip(tmp_path, capsys):
         assert lines[2] == "status complete"
         assert lines[3].startswith("stats ")
     assert len(values) == 1
+
+
+def test_solve_stats_line_names_every_counter_in_field_order(capsys,
+                                                             monkeypatch):
+    text = "csg 1\nn 2\ne 0 1\ngame table 3 4 5\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "solve", "-", "--algorithm", "d-tsp")
+    assert code == 0
+    line = out.splitlines()[3].split()
+    assert line[0] == "stats"
+    assert [kv.split("=")[0] for kv in line[1:]] \
+        == [f.name for f in fields(SearchStats)]
+    assert line[-1] == "frontier_crossed=True"
 
 
 def test_solve_reads_stdin(capsys, monkeypatch):
@@ -209,6 +224,54 @@ def test_verify_small_grid(capsys):
     code, out, err = run(capsys, "verify", "--models", "path",
                          "--n-max", "3", "--games", "1", "--quiet")
     assert code == 0
+
+
+@pytest.mark.parametrize("flags", [
+    ("--models", "foo"),
+    ("--models", "gnp:abc"),
+    ("--models", "path:0.5"),
+    ("--models", "gnp:1.5"),
+    ("--models", ","),
+    ("--n-min", "0"),
+    ("--n-min", "13", "--n-max", "13", "--models", "gnp"),
+    ("--n-min", "3", "--n-max", "2"),
+    ("--algorithms", "oracle"),
+    ("--algorithms", ","),
+    ("--games", "0"),
+])
+def test_verify_usage_errors_exit_2_before_any_solve(capsys, monkeypatch,
+                                                     flags):
+    solved = []
+    monkeypatch.setattr(cli, "verify_matrix",
+                        lambda **kwargs: solved.append(kwargs))
+    code, out, err = run(capsys, "verify", "--n-max", "3", *flags)
+    assert code == 2, err
+    assert "instance error" not in err and err.strip()
+    assert solved == []
+
+
+def test_verify_faults_exit_4(capsys, monkeypatch):
+    for fault in (ValueError("bad split"),
+                  InternalInvariantError("missing table entry")):
+        def verify(**kwargs):
+            raise fault
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, "verify_matrix", verify)
+            code, out, err = run(capsys, "verify", "--n-max", "2")
+        assert code == 4
+        assert f"internal error: {type(fault).__name__}: {fault}" in err
+    # a fault inside one grid run is a failure line with its seed; the
+    # grid still runs to the end
+    def miss(*args):
+        raise InternalInvariantError("missing table entry for mask 1")
+    monkeypatch.setattr(treesearch, "tsp_star_step", miss)
+    code, out, err = run(capsys, "verify", "--models", "cycle", "--n-max",
+                         "4", "--games", "2", "--quiet")
+    assert code == 4
+    lines = out.splitlines()
+    assert any("(seed " in line and "missing table entry" in line
+               for line in lines)
+    assert lines[-1].startswith("FAIL: 8 instances, 64 solver runs")
 
 
 def test_bench_command(tmp_path, capsys):

@@ -1,12 +1,14 @@
 import csv
 import random
+from dataclasses import fields
 
 import pytest
 
-from graphcsg import (BudgetExceededError, Game, Partition, brute_force_best,
-                      make_graph, make_supersub_game, partition_value,
-                      random_table_game, run_bench, solve_instance,
-                      verify_matrix)
+from graphcsg import (BudgetExceededError, Game, InternalInvariantError,
+                      Partition, SearchStats, brute_force_best, make_graph,
+                      make_supersub_game, partition_value, random_table_game,
+                      run_bench, solve_instance, verify_matrix)
+from graphcsg.solvers import treesearch
 from graphcsg.harness import (ALGORITHMS, ANYTIME_ALGORITHMS, BenchRow,
                               inconsistent_instances, matrix_instance,
                               matrix_seed, parse_model, write_trace_csv)
@@ -100,8 +102,9 @@ def test_parse_model():
     assert parse_model("gnp:0.2") == ("gnp", 0.2)
     with pytest.raises(ValueError):
         parse_model("path:0.2")
-    with pytest.raises(ValueError):
-        parse_model("gnp:x")
+    for bad in ("gnp:x", "foo", "gnp:1.5", "gnp:nan", ""):
+        with pytest.raises(ValueError):
+            parse_model(bad)
 
 
 def test_matrix_instance_is_reproducible():
@@ -136,6 +139,43 @@ def test_verify_matrix_catches_a_lying_bound():
     assert len(rep.value_mismatches) > 0
     assert any("seed" in line for line in rep.failure_lines())
     assert rep.summary().startswith("FAIL")
+
+
+def test_verify_matrix_reports_faults_with_seeds_and_goes_on(monkeypatch):
+    # a table miss in the hybrid's search is a fault: each failing run is
+    # a failure line naming it and its seed, and every other run still runs
+    def miss(table, game, g, rest, partial_value, incumbent_value):
+        raise InternalInvariantError(f"missing table entry for mask {rest}")
+
+    monkeypatch.setattr(treesearch, "tsp_star_step", miss)
+    rep = verify_matrix(models=("cycle", "gnp:0.5"), ns=range(3, 6),
+                        games_per_cell=2)
+    assert rep.runs == rep.instances * 8
+    assert rep.faults
+    assert len(rep.faults) <= rep.instances * 3  # the three d-tsp rows
+    for line in rep.faults:
+        assert " (seed " in line and " d-tsp" in line
+        assert "missing table entry for mask" in line
+    assert not rep.ok
+    assert set(rep.faults) <= set(rep.failure_lines())
+    assert rep.summary().startswith("FAIL")
+
+
+def test_search_stats_merge_sums_every_counter():
+    # each counter is summed and frontier_crossed is OR-ed; neither operand
+    # changes
+    names = [f.name for f in fields(SearchStats)]
+    assert names[-1] == "frontier_crossed"
+    a = SearchStats(*range(1, len(names)))
+    b = SearchStats(*range(10, 10 * len(names), 10), frontier_crossed=True)
+    merged = a.merged_with(b)
+    for f in names[:-1]:
+        assert getattr(merged, f) == getattr(a, f) + getattr(b, f), f
+    assert merged.frontier_crossed is True
+    assert a.merged_with(a).frontier_crossed is False
+    assert a == SearchStats(*range(1, len(names)))
+    assert b == SearchStats(*range(10, 10 * len(names), 10),
+                            frontier_crossed=True)
 
 
 def test_write_trace_csv_keeps_timestamps_strict(tmp_path):

@@ -1,6 +1,8 @@
 import gc
 import math
 import random
+import sys
+import threading
 import time
 
 import pytest
@@ -9,7 +11,7 @@ from graphcsg import (Game, SearchStats, brute_force_best, build_pseudotree,
                       d_tsp, dype, dype_star, make_graph, make_supersub_game,
                       make_tsp_bound, partition_value, random_table_game,
                       structure_masks, tsp)
-from graphcsg.solvers.base import _Control, _Incumbent
+from graphcsg.solvers.base import _Incumbent
 from graphcsg.solvers.dptable import DpTable
 from graphcsg.solvers.treesearch import _Search
 
@@ -133,6 +135,48 @@ def test_deadline_keeps_incumbent_without_raising():
         assert res.best_value == res.trace[-1][1]
 
 
+@pytest.mark.parametrize("faulty", ["search", "sweep"])
+def test_parallel_fault_in_one_worker_is_raised_after_both_stop(faulty):
+    # a fault in either worker stops the other, and the driver re-raises it
+    # once both have stopped; no worker thread outlives the run, also when
+    # the threads switch often
+    rng = random.Random(110)
+    g = make_graph(12, random_connected_edges(rng, 12, extra=12))
+    base = random_table_game(12, seed=57)
+    pt = build_pseudotree(g, 0)
+    main = threading.main_thread()
+    calls = 0
+
+    def value(m):
+        nonlocal calls
+        here = threading.current_thread()
+        if here is not main:
+            assert here.name == "block-search"
+            if faulty == "search":
+                raise ZeroDivisionError("value fault in the search")
+        else:
+            calls += 1
+            # the first call prices the one-block incumbent, before the
+            # workers start
+            if faulty == "sweep" and calls > 1:
+                raise ZeroDivisionError("value fault in the sweep")
+        return base.value(m)
+
+    gm = Game(12, value)
+    before = set(threading.enumerate())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(5):
+            calls = 0
+            with pytest.raises(ZeroDivisionError, match=f"in the {faulty}"):
+                d_tsp(gm, g, pt, mode="parallel")
+            assert set(threading.enumerate()) == before
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.name == "block-search" for t in threading.enumerate())
+
+
 def test_unknown_mode_rejected():
     g = make_graph(2, [(0, 1)])
     gm = random_table_game(2, seed=0)
@@ -166,7 +210,7 @@ def test_search_steps_walk_the_tsp_tree_at_any_budget():
             stats = SearchStats()
             structures = []
             search = _Search(gm, g, pt, DpTable(n), inc, stats, None, None,
-                             _Control(), structures.append)
+                             structures.append)
             steps = 0
             while search.step(budget):
                 steps += 1

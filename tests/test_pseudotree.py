@@ -57,7 +57,7 @@ def test_is_ancestor_is_reflexive_and_follows_parents():
     assert not pt.is_ancestor(4, 3)
 
 
-def test_prefix_and_suffix_masks():
+def test_prefix_masks():
     rng = random.Random(42)
     for _ in range(20):
         n = rng.randint(1, 9)
@@ -69,7 +69,6 @@ def test_prefix_and_suffix_masks():
                 mask |= 1 << a
             # prefix_masks[i] covers the first i-1 agents, 1-based
             assert pt.prefix_masks[i + 1] == mask
-            assert pt.suffix_masks[i + 1] == g.full_mask & ~mask
 
 
 def test_path_rooted_at_end_is_the_path_order():

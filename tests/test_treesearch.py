@@ -4,10 +4,10 @@ import time
 
 import pytest
 
-from graphcsg import (BudgetExceededError, Game, brute_force_best,
-                      build_pseudotree, dype, make_graph, make_supersub_game,
-                      make_tsp_bound, partition_value, random_table_game,
-                      structure_masks, tsp, tsp_star_step)
+from graphcsg import (BudgetExceededError, Game, InternalInvariantError,
+                      brute_force_best, build_pseudotree, dype, make_graph,
+                      make_supersub_game, make_tsp_bound, partition_value,
+                      random_table_game, structure_masks, tsp, tsp_star_step)
 
 from conftest import FOUR_CYCLE_EDGES, canon, random_connected_edges
 
@@ -148,6 +148,26 @@ def test_tsp_star_step_completes_optimally():
         # a completion that cannot beat the incumbent is withheld
         assert tsp_star_step(table, gm, g, rem, partial, total) \
             == (lookups, total, None)
+
+
+def test_tsp_star_step_raises_on_a_missing_entry():
+    # every remainder component the search hands over is a table entry, so
+    # a miss is a fault, whichever component lacks its entry
+    g = make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 4)])
+    gm = random_table_game(6, seed=5)
+    pt = build_pseudotree(g, 0)
+    # a stage-3 seed {0, 1, 4} leaves the components {2, 3} and {5}
+    assert pt.order[:3] == (0, 1, 2)
+    rest = g.full_mask & ~0b010011
+    for comp in g.connected_components(rest):
+        table = dype(gm, g, pt).table
+        lookups, total, _ = tsp_star_step(table, gm, g, rest, 0,
+                                          float("-inf"))
+        assert lookups == 2
+        del table.values[comp]
+        with pytest.raises(InternalInvariantError,
+                           match=f"missing table entry for mask {comp}$"):
+            tsp_star_step(table, gm, g, rest, 0, float("-inf"))
 
 
 def test_tsp_deadline():
