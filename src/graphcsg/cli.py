@@ -1,10 +1,10 @@
 """Command-line interface: gen, solve, verify, bench.
 
 Exit codes: 0 success, 1 verification mismatch or no result produced,
-2 usage error (a bad flag, a `verify` grid that holds no run, or a
-`bench --out` directory that cannot be created), 3 unreadable or invalid
-instance, 4 solver fault (for `verify`, also a grid run that raised
-InternalInvariantError).
+2 usage error (a bad flag or a hopeless gnp p, a `verify` grid with no
+run, or a `bench --out` directory that cannot be created), 3 unreadable or
+invalid instance, 4 solver fault (for `verify`, also a grid run that
+raised InternalInvariantError).
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from .harness import (ALGORITHMS, ANYTIME_ALGORITHMS, DEFAULT_MODELS,
                       MATRIX_RUNS, inconsistent_instances, parse_model,
                       run_bench, solve_instance, verify_matrix,
                       write_trace_csv)
-from .instances import (MODELS, InstanceFormatError, gen_instance,
-                        parse_instance, write_instance)
+from .instances import (MODELS, GraphSamplingError, InstanceFormatError,
+                        gen_instance, parse_instance, write_instance)
 from .solvers import ORACLE_MAX_N, BudgetExceededError
 
 # The algorithms that `verify` compares against the oracle, in table order.
@@ -115,6 +115,8 @@ def _load_instance(path: str):
 
 
 def _cmd_gen(args) -> int:
+    if args.lo > args.hi:
+        raise _UsageError(f"--lo {args.lo} exceeds --hi {args.hi}")
     inst = gen_instance(args.model, args.n, game_kind=args.game,
                         seed=args.seed, p=args.p, lo=args.lo, hi=args.hi,
                         root=args.root)
@@ -172,10 +174,11 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     models = tuple(m for m in args.models.split(",") if m)
     try:
-        for spec in models:
-            parse_model(spec)
+        specs = [parse_model(spec) for spec in models]
     except ValueError as e:
         raise _UsageError(f"--models: {e}") from None
+    if ("gnp", 0.0) in specs and args.n_max >= 2:
+        raise _UsageError("--models: gnp:0 has no connected graph on n >= 2")
     algorithms = (_algorithms(args.algorithms, _VERIFY_ALGORITHMS)
                   if args.algorithms else _VERIFY_ALGORITHMS)
     if not 1 <= args.n_min <= args.n_max <= ORACLE_MAX_N:
@@ -189,6 +192,8 @@ def _cmd_verify(args) -> int:
             games_per_cell=args.games, base_seed=args.seed,
             algorithms=algorithms,
             progress=None if args.quiet else lambda line: print(line))
+    except GraphSamplingError:
+        raise  # p too small for some n: a usage error
     except Exception as e:  # the grid was checked: a solver fault
         return _internal_error(e)
     for line in report.failure_lines():
@@ -238,7 +243,7 @@ def main(argv=None) -> int:
             return _cmd_verify(args)
         if args.command == "bench":
             return _cmd_bench(args)
-    except _UsageError as e:
+    except (_UsageError, GraphSamplingError) as e:
         print(e, file=sys.stderr)
         return 2
     except (InstanceFormatError, OSError, ValueError) as e:

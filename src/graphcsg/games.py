@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .masks import agents_of
 
 Value = int | float
 
-# Exact split factors are found by scanning all disjoint pairs, which costs
-# 3^n; above this size a cheap safe overestimate is used instead.
+# Exact split factors scan each unordered disjoint pair, about 3^n / 2;
+# above this size a cheap safe overestimate is used instead.
 _EXACT_SPLIT_MAX_N = 7
 
 
@@ -107,8 +107,8 @@ def _split_factor(values: Sequence[Value], n: int) -> int:
     """Smallest safe quadratic coefficient k such that
     values[c] + k*|c|^2 never loses from merging disjoint sets.
 
-    Exact for small n (scan of all disjoint pairs); a coarse but safe
-    overestimate from the value range otherwise.
+    Exact for small n (each unordered disjoint pair once: s takes only
+    agents above c's lowest); a coarse but safe overestimate otherwise.
     """
     full = (1 << n) - 1
     if n == 0 or full == 0:
@@ -118,7 +118,7 @@ def _split_factor(values: Sequence[Value], n: int) -> int:
         for c in range(1, full + 1):
             pc = c.bit_count()
             vc = values[c]
-            rest = full & ~c
+            rest = full & ~c & -c
             s = rest
             while s:
                 gap = vc + values[s] - values[c | s]
@@ -210,8 +210,25 @@ def random_table_game(n: int, seed: int | random.Random | None = None, *,
     if not 1 <= n <= 20:
         raise ValueError(f"tabulated games support n in 1..20, got {n}")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    vals = [rng.randint(lo, hi) for _ in range(1, 1 << n)]
-    return Game.from_table(vals, decompose=decompose)
+    return Game.from_table(tuple(randints(rng, lo, hi, (1 << n) - 1)),
+                           decompose=decompose)
+
+
+def randints(rng: random.Random, lo: int, hi: int,
+             count: int) -> Iterator[int]:
+    """Yield `count` values of `rng.randint(lo, hi)` and leave `rng` where
+    it would: CPython's rejection loop over `getrandbits`, inlined. Once
+    iterated, raises ValueError when hi < lo, as `randint` does."""
+    width = hi - lo + 1
+    if width <= 0:
+        raise ValueError(f"empty range for randint({lo}, {hi})")
+    k = width.bit_length()
+    bits = rng.getrandbits
+    for _ in range(count):
+        r = bits(k)
+        while r >= width:
+            r = bits(k)
+        yield lo + r
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 The solvers spend nearly all their time finding components and
 enumerating connected subsets, so a Graph precomputes adjacency masks and,
-for small n, the neighborhood of every agent set.
+for small n, the neighborhood of every agent set, built eagerly in
+`__init__` by doubling: agent i's sets are the lower sets joined with adj[i].
 """
 
 from __future__ import annotations
@@ -48,28 +49,14 @@ class Graph:
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(norm))
         self.adj: tuple[int, ...] = tuple(adj)
         self.full_mask = (1 << n) - 1
+        self._nbr = None
         if n <= _CACHE_MAX_N:
-            size = 1 << n
-            nbr = [0] * size
-            for m in range(1, size):
-                low = m & -m
-                nbr[m] = nbr[m ^ low] | adj[low.bit_length() - 1]
-            self._nbr = nbr
-        else:
-            self._nbr = None
+            self._nbr = nbr = [0]
+            for a in adj:
+                nbr += [x | a for x in nbr]
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={list(self.edges)})"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.edges))
 
     def component_of(self, s: int) -> int:
         """Connected component of s that contains its lowest-index agent."""

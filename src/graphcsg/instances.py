@@ -23,7 +23,7 @@ import random
 import re
 from dataclasses import dataclass
 
-from .games import Game, make_supersub_game
+from .games import Game, make_supersub_game, randints
 from .graph import Graph
 
 _TABLE_MAX_N = 20
@@ -39,6 +39,10 @@ MODELS = ("path", "cycle", "star", "complete", "gnp")
 
 class InstanceFormatError(ValueError):
     """Malformed or semantically invalid instance text."""
+
+
+class GraphSamplingError(ValueError):
+    """No connected gnp graph was drawn in the allowed number of tries."""
 
 
 @dataclass(frozen=True)
@@ -69,8 +73,11 @@ def _table_values(text: str, lineno: int) -> list[int]:
     while pos < len(text):
         cut = _SPACE.search(text, pos + 4 * _BATCH)
         end = cut.start() if cut else len(text)
-        vals += [_int_token(t, lineno, "table value")
-                 for t in text[pos:end].split()]
+        toks = text[pos:end].split()
+        try:
+            vals += map(int, toks)
+        except ValueError:  # walk the batch again to name the bad token
+            vals += [_int_token(t, lineno, "table value") for t in toks]
         pos = end
     return vals
 
@@ -269,20 +276,31 @@ def model_edges(model: str, n: int, *, p: float = 0.5,
         for _ in range(_GNP_RETRIES):
             edges = tuple((i, j) for i in range(n) for j in range(i + 1, n)
                           if rng.random() < p)
-            g = Graph(n, edges)
-            if g.is_connected(g.full_mask):
+            if _connects_all(n, edges):
                 return edges
-        raise ValueError(
-            f"no connected graph sampled in {_GNP_RETRIES} tries for "
+        raise GraphSamplingError(
+            f"no connected gnp graph sampled in {_GNP_RETRIES} tries for "
             f"n={n}, p={p}; raise p")
     raise ValueError(f"unknown model {model!r}")
+
+
+def _connects_all(n: int, edges: tuple[tuple[int, int], ...]) -> bool:
+    """True when `edges` connect all n agents; edge passes, no Graph."""
+    reached, before = 1, 0
+    while reached != before:
+        before = reached
+        for i, j in edges:
+            if (reached >> i | reached >> j) & 1:
+                reached |= 1 << i | 1 << j
+    return reached == (1 << n) - 1
 
 
 def gen_instance(model: str, n: int, *, game_kind: str = "table",
                  seed: int | None = None, p: float = 0.5,
                  lo: int = 0, hi: int = 100,
                  root: int | None = None) -> InstanceFile:
-    """Deterministic random instance for (model, n, seed)."""
+    """Deterministic random instance for (model, n, seed). Table values
+    are the values `rng.randint(lo, hi)` would draw (`randints`)."""
     if not 1 <= n <= _MAX_N:
         raise ValueError(f"n must be in 1..{_MAX_N}, got {n}")
     rng = random.Random(seed)
@@ -294,7 +312,7 @@ def gen_instance(model: str, n: int, *, game_kind: str = "table",
                 f"game_kind='supersub' for larger n")
         # The file format only records seeds for supersub games; the table
         # itself is the reproducible artifact here.
-        table = tuple(rng.randint(lo, hi) for _ in range(1, 1 << n))
+        table = tuple(randints(rng, lo, hi, (1 << n) - 1))
         return InstanceFile(n=n, edges=edges, game_kind="table", table=table,
                             root=root)
     if game_kind == "supersub":

@@ -46,14 +46,6 @@ class Pseudotree:
             raise ValueError(f"agent {a} out of range for n={self.n}")
         return self._pos[a]
 
-    def is_ancestor(self, anc: int, node: int) -> bool:
-        """True when anc lies on the root path of node (inclusive)."""
-        while node != -1:
-            if node == anc:
-                return True
-            node = self.parent[node]
-        return False
-
     def __repr__(self) -> str:
         return f"Pseudotree(root={self.root}, order={list(self.order)})"
 

@@ -23,6 +23,15 @@ def agents_of(mask):
     return out
 
 
+def is_ancestor(pt, anc, node):
+    """True when anc lies on the pseudotree root path of node (inclusive)."""
+    while node != -1:
+        if node == anc:
+            return True
+        node = pt.parent[node]
+    return False
+
+
 def mask_of(agents):
     m = 0
     for a in agents:

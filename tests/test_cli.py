@@ -131,6 +131,22 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert "unknown algorithms" in err
 
 
+def test_hopeless_generator_flags_exit_2(capsys):
+    code, out, err = run(capsys, "gen", "--model", "path", "--n", "3",
+                         "--lo", "5", "--hi", "3")
+    assert code == 2 and "--lo" in err and out == ""
+    code, out, err = run(capsys, "gen", "--model", "gnp", "--n", "4",
+                         "--p", "0")
+    assert code == 2 and "n=4, p=0.0" in err
+    # a small positive p fails only by chance, so only the draw can say so
+    code, out, err = run(capsys, "verify", "--models", "gnp:0.001",
+                         "--n-min", "9", "--n-max", "9", "--games", "1",
+                         "--quiet")
+    assert code == 2, err
+    assert "gnp" in err and "n=9, p=0.001" in err
+    assert "internal error" not in err and "instance error" not in err
+
+
 def test_instance_errors_exit_3(tmp_path, capsys):
     bad = tmp_path / "bad.csg"
     bad.write_text("csg 1\nn 2\ngame table 1 1\n")
@@ -238,6 +254,7 @@ def test_verify_small_grid(capsys):
     ("--algorithms", "oracle"),
     ("--algorithms", ","),
     ("--games", "0"),
+    ("--models", "gnp:0.0"),
 ])
 def test_verify_usage_errors_exit_2_before_any_solve(capsys, monkeypatch,
                                                      flags):

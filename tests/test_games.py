@@ -1,10 +1,13 @@
+import hashlib
 import itertools
 import random
+import threading
 
 import pytest
 
 from graphcsg import (Game, Partition, make_cfss_bound, make_supersub_game,
                       make_tsp_bound, partition_value, random_table_game)
+from graphcsg.games import _split_factor
 
 
 def popcount(m):
@@ -170,6 +173,63 @@ def test_random_table_game_reproducible_and_integer():
         assert a.value(m) == b.value(m)
         assert isinstance(a.value(m), int)
         assert 0 <= a.value(m) <= 100 or m == 0
+
+
+@pytest.mark.parametrize("lo,hi", [(0, 100), (0, 127), (0, 128), (-50, 50),
+                                   (3, 3), (0, 2 ** 40)])
+def test_randints_draws_what_randint_draws(lo, hi):
+    # Pins CPython's `randint` algorithm: if it changes, this fails and the
+    # inlined draw must follow it, or generated instances would change.
+    from graphcsg.games import randints
+    for seed in (0, 1, 7, 2024):
+        for count in (0, 1, 300):
+            ours, ref = random.Random(seed), random.Random(seed)
+            assert list(randints(ours, lo, hi, count)) == \
+                [ref.randint(lo, hi) for _ in range(count)]
+            assert ours.getstate() == ref.getstate()
+
+
+def test_randints_refuses_an_empty_range():
+    from graphcsg.games import randints
+    raised = []
+
+    def draw():
+        try:
+            list(randints(random.Random(0), 5, 4, 3))
+        except ValueError:
+            raised.append(True)
+
+    worker = threading.Thread(target=draw, daemon=True)
+    worker.start()
+    worker.join(10)
+    assert not worker.is_alive(), "randints(lo > hi) never returned"
+    assert raised
+
+
+def test_random_table_game_values_are_pinned():
+    # Recorded before the table draw was inlined; the rng is left where
+    # `randint` would leave it, which callers that keep drawing rely on.
+    rng = random.Random(9)
+    game = random_table_game(10, rng)
+    vals = [game.value(m) for m in range(1, 1 << 10)]
+    assert vals[:8] == [59, 78, 47, 34, 17, 23, 86, 0]
+    assert hashlib.sha256(repr(vals).encode()).hexdigest() == \
+        "a535f42336f29477fe615d02e96e4d89362709bb5cbe89f860a3164ee39e1ef4"
+    assert rng.random() == 0.7949808851373455
+
+
+def test_split_factor_is_the_smallest_safe_k():
+    # one scan per unordered pair gives the factor the ordered scan gives
+    rng = random.Random(53)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        vals = [0] + [rng.randint(-50, 100) for _ in range((1 << n) - 1)]
+        worst = 0
+        for a, b in disjoint_pairs(n):
+            gap = vals[a] + vals[b] - vals[a | b]
+            if gap > 0:
+                worst = max(worst, -(-gap // (2 * popcount(a) * popcount(b))))
+        assert _split_factor(vals, n) == worst, (n, vals)
 
 
 def test_upper_bound_tsp_dominates_extensions_spot_check():

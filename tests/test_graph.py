@@ -6,7 +6,7 @@ import pytest
 from graphcsg import DisconnectedGraphError, make_graph
 from graphcsg.solvers.base import require_connected
 
-from conftest import (FOUR_CYCLE_EDGES, agents_of,
+from conftest import (FOUR_CYCLE_EDGES, agents_of, bfs_reach,
                       connected_subsets_reference, is_connected_agents,
                       random_connected_edges)
 
@@ -44,6 +44,23 @@ def test_is_connected_matches_bfs():
         for mask in range(1, 1 << n):
             expect = is_connected_agents(edges, agents_of(mask))
             assert g.is_connected(mask) == expect, (n, edges, mask)
+
+
+def test_cached_component_of_matches_an_adjacency_walk():
+    # n <= 16 answers from the per-subset neighborhood table; compare it
+    # with a walk over the edge list, for every subset
+    rng = random.Random(33)
+    for _ in range(25):
+        n = rng.randint(1, 10)
+        p = rng.random()
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < p]
+        g = make_graph(n, edges)
+        for mask in range(1, 1 << n):
+            members = agents_of(mask)
+            reach = bfs_reach(edges, members, members[0])
+            assert g.component_of(mask) == sum(1 << a for a in reach), \
+                (n, edges, mask)
 
 
 def test_connected_components_partition_the_mask():

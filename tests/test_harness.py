@@ -1,13 +1,15 @@
 import csv
 import random
+import time
 from dataclasses import fields
 
 import pytest
 
 from graphcsg import (BudgetExceededError, Game, InternalInvariantError,
                       Partition, SearchStats, brute_force_best, make_graph,
-                      make_supersub_game, partition_value, random_table_game,
-                      run_bench, solve_instance, verify_matrix)
+                      make_supersub_game, model_edges, partition_value,
+                      random_table_game, run_bench, solve_instance,
+                      verify_matrix)
 from graphcsg.solvers import treesearch
 from graphcsg.harness import (ALGORITHMS, ANYTIME_ALGORITHMS, BenchRow,
                               inconsistent_instances, matrix_instance,
@@ -87,6 +89,50 @@ def test_budget_zero_behaviour():
     assert not res.completed
     assert res.best_value == res.trace[-1][1]
     assert res.best.covered == g.full_mask
+
+
+# A run given a 1 ms budget must return within this much more. The worst
+# overshoot measured on the two games below is about 11 ms (cfss with the
+# supersub bound, 2-core VM), and every configuration takes 600 ms or more
+# without a budget there, so a lost deadline check shows.
+BUDGET_SLACK_MS = 100
+
+
+def budget_configurations():
+    for alg in ALGORITHMS:
+        bounds = ("none", "supersub") if alg in ("tsp", "d-tsp", "cfss") \
+            else ("none",)
+        modes = ("interleaved", "parallel") if alg == "d-tsp" \
+            else ("interleaved",)
+        for bound in bounds:
+            for mode in modes:
+                yield alg, bound, mode
+
+
+@pytest.mark.parametrize("kind", ["table", "supersub"])
+def test_every_budgeted_configuration_returns_near_its_budget(kind):
+    if kind == "table":  # hybrid-anytime-sized, past the oracle's cap
+        n, game = 14, random_table_game(14, seed=0)
+        g = make_graph(n, model_edges("gnp", n, p=0.7,
+                                      rng=random.Random(0)))
+    else:
+        n, game = 18, make_supersub_game(18, seed=0)
+        g = make_graph(n, model_edges("gnp", n, p=0.15,
+                                      rng=random.Random(0)))
+    for alg, bound, mode in budget_configurations():
+        if alg == "oracle":  # refused up front at this size
+            with pytest.raises(ValueError, match="capped"):
+                solve_instance(game, g, alg, budget_ms=1)
+            continue
+        start = time.monotonic()
+        try:
+            res = solve_instance(game, g, alg, bound=bound, mode=mode,
+                                 budget_ms=1)
+            assert not res.completed, (alg, bound, mode)
+        except BudgetExceededError:
+            assert alg not in ANYTIME_ALGORITHMS
+        spent_ms = (time.monotonic() - start) * 1000
+        assert spent_ms <= 1 + BUDGET_SLACK_MS, (alg, bound, mode, spent_ms)
 
 
 def test_root_is_respected_per_component():

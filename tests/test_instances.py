@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 
@@ -77,6 +78,58 @@ def test_round_trip_table_spanning_many_batches():
         parse_instance_text(head + "game table " + "\t".join(toks))
 
 
+def test_bad_table_token_past_the_first_batch_is_named_with_its_line():
+    vals = [str(v % 97) for v in range((1 << 13) - 1)]
+    vals[5000] = "7x"
+    text = "csg 1\nn 13\ne 0 1\ngame table " + " ".join(vals) + "\n"
+    with pytest.raises(InstanceFormatError,
+                       match="^line 4: table value '7x' is not an integer$"):
+        parse_instance_text(text)
+
+
+def test_table_tokens_that_int_accepts_still_parse():
+    inst = parse_instance_text("csg 1\nn 2\ngame table +5 -0 3\n")
+    assert inst.table == (5, 0, 3)
+
+
+# sha256 of write_instance(gen_instance(...)), recorded before the table
+# draw was inlined: every generated byte must stay as it was, because
+# committed reference answers depend on the instance text for each seed.
+GOLDEN_INSTANCES = [
+    (("gnp", 20), dict(seed=3, p=0.15),
+     "ca32bc38ee50073f8f7f53f2a9d8aef3e2f27d7d8d8bb0f695268a0395d24c0f"),
+    (("gnp", 14), dict(game_kind="supersub", seed=5, p=0.2),
+     "8f914cadc9c07182bb0d1a651ee39df1c3ce3b7e94b7d73e992ff8531993bb9d"),
+    (("cycle", 9), dict(seed=2, lo=-50, hi=50),
+     "4fab5a7b7cc2332bf5a9d6a25b9abeddf7939235fd42728e77bb5c80beca5c5a"),
+    (("star", 6), dict(seed=4, lo=7, hi=7),
+     "ed451eef11ee111a06e1a1a5b6157b172b70ea80ff88f086a2ef0a66a703b273"),
+    (("complete", 5), dict(seed=8, lo=0, hi=2 ** 40),
+     "19f87b51ac8b00cd4f13ce9b413d15fb5984981e4f2009450a4b155348467cf6"),
+    (("path", 12), dict(seed=0, root=3),
+     "0f0cdbcd7a9370a32de606d4efee536ad0bc868e3e0dd549bb42ef66ed48c0cd"),
+]
+
+
+@pytest.mark.parametrize("args,kwargs,digest", GOLDEN_INSTANCES)
+def test_generated_instance_text_is_pinned(args, kwargs, digest):
+    text = write_instance(gen_instance(*args, **kwargs))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_gen_draws_the_table_without_a_second_copy():
+    # The values stream into the one tuple the instance keeps; a list drawn
+    # first and then copied would double the peak.
+    tracemalloc.start()
+    try:
+        inst = gen_instance("path", 17, game_kind="table", seed=1)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(inst.table) == (1 << 17) - 1
+    assert peak <= 1.5 * kept, (peak, kept)
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("csg 2\nn 2\ngame table 1 1 3\n", "header"),
     ("n 2\ngame table 1 1 3\n", "header"),
@@ -124,6 +177,18 @@ def test_gnp_edges_are_connected_and_seeded():
         edges = model_edges("gnp", n, p=0.3, rng=random.Random(rng.random()))
         g = make_graph(n, edges)
         assert g.is_connected(g.full_mask)
+
+
+def test_gnp_connectivity_test_agrees_with_the_graph():
+    from graphcsg.instances import _connects_all
+    rng = random.Random(23)
+    for n in range(1, 11):
+        for _ in range(30):
+            p = rng.random()
+            edges = tuple((i, j) for i in range(n) for j in range(i + 1, n)
+                          if rng.random() < p)
+            g = make_graph(n, edges)
+            assert _connects_all(n, edges) == g.is_connected(g.full_mask)
 
 
 def test_gnp_gives_up_when_density_is_hopeless():
