@@ -40,12 +40,15 @@ from .treesearch import _DEADLINE_STRIDE as _SEARCH_STRIDE, _Search
 _DEADLINE_STRIDE = 256
 
 
-def _remainder_value(g: Graph, table_values, memo: dict, rest: int):
+def _remainder_value(g: Graph, table_values, memo: dict, rest: int,
+                     comp: int = 0):
     """Summed entries of the components of `rest`, stored for `rest` and
     each tail walked as its first component's entry + the tail's value (a
-    right fold). A missing entry is a fault, raised before anything is
-    stored."""
-    comp = g.component_of(rest)
+    right fold). `comp`, when given, is rest's first component, already
+    found by the caller. A missing entry is a fault, raised before anything
+    is stored."""
+    if not comp:
+        comp = g.component_of(rest)
     try:
         val = table_values[comp]
     except KeyError:
@@ -95,7 +98,8 @@ def _solve_level(v, g: Graph, pt: Pseudotree, table: DpTable, level: int,
                  deadline: float | None = None) -> list:
     """Fill every table entry anchored at the agent holding `level` in the
     order (the stage seeds' connected remainders, each also memoised as its
-    own summed value), publish the level, and return the seeds."""
+    own summed value), publish the level, and return the seeds, each as a
+    pair of the seed and its remainder's first component."""
     anchor_bit = 1 << pt.order[level - 1]
     full = g.full_mask
     component_of = g.component_of
@@ -113,9 +117,10 @@ def _solve_level(v, g: Graph, pt: Pseudotree, table: DpTable, level: int,
                     and time.monotonic() >= deadline:
                 raise BudgetExceededError(
                     "deadline hit while filling the table")
-            seeds.append(d)
             c = full & ~d
-            if component_of(c) != c:
+            comp = component_of(c)
+            seeds.append((d, comp))
+            if comp != c:
                 continue
             val, sub, cnt = _best_anchored_split(v, g, tv, c, anchor_bit,
                                                  memo, deadline, ticks)
@@ -164,9 +169,10 @@ class _Sweep:
         return True
 
     def _scan(self, level: int, seeds: list) -> None:
-        """Price each seed D of stage `level` as v(D) plus its remainder's
-        summed entries (from the memo), and offer every total that beats
-        the incumbent, in seed order, as D and the remainder's blocks."""
+        """Price each seed D of stage `level`, given as (D, the first
+        component of its remainder), as v(D) plus its remainder's summed
+        entries (from the memo), and offer every total that beats the
+        incumbent, in seed order, as D and the remainder's blocks."""
         v = self.game.value
         tol = self.game.tolerance
         g = self.g
@@ -175,7 +181,7 @@ class _Sweep:
         inc = self.inc
         deadline = self.deadline
         count = 0
-        for d in seeds:
+        for d, comp in seeds:
             count += 1
             if deadline is not None and count % _DEADLINE_STRIDE == 1 \
                     and time.monotonic() >= deadline:
@@ -184,7 +190,7 @@ class _Sweep:
             rest = g.full_mask & ~d
             r = memo.get(rest)
             if r is None:
-                r = _remainder_value(g, table.values, memo, rest)
+                r = _remainder_value(g, table.values, memo, rest, comp)
             total = v(d) + r
             if total > inc.value + tol:
                 inc.offer([d] + reconstruct_blocks(

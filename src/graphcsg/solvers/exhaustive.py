@@ -13,7 +13,7 @@ from .base import BudgetExceededError, SearchStats, SolverResult
 # Bell(12) is ~4.2M; anything past that is not a desk-scale oracle run.
 ORACLE_MAX_N = 12
 
-_DEADLINE_STRIDE = 8192
+_DEADLINE_STRIDE = 256
 
 
 def structure_masks(g: Graph, ground: int | None = None):

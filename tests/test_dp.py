@@ -388,7 +388,8 @@ def test_each_level_writes_the_anchored_sets_with_connected_complements():
 def test_scan_offers_what_tsp_star_step_completes():
     # the sweep prices each stage seed from its memo; the search's table
     # completion over the same table, seeds and incumbent offers the same
-    # structures at the same totals, in the same order
+    # structures at the same totals, in the same order. Each seed comes
+    # with its remainder's first component (plain BFS from its lowest agent)
     rng = random.Random(79)
     scan = dp._Sweep._scan
     offer = base._Incumbent.offer
@@ -399,12 +400,16 @@ def test_scan_offers_what_tsp_star_step_completes():
         nonlocal offered, checked, offers
         g, pt, game = self.g, self.pt, self.game
         full = g.full_mask
-        assert seeds == list(g.connected_subsets(
+        assert [d for d, _ in seeds] == list(g.connected_subsets(
             full ^ (1 << pt.order[level - 1]),
             required=pt.prefix_masks[level]))
+        for d, comp in seeds:
+            members = agents_of(full & ~d)
+            reach = bfs_reach(g.edges, members, members[0])
+            assert comp == sum(1 << a for a in reach), (g.edges, d)
         want = []
         incumbent = self.inc.value
-        for d in seeds:
+        for d, _ in seeds:
             _, total, rest = tsp_star_step(self.table, game, g, full & ~d,
                                            game.value(d), incumbent)
             if rest is not None:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -47,20 +48,38 @@ def test_is_connected_matches_bfs():
 
 
 def test_cached_component_of_matches_an_adjacency_walk():
-    # n <= 16 answers from the per-subset neighborhood table; compare it
-    # with a walk over the edge list, for every subset
+    # n <= 24 answers from the two half-width neighborhood tables, larger n
+    # from the per-agent walk; compare both with a walk over the edge list,
+    # on every subset up to n = 10 and on sampled subsets above
     rng = random.Random(33)
-    for _ in range(25):
-        n = rng.randint(1, 10)
-        p = rng.random()
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-                 if rng.random() < p]
+    for n in range(1, 31):
+        for _ in range(3 if n <= 10 else 1):
+            p = rng.random() if n <= 10 else rng.uniform(0.5, 4) / n
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                     if rng.random() < p]
+            g = make_graph(n, edges)
+            masks = (range(1, 1 << n) if n <= 10 else
+                     [rng.randrange(1, 1 << n) for _ in range(2000)])
+            for mask in masks:
+                members = agents_of(mask)
+                reach = bfs_reach(edges, members, members[0])
+                assert g.component_of(mask) == sum(1 << a for a in reach), \
+                    (n, edges, mask)
+
+
+@pytest.mark.parametrize("n, max_kib", [(16, 64), (24, 512)])
+def test_graph_keeps_half_width_tables_only(n, max_kib):
+    # a full 2^n neighborhood table keeps 2.5 MiB at n = 16; the two
+    # half-width tables keep 2^(n/2) entries each
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(0, n // 2)]
+    tracemalloc.start()
+    try:
         g = make_graph(n, edges)
-        for mask in range(1, 1 << n):
-            members = agents_of(mask)
-            reach = bfs_reach(edges, members, members[0])
-            assert g.component_of(mask) == sum(1 << a for a in reach), \
-                (n, edges, mask)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert g.component_of(g.full_mask) == g.full_mask
+    assert kept <= max_kib * 1024, (n, kept)
 
 
 def test_connected_components_partition_the_mask():

@@ -6,10 +6,10 @@ from dataclasses import fields
 import pytest
 
 from graphcsg import (BudgetExceededError, Game, InternalInvariantError,
-                      Partition, SearchStats, brute_force_best, make_graph,
-                      make_supersub_game, model_edges, partition_value,
-                      random_table_game, run_bench, solve_instance,
-                      verify_matrix)
+                      Partition, SearchStats, brute_force_best, gen_instance,
+                      make_graph, make_supersub_game, model_edges,
+                      partition_value, random_table_game, realize_instance,
+                      run_bench, solve_instance, verify_matrix)
 from graphcsg.solvers import treesearch
 from graphcsg.harness import (ALGORITHMS, ANYTIME_ALGORITHMS, BenchRow,
                               inconsistent_instances, matrix_instance,
@@ -133,6 +133,18 @@ def test_every_budgeted_configuration_returns_near_its_budget(kind):
             assert alg not in ANYTIME_ALGORITHMS
         spent_ms = (time.monotonic() - start) * 1000
         assert spent_ms <= 1 + BUDGET_SLACK_MS, (alg, bound, mode, spent_ms)
+
+
+def test_budgeted_oracle_returns_near_its_budget():
+    # the case above is past the oracle's cap; n = 12 is at it. A full scan
+    # of this game visits 53,902 structures in about 300 ms (2-core VM)
+    game, g, _ = realize_instance(gen_instance("gnp", 12, game_kind="table",
+                                               seed=0, p=0.3))
+    start = time.monotonic()
+    with pytest.raises(BudgetExceededError):
+        solve_instance(game, g, "oracle", budget_ms=1)
+    spent_ms = (time.monotonic() - start) * 1000
+    assert spent_ms <= 1 + BUDGET_SLACK_MS, spent_ms
 
 
 def test_root_is_respected_per_component():

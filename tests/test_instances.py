@@ -212,8 +212,8 @@ def test_instance_file_rejects_unknown_kind():
 
 def test_realize_instance_copies_the_table_once():
     # The game's 2^n-entry list is the only table-sized allocation, so the
-    # peak stays near what the realized instance keeps. n = 17 is past the
-    # graph's per-subset caches, which would otherwise dominate both sides.
+    # peak stays near what the realized instance keeps. The graph's two
+    # half-width neighborhood tables hold 2^9 + 2^8 entries at n = 17.
     inst = gen_instance("path", 17, game_kind="table", seed=1)
     tracemalloc.start()
     try:
