@@ -5,7 +5,7 @@ the sum of block values."""
 from .games import (Game, Partition, Value, make_cfss_bound,
                     make_supersub_game, make_tsp_bound, partition_value,
                     random_table_game)
-from .graph import DisconnectedGraphError, Graph, make_graph
+from .graph import DisconnectedGraphError, Graph
 from .harness import (VerifyReport, matrix_instance, run_bench,
                       solve_instance, verify_matrix)
 from .instances import (InstanceFile, InstanceFormatError, gen_instance,
@@ -24,7 +24,6 @@ __all__ = [
     "Partition",
     "Value",
     "Graph",
-    "make_graph",
     "DisconnectedGraphError",
     "Pseudotree",
     "build_pseudotree",

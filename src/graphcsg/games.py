@@ -66,8 +66,8 @@ class Game:
         return new > old + self.tolerance
 
     @classmethod
-    def from_table(cls, values: Sequence[Value], *, decompose: bool = False,
-                   tolerance: Value = 0) -> "Game":
+    def from_table(cls, values: Sequence[Value], *,
+                   decompose: bool = False) -> "Game":
         """Build a game from explicit values in mask order.
 
         Accepts either 2^n entries (index = mask, entry 0 must be 0) or
@@ -99,8 +99,7 @@ class Game:
                 p = c.bit_count()
                 return -_k * p * p
 
-        return cls(n, full.__getitem__, sup_value=sup, sub_value=sub,
-                   tolerance=tolerance)
+        return cls(n, full.__getitem__, sup_value=sup, sub_value=sub)
 
 
 def _split_factor(values: Sequence[Value], n: int) -> int:
@@ -157,14 +156,13 @@ def _byte_sums(xs: Sequence[Value]) -> Callable[[int], Value]:
 
 
 def make_supersub_game(n: int, weights: Sequence[int] | None = None,
-                       kappa: int | None = None, *, weight_max: int = 10,
-                       kappa_max: int = 5,
-                       seed: int | random.Random | None = None,
-                       tolerance: Value = 0) -> Game:
+                       kappa: int | None = None, *,
+                       seed: int | random.Random | None = None) -> Game:
     """Synthetic decomposed game: the reward of a coalition is the sum of
     its members' weights times its size, the cost is a quadratic penalty
     kappa*|C|^2. Both parts have the merge properties the bounds need as
-    long as weights and kappa are nonnegative.
+    long as weights and kappa are nonnegative. Weights left out are drawn
+    from 0-10, and kappa from 0-5.
 
     This family is a stand-in generator, not a canonical benchmark; swap in
     a different decomposed game wherever a Game is accepted.
@@ -173,14 +171,14 @@ def make_supersub_game(n: int, weights: Sequence[int] | None = None,
         raise ValueError(f"agent count must be in 1..63, got {n}")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     if weights is None:
-        weights = [rng.randint(0, weight_max) for _ in range(n)]
+        weights = [rng.randint(0, 10) for _ in range(n)]
     wt = tuple(int(w) for w in weights)
     if len(wt) != n:
         raise ValueError(f"need {n} weights, got {len(wt)}")
     if any(w < 0 for w in wt):
         raise ValueError("weights must be nonnegative")
     if kappa is None:
-        kappa = rng.randint(0, kappa_max)
+        kappa = rng.randint(0, 5)
     kappa = int(kappa)
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
@@ -198,20 +196,18 @@ def make_supersub_game(n: int, weights: Sequence[int] | None = None,
         k = c.bit_count()
         return k * (weight(c) - kappa * k)
 
-    return Game(n, value, sup_value=sup, sub_value=sub, tolerance=tolerance)
+    return Game(n, value, sup_value=sup, sub_value=sub)
 
 
 def random_table_game(n: int, seed: int | random.Random | None = None, *,
-                      lo: int = 0, hi: int = 100,
-                      decompose: bool = True) -> Game:
-    """Uniform random integer table over the nonempty masks. With
-    `decompose` a safe quadratic split is attached so the pruning bounds
-    apply to arbitrary tables."""
+                      lo: int = 0, hi: int = 100) -> Game:
+    """Uniform random integer table over the nonempty masks, with a safe
+    quadratic split attached so the pruning bounds apply to it."""
     if not 1 <= n <= 20:
         raise ValueError(f"tabulated games support n in 1..20, got {n}")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     return Game.from_table(tuple(randints(rng, lo, hi, (1 << n) - 1)),
-                           decompose=decompose)
+                           decompose=True)
 
 
 def randints(rng: random.Random, lo: int, hi: int,
@@ -276,41 +272,39 @@ def partition_value(game: Game, p: Partition | Iterable[int]) -> Value:
     return sum(v(b) for b in p)
 
 
+def _prunes(game: Game, kind: str | None) -> bool:
+    """Whether a bound kind prunes on this game. None and "none" never
+    prune; "supersub" prunes when the game carries a split, and otherwise
+    falls back to no pruning rather than failing. Any other kind raises
+    ValueError."""
+    if kind not in (None, "none", "supersub"):
+        raise ValueError(f"unknown bound kind {kind!r}")
+    return kind == "supersub" and game.decomposed
+
+
 def make_tsp_bound(game: Game, kind: str | None):
-    """Bound hook for the tree-search solvers.
-
-    Returns None for the prune-nothing policy. For "supersub" the returned
-    closure takes (partial_value, remainder_mask); when the game carries no
-    split it falls back to None, which disables pruning rather than failing.
-    """
-    if kind in (None, "none"):
+    """Bound hook for the tree-search solvers, or None for no pruning
+    (`_prunes`). The closure takes (partial_value, remainder_mask)."""
+    if not _prunes(game, kind):
         return None
-    if kind == "supersub":
-        if not game.decomposed:
-            return None
-        sup = game.sup_value
-        singles = _byte_sums([game.sub_value(1 << a) for a in range(game.n)])
+    sup = game.sup_value
+    singles = _byte_sums([game.sub_value(1 << a) for a in range(game.n)])
 
-        def bound(partial_value, remainder):
-            return partial_value + sup(remainder) + singles(remainder)
+    def bound(partial_value, remainder):
+        return partial_value + sup(remainder) + singles(remainder)
 
-        return bound
-    raise ValueError(f"unknown bound kind {kind!r}")
+    return bound
 
 
 def make_cfss_bound(game: Game, kind: str | None):
-    """Bound hook for the contraction solver: closure over
-    (blocks, merged_blocks). Same fallback policy as make_tsp_bound."""
-    if kind in (None, "none"):
+    """Bound hook for the contraction solver, or None for no pruning
+    (`_prunes`). The closure takes (blocks, merged_blocks)."""
+    if not _prunes(game, kind):
         return None
-    if kind == "supersub":
-        if not game.decomposed:
-            return None
-        sup = game.sup_value
-        sub = game.sub_value
+    sup = game.sup_value
+    sub = game.sub_value
 
-        def bound(blocks, merged):
-            return sum(sub(b) for b in blocks) + sum(sup(b) for b in merged)
+    def bound(blocks, merged):
+        return sum(sub(b) for b in blocks) + sum(sup(b) for b in merged)
 
-        return bound
-    raise ValueError(f"unknown bound kind {kind!r}")
+    return bound

@@ -112,46 +112,42 @@ class Graph:
         """Yield every nonempty connected subset S with
         required <= S <= ground, exactly once.
 
-        Enumeration grows a connected set from a seed agent one frontier
-        vertex at a time; each branch bans the vertices already offered to
-        its elder siblings, which is what makes the stream duplicate-free.
-        A multi-agent `required` may span several components of the seed's
-        neighborhood: supersets are emitted only once they absorb all of it.
+        Enumeration grows a connected set from each seed agent (the lowest
+        required one, or else every agent of `ground` with the earlier ones
+        banned) one frontier vertex at a time; each branch bans the vertices
+        already offered to its elder siblings, which is what makes the
+        stream duplicate-free. A multi-agent `required` may span several
+        components of the seed's neighborhood: supersets are emitted only
+        once they absorb all of it.
         """
         ground &= self.full_mask
         if required & ~ground:
             return
         adj = self.adj
-        if required:
-            seed = required & -required
-            yield from self._grow(seed, ground, 0, required)
-            return
+        seeds = required & -required if required else ground
         banned = 0
-        rest = ground
-        while rest:
-            seed = rest & -rest
-            rest ^= seed
-            yield from self._grow(seed, ground, banned, 0)
-            banned |= seed
-
-    def _grow(self, seed: int, ground: int, banned: int, required: int) -> Iterator[int]:
-        adj = self.adj
-        stack = [(seed, adj[seed.bit_length() - 1] & ground, banned)]
+        stack = []
         pop = stack.pop
         push = stack.append
-        while stack:
-            sub, nbr, ban = pop()
-            if not required & ~sub:
-                yield sub
-            ext = nbr & ~sub & ~ban
-            while ext:
-                u = ext & -ext
-                ext ^= u
-                push((sub | u, nbr | (adj[u.bit_length() - 1] & ground), ban))
-                ban |= u
-                if ban & required:
-                    # every later sibling would exclude a required agent
-                    break
+        while seeds:
+            seed = seeds & -seeds
+            seeds ^= seed
+            push((seed, adj[seed.bit_length() - 1] & ground, banned))
+            banned |= seed
+            while stack:
+                sub, nbr, ban = pop()
+                if not required & ~sub:
+                    yield sub
+                ext = nbr & ~sub & ~ban
+                while ext:
+                    u = ext & -ext
+                    ext ^= u
+                    push((sub | u, nbr | (adj[u.bit_length() - 1] & ground),
+                          ban))
+                    ban |= u
+                    if ban & required:
+                        # every later sibling would exclude a required agent
+                        break
 
 
 def _neighborhoods(adj) -> list[int]:
@@ -162,7 +158,3 @@ def _neighborhoods(adj) -> list[int]:
         nbr += [x | a for x in nbr]
     return nbr
 
-
-def make_graph(n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
-    """Construct a Graph; edge pairs are validated and normalized."""
-    return Graph(n, edges)

@@ -155,8 +155,11 @@ def solve_instance(game: Game, g: Graph, algorithm: str, *, bound=None,
         context = list(blocks) + [parts[j][2](parts[j][1].full_mask)
                                   for j in range(k + 1, len(parts))]
 
+        # Each offer beats the component's incumbent, so it also raises
+        # the stitched trace.
         def hook(t_us, val, part, _b=baseline, _o=offset, _e=expand,
                  _ctx=context):
+            trace.append((_o + t_us, _b + val))
             if on_incumbent is not None:
                 on_incumbent(_o + t_us, _b + val,
                              Partition(_ctx + [_e(x) for x in part]))
@@ -168,13 +171,6 @@ def solve_instance(game: Game, g: Graph, algorithm: str, *, bound=None,
         blocks.extend(expand(b) for b in res.best.blocks)
         total += res.best_value
         stats = stats.merged_with(res.stats)
-        if anytime:
-            last = trace[-1][1]
-            for t_us, val in res.trace:
-                gval = baseline + val
-                if gval > last:
-                    trace.append((offset + t_us, gval))
-                    last = gval
     return SolverResult(best=Partition(blocks), best_value=total,
                         stats=stats, trace=trace, completed=completed)
 
@@ -232,18 +228,17 @@ def matrix_seed(base_seed: int, model_index: int, n: int, index: int) -> int:
 
 
 def matrix_instance(model_spec: str, n: int, index: int, *,
-                    base_seed: int = 0,
-                    model_index: int | None = None) -> tuple[Game, Graph, int]:
+                    base_seed: int = 0) -> tuple[Game, Graph, int]:
     """Reconstruct one (game, graph) cell of the verification matrix from
-    its coordinates; returns the derived seed too, for error reports."""
+    its coordinates; returns the derived seed too, for error reports. A
+    model outside DEFAULT_MODELS is seeded as a matrix's first model."""
     name, p = parse_model(model_spec)
-    if model_index is None:
-        model_index = (DEFAULT_MODELS.index(model_spec)
-                       if model_spec in DEFAULT_MODELS else 0)
+    model_index = (DEFAULT_MODELS.index(model_spec)
+                   if model_spec in DEFAULT_MODELS else 0)
     seed = matrix_seed(base_seed, model_index, n, index)
     rng = random.Random(seed)
     edges = model_edges(name, n, p=p if p is not None else 0.5, rng=rng)
-    game = random_table_game(n, rng, decompose=True)
+    game = random_table_game(n, rng)
     return game, Graph(n, edges), seed
 
 
@@ -294,7 +289,7 @@ def verify_matrix(*, models=DEFAULT_MODELS, ns=range(1, 10),
                     g = shared_graph
                 else:
                     g = Graph(n, model_edges("gnp", n, p=p, rng=rng))
-                game = random_table_game(n, rng, decompose=True)
+                game = random_table_game(n, rng)
                 ident = f"{model_spec}/n={n}/game={i} (seed {seed})"
                 report.instances += 1
 

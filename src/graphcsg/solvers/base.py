@@ -15,6 +15,11 @@ if TYPE_CHECKING:
     from .dptable import DpTable
 
 
+# Every solver loop that can run long checks its deadline once per this
+# many units of work (subsets, search ticks, states or structures).
+DEADLINE_STRIDE = 256
+
+
 class BudgetExceededError(RuntimeError):
     """A solver hit its wall-clock deadline before finishing."""
 

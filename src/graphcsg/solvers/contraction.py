@@ -23,10 +23,8 @@ import time
 
 from ..games import Game, Partition
 from ..graph import Graph
-from .base import (BudgetExceededError, SearchStats, SolverResult,
-                   require_connected)
-
-_DEADLINE_STRIDE = 512
+from .base import (DEADLINE_STRIDE, BudgetExceededError, SearchStats,
+                   SolverResult, require_connected)
 
 
 def _crossing_map(g: Graph, blocks) -> dict[tuple[int, int], int]:
@@ -139,7 +137,7 @@ def cfss(game: Game, g: Graph, bound=None, *, deadline: float | None = None,
         stats.structures_visited += 1
         stats.nodes_expanded += 1
         if deadline is not None \
-                and stats.nodes_expanded % _DEADLINE_STRIDE == 0 \
+                and stats.nodes_expanded % DEADLINE_STRIDE == 1 \
                 and time.monotonic() >= deadline:
             raise BudgetExceededError("deadline hit during contraction search")
         if structure_hook is not None:

@@ -31,13 +31,15 @@ from ..games import Game, Partition
 from ..graph import Graph
 from ..masks import agents_of
 from ..pseudotree import Pseudotree
-from .base import (BudgetExceededError, InternalInvariantError, SearchStats,
-                   SolverResult, _Incumbent, deadline_passed,
-                   require_connected)
+from .base import (DEADLINE_STRIDE, BudgetExceededError,
+                   InternalInvariantError, SearchStats, SolverResult,
+                   _Incumbent, deadline_passed, require_connected)
 from .dptable import DpTable, reconstruct_blocks
-from .treesearch import _DEADLINE_STRIDE as _SEARCH_STRIDE, _Search
+from .treesearch import _Search, _stage_seeds
 
-_DEADLINE_STRIDE = 256
+# The parallel search runs in steps of this many ticks; between steps its
+# thread checks the stop flag, the crossing and the deadline.
+_PARALLEL_STEP_TICKS = 1024
 
 
 def _remainder_value(g: Graph, table_values, memo: dict, rest: int,
@@ -68,10 +70,10 @@ def _best_anchored_split(v, g: Graph, table_values, c: int, anchor_bit: int,
     the rest of c priced through `memo` (remainder -> its components' summed
     entries; start it as {0: 0}). A level fill passes its deadline and
     `ticks`, its subset count so far: counting on from there, the deadline
-    is checked every `_DEADLINE_STRIDE` subsets.
+    is checked every `DEADLINE_STRIDE` subsets, and BudgetExceededError
+    raised once it has passed.
 
-    Returns (value, block, blocks_scanned); value is None when the deadline
-    passed.
+    Returns (value, block, blocks_scanned).
     """
     best_val = None
     best_sub = 0
@@ -79,9 +81,10 @@ def _best_anchored_split(v, g: Graph, table_values, c: int, anchor_bit: int,
     count = ticks
     for s in g.connected_subsets(c, required=anchor_bit):
         count += 1
-        if deadline is not None and count % _DEADLINE_STRIDE == 1 \
+        if deadline is not None and count % DEADLINE_STRIDE == 1 \
                 and time.monotonic() >= deadline:
-            return None, 0, count - ticks
+            raise BudgetExceededError(
+                "deadline hit while splitting a table entry")
         rest = c & ~s
         r = get(rest)
         if r is None:
@@ -110,10 +113,9 @@ def _solve_level(v, g: Graph, pt: Pseudotree, table: DpTable, level: int,
     # Seeds and split subsets share one stride, as one entry can split
     # over thousands; the first check comes at the level's first seed.
     try:
-        for d in g.connected_subsets(full ^ anchor_bit,
-                                     required=pt.prefix_masks[level]):
+        for d in _stage_seeds(g, pt, level):
             ticks += 1
-            if deadline is not None and ticks % _DEADLINE_STRIDE == 1 \
+            if deadline is not None and ticks % DEADLINE_STRIDE == 1 \
                     and time.monotonic() >= deadline:
                 raise BudgetExceededError(
                     "deadline hit while filling the table")
@@ -125,9 +127,6 @@ def _solve_level(v, g: Graph, pt: Pseudotree, table: DpTable, level: int,
             val, sub, cnt = _best_anchored_split(v, g, tv, c, anchor_bit,
                                                  memo, deadline, ticks)
             ticks += cnt
-            if val is None:
-                raise BudgetExceededError(
-                    "deadline hit while splitting a table entry")
             table.put(c, val, sub)
             memo[c] = val
             solved += 1
@@ -183,7 +182,7 @@ class _Sweep:
         count = 0
         for d, comp in seeds:
             count += 1
-            if deadline is not None and count % _DEADLINE_STRIDE == 1 \
+            if deadline is not None and count % DEADLINE_STRIDE == 1 \
                     and time.monotonic() >= deadline:
                 raise BudgetExceededError(
                     f"deadline hit while scanning level {level}")
@@ -203,11 +202,14 @@ def _drive(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
     """Run the sweep, and with `search` the tree search, over one table and
     one incumbent until the sweep's next level drops below the search's
     pending stage. `d_tsp` describes the two modes; with `search` off the
-    search never gets a turn. Hitting the deadline returns the incumbent
-    with completed=False instead of raising."""
+    search never gets a turn. Every worker runs the same loop over its own
+    step: the main thread takes the sweep's turns, and in parallel mode a
+    second thread takes the search's steps. Hitting the deadline returns
+    the incumbent with completed=False instead of raising."""
     require_connected(g)
     if mode not in ("interleaved", "parallel"):
         raise ValueError(f"unknown mode {mode!r}")
+    parallel = search and mode == "parallel"
     full = g.full_mask
     table = DpTable(g.n)
     inc = _Incumbent([full], game.value(full), time.monotonic(),
@@ -216,55 +218,51 @@ def _drive(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
     search_stats = SearchStats()
     sweep = _Sweep(game, g, pt, table, inc, sweep_stats, deadline)
     searcher = _Search(game, g, pt, table, inc, search_stats, bound, deadline)
+    stop = threading.Event()
+    faults = []  # read after the join; the first is re-raised
+    completed = True
 
     def crossed() -> bool:
         return sweep.next_level < searcher.next_stage
 
-    def sweep_step() -> bool:
+    def turn() -> bool:
+        """One sweep level; interleaved, then as many search ticks as that
+        level enumerated subsets."""
+        before = sweep_stats.subsets_enumerated
         more = sweep.step()
         searcher.last_stage = sweep.next_level
+        if search and not parallel and not crossed():
+            searcher.step(sweep_stats.subsets_enumerated - before)
         return more
 
-    completed = True
-    if mode == "interleaved" or not search:
+    def run(step):
+        nonlocal completed
         try:
-            while not crossed():
+            while not stop.is_set() and not crossed():
                 if deadline_passed(deadline):
-                    completed = False
+                    raise BudgetExceededError("deadline hit")
+                if not step():
                     break
-                before = sweep_stats.subsets_enumerated
-                sweep_step()
-                if search and not crossed():
-                    searcher.step(sweep_stats.subsets_enumerated - before)
         except BudgetExceededError:
+            # Not stored: its traceback holds this frame, which refers to
+            # `faults`, so the cycle would keep the table for the collector.
             completed = False
-    else:
-        stop = threading.Event()
-        errors = [None, None]  # one slot per worker, read after the join
+        except BaseException as e:
+            faults.append(e)
+        finally:
+            stop.set()
 
-        def run(slot, step):
-            try:
-                while not stop.is_set() and not crossed():
-                    if deadline_passed(deadline):
-                        raise BudgetExceededError("deadline hit")
-                    if not step():
-                        break
-            except BaseException as e:
-                errors[slot] = e
-            finally:
-                stop.set()
-
+    if parallel:
         worker = threading.Thread(
-            target=run, args=(1, lambda: searcher.step(_SEARCH_STRIDE)),
+            target=run,
+            args=(lambda: searcher.step(_PARALLEL_STEP_TICKS),),
             name="block-search", daemon=True)
         worker.start()
-        run(0, sweep_step)
+    run(turn)
+    if parallel:
         worker.join()
-        for e in errors:
-            if e is not None and not isinstance(e, BudgetExceededError):
-                raise e
-        completed = errors == [None, None]
-
+    if faults:
+        raise faults[0]
     stats = sweep_stats.merged_with(search_stats)
     stats.frontier_crossed = search and crossed()
     return SolverResult(best=Partition(inc.blocks), best_value=inc.value,

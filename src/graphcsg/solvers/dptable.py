@@ -15,10 +15,9 @@ from .base import InternalInvariantError
 
 
 class DpTable:
-    __slots__ = ("n", "values", "subsets", "published_level")
+    __slots__ = ("values", "subsets", "published_level")
 
     def __init__(self, n: int):
-        self.n = n
         self.values: dict[int, Value] = {}
         self.subsets: dict[int, int] = {}
         # Smallest order position whose whole suffix of entries is complete.
@@ -61,9 +60,5 @@ def reconstruct_blocks(table: DpTable, blocks, g: Graph) -> list[int]:
             out.append(c)
             continue
         out.append(bs)
-        rest = c & ~bs
-        while rest:
-            comp = g.component_of(rest)
-            work.append(comp)
-            rest &= ~comp
+        work += g.connected_components(c & ~bs)
     return out

@@ -8,12 +8,11 @@ import time
 
 from ..games import Game, Partition
 from ..graph import Graph
-from .base import BudgetExceededError, SearchStats, SolverResult
+from .base import (DEADLINE_STRIDE, BudgetExceededError, SearchStats,
+                   SolverResult)
 
 # Bell(12) is ~4.2M; anything past that is not a desk-scale oracle run.
 ORACLE_MAX_N = 12
-
-_DEADLINE_STRIDE = 256
 
 
 def structure_masks(g: Graph, ground: int | None = None):
@@ -55,7 +54,7 @@ def brute_force_best(game: Game, g: Graph, *, max_n: int = ORACLE_MAX_N,
     count = 0
     for masks in structure_masks(g):
         count += 1
-        if deadline is not None and count % _DEADLINE_STRIDE == 0 \
+        if deadline is not None and count % DEADLINE_STRIDE == 1 \
                 and time.monotonic() >= deadline:
             stats.structures_visited = count
             raise BudgetExceededError("deadline hit during exhaustive scan")

@@ -26,12 +26,19 @@ import math
 from ..games import Game, Partition, Value
 from ..graph import Graph
 from ..pseudotree import Pseudotree
-from .base import (BudgetExceededError, InternalInvariantError, SearchStats,
-                   SolverResult, _Incumbent, deadline_passed,
-                   require_connected)
+from .base import (DEADLINE_STRIDE, BudgetExceededError,
+                   InternalInvariantError, SearchStats, SolverResult,
+                   _Incumbent, deadline_passed, require_connected)
 from .dptable import DpTable, reconstruct_blocks
 
-_DEADLINE_STRIDE = 1024
+
+def _stage_seeds(g: Graph, pt: Pseudotree, stage: int):
+    """Stage `stage`'s seeds, as a subset stream: the connected first
+    blocks that hold every agent before position `stage` in the order and
+    leave out the agent at it. The search opens nodes below them; the
+    sweep fills level `stage` from their remainders and prices them."""
+    return g.connected_subsets(g.full_mask ^ (1 << pt.order[stage - 1]),
+                               required=pt.prefix_masks[stage])
 
 
 class _Search:
@@ -88,7 +95,7 @@ class _Search:
         looked_up = 0
         seeded = 0
         # The next tick count at which to stop or to check the deadline.
-        limit = min(budget, _DEADLINE_STRIDE)
+        limit = min(budget, DEADLINE_STRIDE)
         try:
             while True:
                 if ticks >= limit:
@@ -96,17 +103,15 @@ class _Search:
                         return True
                     if deadline_passed(self.deadline):
                         raise BudgetExceededError("deadline hit during search")
-                    limit = min(budget, ticks + _DEADLINE_STRIDE)
+                    limit = min(budget, ticks + DEADLINE_STRIDE)
                 if not stack:
                     stage = self.next_stage
                     if stage > self.last_stage:
                         return False
                     # A seed holds every agent before the stage agent and
                     # leaves it out, so its node opens at position `stage`.
-                    stack.append((connected_subsets(
-                        full ^ (1 << order[stage - 1]),
-                        required=self.pt.prefix_masks[stage]),
-                        0, 0, stage - 1, 0))
+                    stack.append((_stage_seeds(g, self.pt, stage), 0, 0,
+                                  stage - 1, 0))
                 children, covered, value, pos, _ = stack[-1]
                 seeds = not covered  # only the seed frame covers nothing
                 for c in children:
@@ -207,20 +212,14 @@ def tsp_star_step(table: DpTable, game: Game, g: Graph, rest: int,
     entry is a fault (hybrid.py says why) and raises InternalInvariantError.
     """
     tv = table.values
-    component_of = g.component_of
+    comps = g.connected_components(rest)
     total = partial_value
-    lookups = 0
-    r = rest
     try:
-        while r:
-            comp = component_of(r)
+        for comp in comps:
             total += tv[comp]
-            lookups += 1
-            r &= ~comp
     except KeyError:
         raise InternalInvariantError(
             f"missing table entry for mask {comp}") from None
     if game.improves(total, incumbent_value):
-        return (lookups, total,
-                reconstruct_blocks(table, g.connected_components(rest), g))
-    return lookups, total, None
+        return len(comps), total, reconstruct_blocks(table, comps, g)
+    return len(comps), total, None

@@ -9,7 +9,7 @@ with.
 
 import pytest
 
-from graphcsg import make_graph
+from graphcsg import Graph
 
 
 def agents_of(mask):
@@ -145,9 +145,9 @@ FOUR_CYCLE_EDGES = [(0, 1), (1, 2), (2, 3), (3, 0)]
 
 @pytest.fixture
 def four_cycle():
-    return make_graph(4, FOUR_CYCLE_EDGES)
+    return Graph(4, FOUR_CYCLE_EDGES)
 
 
 @pytest.fixture
 def k4():
-    return make_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    return Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])

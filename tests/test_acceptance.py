@@ -13,10 +13,10 @@ import time
 
 import pytest
 
-from graphcsg import (brute_force_best, build_pseudotree, cfss, make_graph,
+from graphcsg import (Graph, brute_force_best, build_pseudotree, cfss,
                       make_cfss_bound, make_supersub_game, make_tsp_bound,
-                      partition_value, random_table_game, structure_masks,
-                      tsp, verify_matrix)
+                      partition_value, random_table_game, structure_masks, tsp,
+                      verify_matrix)
 from graphcsg.instances import model_edges
 from graphcsg.solvers.contraction import (_children, _crossing_map,
                                           _merge_all, _solid_pairs)
@@ -50,11 +50,11 @@ def small_graphs(n_max, seed=1000):
     out = []
     for n in range(1, n_max + 1):
         for name in ("path", "cycle", "star", "complete"):
-            out.append((f"{name}/n={n}", make_graph(n, model_edges(name, n))))
+            out.append((f"{name}/n={n}", Graph(n, model_edges(name, n))))
         for p in (0.2, 0.5, 0.8):
             rng = random.Random(seed + n * 100 + int(p * 10))
             edges = model_edges("gnp", n, p=p, rng=rng)
-            out.append((f"gnp:{p}/n={n}", make_graph(n, edges)))
+            out.append((f"gnp:{p}/n={n}", Graph(n, edges)))
     return out
 
 
@@ -96,10 +96,10 @@ def test_criterion_2_exactly_once_coverage():
                             f"{res.stats.structures_visited} "
                             f"of {len(feasible)} structures")
 
-    four = make_graph(4, FOUR_CYCLE_EDGES)
+    four = Graph(4, FOUR_CYCLE_EDGES)
     if sum(1 for _ in structure_masks(four)) != 12:
         failures.append("4-cycle structure count is not 12")
-    k4 = make_graph(4, itertools.combinations(range(4), 2))
+    k4 = Graph(4, itertools.combinations(range(4), 2))
     if sum(1 for _ in structure_masks(k4)) != 15:
         failures.append("K4 structure count is not 15")
 
@@ -114,7 +114,7 @@ def test_criterion_3_enumerator_equivalence():
     for k in range(50):
         n = rng.randint(1, 6)
         edges = random_connected_edges(rng, n)
-        g = make_graph(n, edges)
+        g = Graph(n, edges)
         for ground in range(1 << n):
             got = sorted(g.connected_subsets(ground))
             ref = sorted(connected_subsets_reference(g, ground))
@@ -122,7 +122,7 @@ def test_criterion_3_enumerator_equivalence():
                 failures.append(
                     f"graph {k} (n={n}, edges {edges}) ground {ground}: "
                     f"streaming {got} reference {ref}")
-    four = make_graph(4, FOUR_CYCLE_EDGES)
+    four = Graph(4, FOUR_CYCLE_EDGES)
     count = sum(1 for _ in four.connected_subsets(four.full_mask))
     if count != 13:
         failures.append(f"4-cycle connected subset count {count} != 13")
@@ -203,7 +203,7 @@ def test_criterion_5_pseudotree_branch_property():
     for k in range(1000):
         n = rng.randint(1, 12)
         edges = random_connected_edges(rng, n)
-        g = make_graph(n, edges)
+        g = Graph(n, edges)
         root = rng.randrange(n)
         pt = build_pseudotree(g, root)
         for u, w in g.edges:
@@ -218,7 +218,7 @@ def test_criterion_5_pseudotree_branch_property():
             if p >= 0 and pt.position(p) >= pt.position(a):
                 failures.append(f"graph {k}: agent {a} precedes its parent")
 
-    g = make_graph(5, [(2, 0), (2, 3), (0, 1), (3, 4), (2, 1)])
+    g = Graph(5, [(2, 0), (2, 3), (0, 1), (3, 4), (2, 1)])
     pt = build_pseudotree(g, 2)
     if pt.order != (2, 0, 3, 1, 4):
         failures.append(f"pinned instance order {pt.order}")

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from graphcsg import (BudgetExceededError, brute_force_best, cfss, make_graph,
+from graphcsg import (BudgetExceededError, Graph, brute_force_best, cfss,
                       make_cfss_bound, make_supersub_game, partition_value,
                       random_table_game, structure_masks)
 from graphcsg.solvers.contraction import (_children, _contract_crossing,
@@ -34,7 +34,7 @@ def test_children_merge_one_adjacent_pair():
     rng = random.Random(90)
     for _ in range(20):
         n = rng.randint(2, 7)
-        g = make_graph(n, random_connected_edges(rng, n))
+        g = Graph(n, random_connected_edges(rng, n))
         stack = [root_state(g)]
         while stack:
             blocks, dashed = stack.pop()
@@ -59,15 +59,15 @@ def test_contraction_tree_covers_structures_exactly_once():
     rng = random.Random(91)
     for _ in range(20):
         n = rng.randint(1, 7)
-        g = make_graph(n, random_connected_edges(rng, n))
+        g = Graph(n, random_connected_edges(rng, n))
         seen = [canon(b) for b, _ in walk_states(g, *root_state(g))]
         assert len(seen) == len(set(seen)), (n, g.edges)
         assert set(seen) == {canon(s) for s in structure_masks(g)}
 
 
 def test_pinned_tree_sizes():
-    for g, size in ((make_graph(4, FOUR_CYCLE_EDGES), 12),
-                    (make_graph(4, itertools.combinations(range(4), 2)), 15)):
+    for g, size in ((Graph(4, FOUR_CYCLE_EDGES), 12),
+                    (Graph(4, itertools.combinations(range(4), 2)), 15)):
         assert sum(1 for _ in walk_states(g, *root_state(g))) == size
         gm = random_table_game(4, seed=size)
         assert cfss(gm, g).stats.structures_visited == size
@@ -77,10 +77,10 @@ def test_derived_crossing_maps_match_maps_built_from_edges():
     """cfss derives each child's crossing map from its parent's; on every
     state of small trees it equals the map built from the edges."""
     rng = random.Random(96)
-    graphs = [make_graph(4, FOUR_CYCLE_EDGES),
-              make_graph(4, itertools.combinations(range(4), 2)),
-              make_graph(8, itertools.combinations(range(8), 2))]
-    graphs += [make_graph(n, random_connected_edges(rng, n))
+    graphs = [Graph(4, FOUR_CYCLE_EDGES),
+              Graph(4, itertools.combinations(range(4), 2)),
+              Graph(8, itertools.combinations(range(8), 2))]
+    graphs += [Graph(n, random_connected_edges(rng, n))
                for n in (rng.randint(1, 8) for _ in range(20))]
     sizes = []
     for g in graphs:
@@ -104,7 +104,7 @@ def test_merged_partition_is_reachable_coarsening():
     rng = random.Random(92)
     for _ in range(10):
         n = rng.randint(2, 6)
-        g = make_graph(n, random_connected_edges(rng, n))
+        g = Graph(n, random_connected_edges(rng, n))
         for blocks, dashed in walk_states(g, *root_state(g)):
             limit = _merge_all(blocks, _solid_pairs(_crossing_map(g, blocks),
                                                     dashed))
@@ -117,7 +117,7 @@ def test_cfss_matches_oracle():
     rng = random.Random(93)
     for _ in range(25):
         n = rng.randint(1, 7)
-        g = make_graph(n, random_connected_edges(rng, n))
+        g = Graph(n, random_connected_edges(rng, n))
         gm = random_table_game(n, seed=rng.randrange(10 ** 6))
         res = cfss(gm, g)
         assert res.best_value == brute_force_best(gm, g).best_value
@@ -128,7 +128,7 @@ def test_cfss_matches_oracle():
 
 
 def test_cfss_hook_sees_every_structure_once():
-    g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     gm = random_table_game(5, seed=4)
     seen = []
     cfss(gm, g, structure_hook=lambda s: seen.append(canon(s)))
@@ -141,7 +141,7 @@ def test_cfss_with_bound_stays_exact_and_prunes():
     pruned_anywhere = False
     for _ in range(20):
         n = rng.randint(2, 7)
-        g = make_graph(n, random_connected_edges(rng, n))
+        g = Graph(n, random_connected_edges(rng, n))
         gm = make_supersub_game(n, seed=rng.randrange(10 ** 6))
         plain = cfss(gm, g)
         bounded = cfss(gm, g, bound=make_cfss_bound(gm, "supersub"))
@@ -156,14 +156,14 @@ def test_cfss_bound_on_synthetic_split_tables():
     rng = random.Random(95)
     for _ in range(15):
         n = rng.randint(2, 6)
-        g = make_graph(n, random_connected_edges(rng, n))
+        g = Graph(n, random_connected_edges(rng, n))
         gm = random_table_game(n, seed=rng.randrange(10 ** 6))
         bounded = cfss(gm, g, bound=make_cfss_bound(gm, "supersub"))
         assert bounded.best_value == brute_force_best(gm, g).best_value
 
 
 def test_cfss_deadline():
-    g = make_graph(11, [(i, j) for i in range(11) for j in range(i + 1, 11)])
+    g = Graph(11, [(i, j) for i in range(11) for j in range(i + 1, 11)])
     gm = random_table_game(11, seed=3)
     with pytest.raises(BudgetExceededError):
         cfss(gm, g, deadline=time.monotonic() - 1)

@@ -3,10 +3,10 @@ import time
 
 import pytest
 
-from graphcsg import (BudgetExceededError, Game, InternalInvariantError,
+from graphcsg import (BudgetExceededError, Game, Graph, InternalInvariantError,
                       Partition, brute_force_best, build_pseudotree, dype,
-                      dype_star, make_graph, make_supersub_game,
-                      partition_value, random_table_game)
+                      dype_star, make_supersub_game, partition_value,
+                      random_table_game)
 from graphcsg.solvers import base, dp
 from graphcsg.solvers.dp import audit_dp_table
 from graphcsg.solvers.dptable import DpTable, reconstruct_blocks
@@ -19,7 +19,7 @@ from conftest import (FOUR_CYCLE_EDGES, agents_of, bfs_reach,
 def random_instance(rng, n_max=8):
     n = rng.randint(1, n_max)
     edges = random_connected_edges(rng, n)
-    g = make_graph(n, edges)
+    g = Graph(n, edges)
     gm = random_table_game(n, seed=rng.randrange(10 ** 6))
     return gm, g
 
@@ -58,7 +58,7 @@ def test_audit_accepts_fresh_tables():
 
 def test_audit_rejects_corrupted_value():
     gm = random_table_game(5, seed=5)
-    g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     pt = build_pseudotree(g, 0)
     res = dype(gm, g, pt)
     table = res.table
@@ -70,7 +70,7 @@ def test_audit_rejects_corrupted_value():
 
 def test_audit_rejects_corrupted_witness():
     gm = random_table_game(4, seed=6)
-    g = make_graph(4, FOUR_CYCLE_EDGES)
+    g = Graph(4, FOUR_CYCLE_EDGES)
     pt = build_pseudotree(g, 0)
     table = dype(gm, g, pt).table
     # point some entry's witness at a block that cannot be its best choice
@@ -94,14 +94,14 @@ def test_table_entries_are_write_once():
         t.put(0b011, 8, 0b001)
     assert (t.values[0b011], t.subsets[0b011]) == (7, 0b001)
     # a missing entry is reported as a fault, not read as a KeyError
-    g = make_graph(3, [(0, 1), (1, 2)])
+    g = Graph(3, [(0, 1), (1, 2)])
     with pytest.raises(InternalInvariantError):
         reconstruct_blocks(t, [0b111], g)
 
 
 def test_published_level_reaches_bottom():
     gm = random_table_game(5, seed=9)
-    g = make_graph(5, [(i, i + 1) for i in range(4)])
+    g = Graph(5, [(i, i + 1) for i in range(4)])
     pt = build_pseudotree(g, 0)
     table = dype(gm, g, pt).table
     assert table.published_level == 2
@@ -127,7 +127,7 @@ def test_dype_tables_pass_the_audit_under_a_tolerance():
     rng = random.Random(76)
     for _ in range(200):
         n = rng.randint(3, 8)
-        g = make_graph(n, random_connected_edges(rng, n))
+        g = Graph(n, random_connected_edges(rng, n))
         base = random_table_game(n, seed=rng.randrange(10 ** 6))
         gm = Game(n, base.value, tolerance=3)
         pt = build_pseudotree(g, rng.randrange(n))
@@ -158,7 +158,7 @@ def test_dype_star_trace_contract():
 def test_deadline_behaviour():
     # a deadline already gone stops both solvers in their first level fill
     gm = random_table_game(12, seed=10)
-    g = make_graph(12, [(i, j) for i in range(12) for j in range(i + 1, 12)])
+    g = Graph(12, [(i, j) for i in range(12) for j in range(i + 1, 12)])
     pt = build_pseudotree(g, 0)
     past = time.monotonic() - 1
     with pytest.raises(BudgetExceededError):
@@ -179,7 +179,7 @@ def test_dype_star_stops_soon_after_the_deadline():
     # deep inside the inner split enumerations) stops within a stride of
     # subsets plus the one split under way, inner subsets included.
     n, K = 10, 1000
-    g = make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     base = random_table_game(n, seed=3)
     pt = build_pseudotree(g, 0)
     res = dype_star(base, g, pt, deadline=time.monotonic())
@@ -212,7 +212,7 @@ def test_dype_stops_soon_after_the_deadline_in_the_last_scan():
     # value call is seen at the scan's next check, which comes 256 seeds
     # later, well short of the stage's 1,024.
     n = 12
-    g = make_graph(n, [(0, a) for a in range(1, n)])
+    g = Graph(n, [(0, a) for a in range(1, n)])
     base = random_table_game(n, seed=5)
     pt = build_pseudotree(g, 0)
     calls = 0
@@ -246,7 +246,7 @@ def test_dype_star_stops_soon_after_the_deadline_inside_a_split():
     # deadline that passes at that split's first value call is noticed
     # inside the split, within one stride of 256 subsets.
     n = 12
-    g = make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     base = random_table_game(n, seed=6)
     pt = build_pseudotree(g, 0)
     calls = 0
@@ -319,7 +319,7 @@ def test_sweep_memo_holds_each_remainders_summed_entries():
         for _ in range(60):
             n = rng.randint(3, 10)
             edges = random_connected_edges(rng, n)
-            g = make_graph(n, edges)
+            g = Graph(n, edges)
             seed = rng.randrange(10 ** 6)
             gm = (random_table_game(n, seed=seed) if rng.random() < 0.5
                   else make_supersub_game(n, seed=seed))
@@ -343,7 +343,7 @@ def random_sweep_instance(rng):
     a tolerance now and then."""
     n = rng.randint(2, 9)
     edges = random_connected_edges(rng, n)
-    g = make_graph(n, edges)
+    g = Graph(n, edges)
     seed = rng.randrange(10 ** 6)
     base_game = (random_table_game(n, seed=seed) if rng.random() < 0.5
                  else make_supersub_game(n, seed=seed))

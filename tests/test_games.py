@@ -289,6 +289,8 @@ def test_bound_factories():
     plain = Game(3, lambda m: popcount(m) if m else 0)
     assert make_tsp_bound(dec, "none") is None
     assert make_tsp_bound(dec, None) is None
+    assert make_cfss_bound(dec, "none") is None
+    assert make_cfss_bound(dec, None) is None
     assert make_tsp_bound(plain, "supersub") is None  # nothing to bound with
     assert make_cfss_bound(plain, "supersub") is None
     f = make_tsp_bound(dec, "supersub")
@@ -308,3 +310,8 @@ def test_bound_factories():
         make_tsp_bound(dec, "tighter")
     with pytest.raises(ValueError):
         make_cfss_bound(dec, "tighter")
+    # an unknown kind is an error even where no split could prune
+    with pytest.raises(ValueError):
+        make_tsp_bound(plain, "tighter")
+    with pytest.raises(ValueError):
+        make_cfss_bound(plain, "tighter")

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from graphcsg import DisconnectedGraphError, make_graph
+from graphcsg import DisconnectedGraphError, Graph
 from graphcsg.solvers.base import require_connected
 
 from conftest import (FOUR_CYCLE_EDGES, agents_of, bfs_reach,
@@ -12,21 +12,21 @@ from conftest import (FOUR_CYCLE_EDGES, agents_of, bfs_reach,
                       random_connected_edges)
 
 
-def test_make_graph_validates_input():
+def test_graph_validates_input():
     with pytest.raises(ValueError):
-        make_graph(0)
+        Graph(0)
     with pytest.raises(ValueError):
-        make_graph(64)
+        Graph(64)
     with pytest.raises(ValueError):
-        make_graph(3, [(0, 0)])
+        Graph(3, [(0, 0)])
     with pytest.raises(ValueError):
-        make_graph(3, [(0, 3)])
+        Graph(3, [(0, 3)])
     with pytest.raises(ValueError):
-        make_graph(3, [(-1, 2)])
+        Graph(3, [(-1, 2)])
 
 
-def test_make_graph_normalizes_edges():
-    g = make_graph(3, [(1, 0), (0, 1), (2, 1)])
+def test_graph_normalizes_edges():
+    g = Graph(3, [(1, 0), (0, 1), (2, 1)])
     assert g.edges == ((0, 1), (1, 2))
     assert g.full_mask == 0b111
     assert g.adj[0] == 0b010
@@ -40,7 +40,7 @@ def test_is_connected_matches_bfs():
         # allow disconnected graphs here on purpose
         edges = [e for e in random_connected_edges(rng, n)
                  if rng.random() < 0.7]
-        g = make_graph(n, edges)
+        g = Graph(n, edges)
         assert g.is_connected(0)  # empty set counts as connected
         for mask in range(1, 1 << n):
             expect = is_connected_agents(edges, agents_of(mask))
@@ -57,7 +57,7 @@ def test_cached_component_of_matches_an_adjacency_walk():
             p = rng.random() if n <= 10 else rng.uniform(0.5, 4) / n
             edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                      if rng.random() < p]
-            g = make_graph(n, edges)
+            g = Graph(n, edges)
             masks = (range(1, 1 << n) if n <= 10 else
                      [rng.randrange(1, 1 << n) for _ in range(2000)])
             for mask in masks:
@@ -74,7 +74,7 @@ def test_graph_keeps_half_width_tables_only(n, max_kib):
     edges = [(i, (i + 1) % n) for i in range(n)] + [(0, n // 2)]
     tracemalloc.start()
     try:
-        g = make_graph(n, edges)
+        g = Graph(n, edges)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -88,7 +88,7 @@ def test_connected_components_partition_the_mask():
         n = rng.randint(1, 8)
         edges = [e for e in random_connected_edges(rng, n)
                  if rng.random() < 0.6]
-        g = make_graph(n, edges)
+        g = Graph(n, edges)
         for _ in range(20):
             mask = rng.randrange(1 << n)
             comps = g.connected_components(mask)
@@ -115,7 +115,7 @@ def test_streaming_enumerator_equals_reference_exhaustively():
         n = rng.randint(1, 6)
         edges = [e for e in random_connected_edges(rng, n)
                  if rng.random() < 0.8]
-        g = make_graph(n, edges)
+        g = Graph(n, edges)
         for ground in range(1 << n):
             got = sorted(g.connected_subsets(ground))
             ref = sorted(connected_subsets_reference(g, ground))
@@ -128,7 +128,7 @@ def test_reference_enumerator_matches_independent_filter():
     for _ in range(20):
         n = rng.randint(1, 6)
         edges = random_connected_edges(rng, n)
-        g = make_graph(n, edges)
+        g = Graph(n, edges)
         for ground in range(1 << n):
             ref = set(connected_subsets_reference(g, ground))
             ind = {m for m in range(1, 1 << n)
@@ -142,7 +142,7 @@ def test_required_filter():
     for _ in range(25):
         n = rng.randint(2, 6)
         edges = random_connected_edges(rng, n)
-        g = make_graph(n, edges)
+        g = Graph(n, edges)
         ground = rng.randrange(1, 1 << n)
         req = ground & (1 << rng.randrange(n))
         got = set(g.connected_subsets(ground, required=req))
@@ -157,12 +157,12 @@ def test_four_cycle_has_13_connected_subsets(four_cycle):
 
 
 def test_complete_graph_every_nonempty_subset_connected():
-    g = make_graph(5, itertools.combinations(range(5), 2))
+    g = Graph(5, itertools.combinations(range(5), 2))
     assert sorted(g.connected_subsets(g.full_mask)) == list(range(1, 32))
 
 
 def test_require_connected():
-    g = make_graph(4, [(0, 1), (2, 3)])
+    g = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(DisconnectedGraphError):
         require_connected(g)
-    require_connected(make_graph(1))
+    require_connected(Graph(1))

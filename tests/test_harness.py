@@ -5,11 +5,11 @@ from dataclasses import fields
 
 import pytest
 
-from graphcsg import (BudgetExceededError, Game, InternalInvariantError,
+from graphcsg import (BudgetExceededError, Game, Graph, InternalInvariantError,
                       Partition, SearchStats, brute_force_best, gen_instance,
-                      make_graph, make_supersub_game, model_edges,
-                      partition_value, random_table_game, realize_instance,
-                      run_bench, solve_instance, verify_matrix)
+                      make_supersub_game, model_edges, partition_value,
+                      random_table_game, realize_instance, run_bench,
+                      solve_instance, verify_matrix)
 from graphcsg.solvers import treesearch
 from graphcsg.harness import (ALGORITHMS, ANYTIME_ALGORITHMS, BenchRow,
                               inconsistent_instances, matrix_instance,
@@ -20,7 +20,7 @@ from conftest import random_connected_edges
 
 def test_solve_instance_dispatches_every_algorithm():
     rng = random.Random(110)
-    g = make_graph(6, random_connected_edges(rng, 6))
+    g = Graph(6, random_connected_edges(rng, 6))
     gm = random_table_game(6, seed=42)
     want = brute_force_best(gm, g).best_value
     for alg in ALGORITHMS:
@@ -33,7 +33,7 @@ def test_solve_instance_dispatches_every_algorithm():
 
 def two_triangles():
     edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
-    g = make_graph(6, edges)
+    g = Graph(6, edges)
     gm = random_table_game(6, seed=13)
     return gm, g
 
@@ -113,12 +113,12 @@ def budget_configurations():
 def test_every_budgeted_configuration_returns_near_its_budget(kind):
     if kind == "table":  # hybrid-anytime-sized, past the oracle's cap
         n, game = 14, random_table_game(14, seed=0)
-        g = make_graph(n, model_edges("gnp", n, p=0.7,
-                                      rng=random.Random(0)))
+        g = Graph(n, model_edges("gnp", n, p=0.7,
+                                 rng=random.Random(0)))
     else:
         n, game = 18, make_supersub_game(18, seed=0)
-        g = make_graph(n, model_edges("gnp", n, p=0.15,
-                                      rng=random.Random(0)))
+        g = Graph(n, model_edges("gnp", n, p=0.15,
+                                 rng=random.Random(0)))
     for alg, bound, mode in budget_configurations():
         if alg == "oracle":  # refused up front at this size
             with pytest.raises(ValueError, match="capped"):
@@ -250,7 +250,7 @@ def test_write_trace_csv_keeps_timestamps_strict(tmp_path):
 
 def test_run_bench_writes_report_and_traces(tmp_path):
     rng = random.Random(111)
-    g = make_graph(5, random_connected_edges(rng, 5))
+    g = Graph(5, random_connected_edges(rng, 5))
     gm = random_table_game(5, seed=77)
     rows = run_bench([("tiny", gm, g, None)],
                      ["dype", "dype-star", "d-tsp"],
@@ -272,7 +272,7 @@ def test_run_bench_writes_report_and_traces(tmp_path):
 
 
 def test_run_bench_budget_statuses(tmp_path):
-    g = make_graph(12, [(i, j) for i in range(12) for j in range(i + 1, 12)])
+    g = Graph(12, [(i, j) for i in range(12) for j in range(i + 1, 12)])
     gm = random_table_game(12, seed=5)
     rows = run_bench([("big", gm, g, None)], ["dype", "d-tsp"],
                      budget_ms=0, out_dir=tmp_path)
@@ -305,7 +305,7 @@ def test_inconsistent_instances_flags_disagreement():
 
 def test_solve_instance_results_hold_no_table():
     rng = random.Random(112)
-    g = make_graph(6, random_connected_edges(rng, 6))
+    g = Graph(6, random_connected_edges(rng, 6))
     gm = random_table_game(6, seed=43)
     split_gm, split_g = two_triangles()
     for alg in ("dype", "dype-star", "d-tsp"):

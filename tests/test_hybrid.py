@@ -7,10 +7,10 @@ import time
 
 import pytest
 
-from graphcsg import (Game, SearchStats, brute_force_best, build_pseudotree,
-                      d_tsp, dype, dype_star, make_graph, make_supersub_game,
-                      make_tsp_bound, partition_value, random_table_game,
-                      structure_masks, tsp)
+from graphcsg import (Game, Graph, SearchStats, brute_force_best,
+                      build_pseudotree, d_tsp, dype, dype_star,
+                      make_supersub_game, make_tsp_bound, partition_value,
+                      random_table_game, structure_masks, tsp)
 from graphcsg.solvers.base import _Incumbent
 from graphcsg.solvers.dptable import DpTable
 from graphcsg.solvers.treesearch import _Search
@@ -41,7 +41,7 @@ def test_interleaved_matches_oracle():
     rng = random.Random(100)
     for _ in range(25):
         n = rng.randint(1, 8)
-        g = make_graph(n, random_connected_edges(rng, n))
+        g = Graph(n, random_connected_edges(rng, n))
         gm = random_table_game(n, seed=rng.randrange(10 ** 6))
         pt = build_pseudotree(g, rng.randrange(n))
         check_complete_run(gm, g, d_tsp(gm, g, pt))
@@ -51,7 +51,7 @@ def test_parallel_matches_oracle():
     rng = random.Random(101)
     for _ in range(15):
         n = rng.randint(1, 8)
-        g = make_graph(n, random_connected_edges(rng, n))
+        g = Graph(n, random_connected_edges(rng, n))
         gm = random_table_game(n, seed=rng.randrange(10 ** 6))
         pt = build_pseudotree(g, rng.randrange(n))
         check_complete_run(gm, g, d_tsp(gm, g, pt, mode="parallel"))
@@ -60,7 +60,7 @@ def test_parallel_matches_oracle():
 def test_parallel_value_is_stable_across_runs():
     # thread scheduling may vary the work counters but never the answer
     rng = random.Random(102)
-    g = make_graph(8, random_connected_edges(rng, 8))
+    g = Graph(8, random_connected_edges(rng, 8))
     gm = random_table_game(8, seed=55)
     pt = build_pseudotree(g, 0)
     vals = {d_tsp(gm, g, pt, mode="parallel").best_value for _ in range(5)}
@@ -68,14 +68,14 @@ def test_parallel_value_is_stable_across_runs():
 
 
 def test_degenerate_sizes():
-    g1 = make_graph(1)
+    g1 = Graph(1)
     gm1 = random_table_game(1, seed=0)
     res = d_tsp(gm1, g1, build_pseudotree(g1, 0))
     assert res.best_value == gm1.value(1)
     assert res.best.blocks == (1,)
     assert res.stats.frontier_crossed
 
-    g2 = make_graph(2, [(0, 1)])
+    g2 = Graph(2, [(0, 1)])
     gm2 = random_table_game(2, seed=1)
     res2 = d_tsp(gm2, g2, build_pseudotree(g2, 0))
     assert res2.best_value == max(gm2.value(3), gm2.value(1) + gm2.value(2))
@@ -87,7 +87,7 @@ def test_sweep_alone_still_terminates():
     rng = random.Random(103)
     for _ in range(10):
         n = rng.randint(1, 7)
-        g = make_graph(n, random_connected_edges(rng, n))
+        g = Graph(n, random_connected_edges(rng, n))
         gm = random_table_game(n, seed=rng.randrange(10 ** 6))
         pt = build_pseudotree(g, 0)
         res = dype_star(gm, g, pt)
@@ -101,7 +101,7 @@ def test_shortcuts_fire_on_a_batch():
     total = 0
     for _ in range(20):
         n = rng.randint(4, 9)
-        g = make_graph(n, random_connected_edges(rng, n))
+        g = Graph(n, random_connected_edges(rng, n))
         gm = random_table_game(n, seed=rng.randrange(10 ** 6))
         pt = build_pseudotree(g, 0)
         res = d_tsp(gm, g, pt)
@@ -114,7 +114,7 @@ def test_bound_keeps_hybrid_exact():
     rng = random.Random(105)
     for _ in range(15):
         n = rng.randint(2, 8)
-        g = make_graph(n, random_connected_edges(rng, n))
+        g = Graph(n, random_connected_edges(rng, n))
         gm = make_supersub_game(n, seed=rng.randrange(10 ** 6))
         pt = build_pseudotree(g, 0)
         res = d_tsp(gm, g, pt, bound=make_tsp_bound(gm, "supersub"))
@@ -123,7 +123,7 @@ def test_bound_keeps_hybrid_exact():
 
 def test_deadline_keeps_incumbent_without_raising():
     for mode in ("interleaved", "parallel"):
-        g = make_graph(12, [(i, j) for i in range(12)
+        g = Graph(12, [(i, j) for i in range(12)
                             for j in range(i + 1, 12)])
         gm = random_table_game(12, seed=9)
         pt = build_pseudotree(g, 0)
@@ -141,7 +141,7 @@ def test_parallel_fault_in_one_worker_is_raised_after_both_stop(faulty):
     # once both have stopped; no worker thread outlives the run, also when
     # the threads switch often
     rng = random.Random(110)
-    g = make_graph(12, random_connected_edges(rng, 12, extra=12))
+    g = Graph(12, random_connected_edges(rng, 12, extra=12))
     base = random_table_game(12, seed=57)
     pt = build_pseudotree(g, 0)
     main = threading.main_thread()
@@ -178,7 +178,7 @@ def test_parallel_fault_in_one_worker_is_raised_after_both_stop(faulty):
 
 
 def test_unknown_mode_rejected():
-    g = make_graph(2, [(0, 1)])
+    g = Graph(2, [(0, 1)])
     gm = random_table_game(2, seed=0)
     pt = build_pseudotree(g, 0)
     with pytest.raises(ValueError):
@@ -193,7 +193,7 @@ def test_search_steps_walk_the_tsp_tree_at_any_budget():
     rng = random.Random(106)
     for _ in range(12):
         n = rng.randint(2, 8)
-        g = make_graph(n, random_connected_edges(rng, n))
+        g = Graph(n, random_connected_edges(rng, n))
         base = random_table_game(n, seed=rng.randrange(10 ** 6))
         pt = build_pseudotree(g, rng.randrange(n))
         seen = []
@@ -236,7 +236,7 @@ def test_interleaved_work_stays_within_twice_the_sweep():
     rng = random.Random(107)
     for _ in range(8):
         n = rng.randint(8, 12)
-        g = make_graph(n, random_connected_edges(rng, n, extra=n))
+        g = Graph(n, random_connected_edges(rng, n, extra=n))
         gm = random_table_game(n, seed=rng.randrange(10 ** 6))
         pt = build_pseudotree(g, 0)
         alone = dype_star(gm, g, pt)
@@ -251,7 +251,7 @@ def test_interleaved_runs_are_deterministic():
     rng = random.Random(108)
     for _ in range(5):
         n = rng.randint(6, 10)
-        g = make_graph(n, random_connected_edges(rng, n))
+        g = Graph(n, random_connected_edges(rng, n))
         gm = random_table_game(n, seed=rng.randrange(10 ** 6))
         pt = build_pseudotree(g, 0)
         for kind in ("none", "supersub"):
@@ -264,14 +264,19 @@ def test_interleaved_runs_are_deterministic():
 
 def test_solvers_leave_no_reference_cycle():
     # with the cyclic collector off, dropping a result must free its table
-    # and every worker's: nothing a run builds may refer back to itself
+    # and every worker's: nothing a run builds may refer back to itself,
+    # not even the deadline error that stopped a budgeted run
     rng = random.Random(109)
-    g = make_graph(8, random_connected_edges(rng, 8))
+    g = Graph(8, random_connected_edges(rng, 8))
     gm = random_table_game(8, seed=56)
     pt = build_pseudotree(g, 0)
+    past = time.monotonic() - 1
     runs = [lambda: dype(gm, g, pt), lambda: dype_star(gm, g, pt),
             lambda: tsp(gm, g, pt), lambda: d_tsp(gm, g, pt),
-            lambda: d_tsp(gm, g, pt, mode="parallel")]
+            lambda: d_tsp(gm, g, pt, mode="parallel"),
+            lambda: dype_star(gm, g, pt, deadline=past),
+            lambda: d_tsp(gm, g, pt, deadline=past),
+            lambda: d_tsp(gm, g, pt, mode="parallel", deadline=past)]
 
     def live_tables():
         return sum(isinstance(o, DpTable) for o in gc.get_objects())

@@ -4,9 +4,9 @@ import tracemalloc
 
 import pytest
 
-from graphcsg import (InstanceFile, InstanceFormatError, gen_instance,
-                      make_graph, model_edges, parse_instance,
-                      parse_instance_text, realize_instance, write_instance)
+from graphcsg import (Graph, InstanceFile, InstanceFormatError, gen_instance,
+                      model_edges, parse_instance, parse_instance_text,
+                      realize_instance, write_instance)
 from graphcsg.instances import MODELS
 
 
@@ -175,7 +175,7 @@ def test_gnp_edges_are_connected_and_seeded():
     for _ in range(20):
         n = rng.randint(1, 10)
         edges = model_edges("gnp", n, p=0.3, rng=random.Random(rng.random()))
-        g = make_graph(n, edges)
+        g = Graph(n, edges)
         assert g.is_connected(g.full_mask)
 
 
@@ -187,7 +187,7 @@ def test_gnp_connectivity_test_agrees_with_the_graph():
             p = rng.random()
             edges = tuple((i, j) for i in range(n) for j in range(i + 1, n)
                           if rng.random() < p)
-            g = make_graph(n, edges)
+            g = Graph(n, edges)
             assert _connects_all(n, edges) == g.is_connected(g.full_mask)
 
 

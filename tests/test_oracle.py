@@ -4,9 +4,8 @@ import time
 
 import pytest
 
-from graphcsg import (BudgetExceededError, Partition, brute_force_best,
-                      make_graph, partition_value, random_table_game,
-                      structure_masks)
+from graphcsg import (BudgetExceededError, Graph, Partition, brute_force_best,
+                      partition_value, random_table_game, structure_masks)
 
 from conftest import (FOUR_CYCLE_EDGES, canon, feasible_partitions_by_filter,
                       random_connected_edges)
@@ -16,12 +15,12 @@ BELL = [1, 1, 2, 5, 15, 52, 203, 877]
 
 def test_complete_graph_counts_are_bell_numbers():
     for n in range(1, 8):
-        g = make_graph(n, itertools.combinations(range(n), 2))
+        g = Graph(n, itertools.combinations(range(n), 2))
         assert sum(1 for _ in structure_masks(g)) == BELL[n]
 
 
 def test_four_cycle_has_12_feasible_structures():
-    g = make_graph(4, FOUR_CYCLE_EDGES)
+    g = Graph(4, FOUR_CYCLE_EDGES)
     structs = [canon(s) for s in structure_masks(g)]
     assert len(structs) == 12
     assert len(set(structs)) == 12
@@ -34,14 +33,14 @@ def test_structures_match_independent_filter():
     for _ in range(25):
         n = rng.randint(1, 6)
         edges = random_connected_edges(rng, n)
-        g = make_graph(n, edges)
+        g = Graph(n, edges)
         got = {canon(s) for s in structure_masks(g)}
         assert len(got) == sum(1 for _ in structure_masks(g))
         assert got == feasible_partitions_by_filter(n, edges)
 
 
 def test_structures_of_disconnected_graph_and_sub_ground():
-    g = make_graph(4, [(0, 1), (2, 3)])
+    g = Graph(4, [(0, 1), (2, 3)])
     got = {canon(s) for s in structure_masks(g)}
     assert got == feasible_partitions_by_filter(4, [(0, 1), (2, 3)])
     # restricting the ground set enumerates partitions of that subset only
@@ -50,7 +49,7 @@ def test_structures_of_disconnected_graph_and_sub_ground():
 
 
 def test_enumerate_feasible_structures_yields_partitions():
-    g = make_graph(3, [(0, 1), (1, 2)])
+    g = Graph(3, [(0, 1), (1, 2)])
     parts = [Partition(s) for s in structure_masks(g)]
     assert all(p.covered == 0b111 for p in parts)
     assert {canon(p.blocks) for p in parts} == \
@@ -62,7 +61,7 @@ def test_brute_force_matches_exhaustive_scan():
     for _ in range(20):
         n = rng.randint(1, 7)
         edges = random_connected_edges(rng, n)
-        g = make_graph(n, edges)
+        g = Graph(n, edges)
         gm = random_table_game(n, seed=rng.randrange(10 ** 6))
         res = brute_force_best(gm, g)
         want = max(partition_value(gm, s) for s in structure_masks(g))
@@ -76,7 +75,7 @@ def test_brute_force_matches_exhaustive_scan():
 
 
 def test_brute_force_refuses_large_instances():
-    g = make_graph(13, [(i, i + 1) for i in range(12)])
+    g = Graph(13, [(i, i + 1) for i in range(12)])
     with pytest.raises(ValueError):
         brute_force_best(random_table_game(13, seed=0), g)
     # the cap is adjustable for callers that accept the wait
@@ -85,7 +84,7 @@ def test_brute_force_refuses_large_instances():
 
 
 def test_brute_force_deadline():
-    g = make_graph(10, [(i, j) for i in range(10) for j in range(i + 1, 10)])
+    g = Graph(10, [(i, j) for i in range(10) for j in range(i + 1, 10)])
     gm = random_table_game(10, seed=1)
     with pytest.raises(BudgetExceededError):
         brute_force_best(gm, g, deadline=time.monotonic())

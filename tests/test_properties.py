@@ -5,9 +5,9 @@ oracle."""
 
 from hypothesis import given, settings, strategies as st
 
-from graphcsg import (BudgetExceededError, Game, build_pseudotree, dype,
-                      dype_star, make_graph, make_supersub_game,
-                      partition_value, random_table_game, solve_instance)
+from graphcsg import (BudgetExceededError, Game, Graph, build_pseudotree, dype,
+                      dype_star, make_supersub_game, partition_value,
+                      random_table_game, solve_instance)
 from graphcsg.harness import ALGORITHMS, ANYTIME_ALGORITHMS
 from graphcsg.solvers.dp import audit_dp_table
 
@@ -31,7 +31,7 @@ def instances(draw):
                                   max_size=size)):
             if u != w:
                 edges.append((lo + u, lo + w))
-    g = make_graph(n, [(perm[u], perm[w]) for u, w in edges])
+    g = Graph(n, [(perm[u], perm[w]) for u, w in edges])
     seed = draw(st.integers(0, 10 ** 6))
     if draw(st.booleans()):
         base = random_table_game(n, seed=seed)

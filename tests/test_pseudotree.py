@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from graphcsg import build_pseudotree, make_graph
+from graphcsg import Graph, build_pseudotree
 
 from conftest import is_ancestor, random_connected_edges
 
@@ -25,7 +25,7 @@ def test_order_is_a_permutation_and_positions_invert():
     rng = random.Random(40)
     for _ in range(30):
         n = rng.randint(1, 10)
-        g = make_graph(n, random_connected_edges(rng, n))
+        g = Graph(n, random_connected_edges(rng, n))
         root = rng.randrange(n)
         pt = build_pseudotree(g, root)
         assert sorted(pt.order) == list(range(n))
@@ -39,7 +39,7 @@ def test_every_edge_joins_ancestor_and_descendant():
     for _ in range(60):
         n = rng.randint(1, 10)
         edges = random_connected_edges(rng, n)
-        g = make_graph(n, edges)
+        g = Graph(n, edges)
         pt = build_pseudotree(g, rng.randrange(n))
         for u, w in edges:
             assert is_ancestor(pt, u, w) or is_ancestor(pt, w, u), \
@@ -48,7 +48,7 @@ def test_every_edge_joins_ancestor_and_descendant():
 
 
 def test_is_ancestor_is_reflexive_and_follows_parents():
-    g = make_graph(5, [(0, 1), (1, 2), (2, 3), (0, 4)])
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 4)])
     pt = build_pseudotree(g, 0)
     for a in range(5):
         assert is_ancestor(pt, a, a)
@@ -61,7 +61,7 @@ def test_prefix_masks():
     rng = random.Random(42)
     for _ in range(20):
         n = rng.randint(1, 9)
-        g = make_graph(n, random_connected_edges(rng, n))
+        g = Graph(n, random_connected_edges(rng, n))
         pt = build_pseudotree(g, rng.randrange(n))
         for i in range(0, n + 1):
             mask = 0
@@ -72,21 +72,21 @@ def test_prefix_masks():
 
 
 def test_path_rooted_at_end_is_the_path_order():
-    g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     pt = build_pseudotree(g, 0)
     assert pt.order == (0, 1, 2, 3)
     assert pt.depth == (0, 1, 2, 3)
 
 
 def test_star_center_root_puts_leaves_one_level_down():
-    g = make_graph(5, [(0, i) for i in range(1, 5)])
+    g = Graph(5, [(0, i) for i in range(1, 5)])
     pt = build_pseudotree(g, 0)
     assert pt.order == (0, 1, 2, 3, 4)
     assert pt.depth == (0, 1, 1, 1, 1)
 
 
 def test_pinned_five_agent_reconstruction():
-    g = make_graph(5, [(2, 0), (2, 3), (0, 1), (3, 4), (2, 1)])
+    g = Graph(5, [(2, 0), (2, 3), (0, 1), (3, 4), (2, 1)])
     pt = build_pseudotree(g, 2)
     assert pt.order == (2, 0, 3, 1, 4)
     assert pt.position(2) == 1
@@ -96,6 +96,6 @@ def test_pinned_five_agent_reconstruction():
 
 
 def test_root_out_of_range():
-    g = make_graph(2, [(0, 1)])
+    g = Graph(2, [(0, 1)])
     with pytest.raises(ValueError):
         build_pseudotree(g, 2)

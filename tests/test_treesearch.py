@@ -4,8 +4,8 @@ import time
 
 import pytest
 
-from graphcsg import (BudgetExceededError, Game, InternalInvariantError,
-                      brute_force_best, build_pseudotree, dype, make_graph,
+from graphcsg import (BudgetExceededError, Game, Graph, InternalInvariantError,
+                      brute_force_best, build_pseudotree, dype,
                       make_supersub_game, make_tsp_bound, partition_value,
                       random_table_game, structure_masks, tsp, tsp_star_step)
 
@@ -16,7 +16,7 @@ def test_tsp_matches_oracle_without_bound():
     rng = random.Random(80)
     for _ in range(25):
         n = rng.randint(1, 7)
-        g = make_graph(n, random_connected_edges(rng, n))
+        g = Graph(n, random_connected_edges(rng, n))
         gm = random_table_game(n, seed=rng.randrange(10 ** 6))
         pt = build_pseudotree(g, rng.randrange(n))
         res = tsp(gm, g, pt)
@@ -29,7 +29,7 @@ def test_tsp_with_bound_stays_exact():
     rng = random.Random(81)
     for _ in range(25):
         n = rng.randint(1, 7)
-        g = make_graph(n, random_connected_edges(rng, n))
+        g = Graph(n, random_connected_edges(rng, n))
         gm = random_table_game(n, seed=rng.randrange(10 ** 6))
         pt = build_pseudotree(g, 0)
         plain = tsp(gm, g, pt)
@@ -41,7 +41,7 @@ def test_tsp_with_bound_stays_exact():
 def test_bound_prunes_on_cooperative_games():
     # strongly merge-rewarding games make the grand coalition optimal and
     # give the bound real teeth
-    g = make_graph(7, [(i, i + 1) for i in range(6)])
+    g = Graph(7, [(i, i + 1) for i in range(6)])
     gm = make_supersub_game(7, weights=(5,) * 7, kappa=1)
     pt = build_pseudotree(g, 0)
     plain = tsp(gm, g, pt)
@@ -54,7 +54,7 @@ def test_bound_prunes_stage_seeds():
     # with kappa = 0 the one-block partition is optimal and the search
     # starts from it, so the bound cuts every stage seed and nothing opens
     n = 12
-    g = make_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    g = Graph(n, [(i, (i + 1) % n) for i in range(n)])
     gm = make_supersub_game(n, seed=5, kappa=0)
     pt = build_pseudotree(g, 0)
     seeds = sum(
@@ -80,7 +80,7 @@ def test_search_tree_visits_each_structure_once():
     rng = random.Random(82)
     for _ in range(20):
         n = rng.randint(1, 6)
-        g = make_graph(n, random_connected_edges(rng, n))
+        g = Graph(n, random_connected_edges(rng, n))
         gm = random_table_game(n, seed=rng.randrange(10 ** 6))
         pt = build_pseudotree(g, rng.randrange(n))
         seen = visited_structures(gm, g, pt)
@@ -92,13 +92,13 @@ def test_search_tree_visits_each_structure_once():
 
 
 def test_coverage_counts_on_pinned_graphs():
-    g = make_graph(4, FOUR_CYCLE_EDGES)
+    g = Graph(4, FOUR_CYCLE_EDGES)
     pt = build_pseudotree(g, 0)
     gm = random_table_game(4, seed=7)
     seen = set(visited_structures(gm, g, pt))
     inits = {canon([g.full_mask]), canon([1, 2, 4, 8])}
     assert len(seen | inits) == 12
-    k4 = make_graph(4, itertools.combinations(range(4), 2))
+    k4 = Graph(4, itertools.combinations(range(4), 2))
     seen4 = set(visited_structures(gm, k4, build_pseudotree(k4, 0)))
     assert len(seen4 | inits) == 15
 
@@ -107,7 +107,7 @@ def test_tsp_star_step_completes_optimally():
     rng = random.Random(83)
     for _ in range(20):
         n = rng.randint(2, 7)
-        g = make_graph(n, random_connected_edges(rng, n))
+        g = Graph(n, random_connected_edges(rng, n))
         gm = random_table_game(n, seed=rng.randrange(10 ** 6))
         pt = build_pseudotree(g, 0)
         table = dype(gm, g, pt).table
@@ -153,7 +153,7 @@ def test_tsp_star_step_completes_optimally():
 def test_tsp_star_step_raises_on_a_missing_entry():
     # every remainder component the search hands over is a table entry, so
     # a miss is a fault, whichever component lacks its entry
-    g = make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 4)])
+    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 4)])
     gm = random_table_game(6, seed=5)
     pt = build_pseudotree(g, 0)
     # a stage-3 seed {0, 1, 4} leaves the components {2, 3} and {5}
@@ -171,7 +171,7 @@ def test_tsp_star_step_raises_on_a_missing_entry():
 
 
 def test_tsp_deadline():
-    g = make_graph(11, [(i, j) for i in range(11) for j in range(i + 1, 11)])
+    g = Graph(11, [(i, j) for i in range(11) for j in range(i + 1, 11)])
     gm = random_table_game(11, seed=2)
     pt = build_pseudotree(g, 0)
     with pytest.raises(BudgetExceededError):
@@ -183,7 +183,7 @@ def test_tsp_stops_soon_after_the_deadline():
     # one stride of 1,024 ticks (one value call each), past the n + 1 calls
     # that price the two starting incumbents.
     n, K = 10, 2000
-    g = make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     base = random_table_game(n, seed=4)
     pt = build_pseudotree(g, 0)
     calls = 0
