@@ -9,8 +9,8 @@ from .graph import DisconnectedGraphError, Graph
 from .harness import (VerifyReport, matrix_instance, run_bench,
                       solve_instance, verify_matrix)
 from .instances import (InstanceFile, InstanceFormatError, gen_instance,
-                        model_edges, parse_instance, parse_instance_text,
-                        realize_instance, write_instance)
+                        model_edges, parse_instance_text, realize_instance,
+                        write_instance)
 from .pseudotree import Pseudotree, build_pseudotree
 from .solvers import (BudgetExceededError, DpTable, InternalInvariantError,
                       SearchStats, SolverResult, brute_force_best, cfss,
@@ -47,7 +47,6 @@ __all__ = [
     "cfss",
     "InstanceFile",
     "InstanceFormatError",
-    "parse_instance",
     "parse_instance_text",
     "realize_instance",
     "write_instance",

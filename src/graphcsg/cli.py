@@ -20,7 +20,8 @@ from .harness import (ALGORITHMS, ANYTIME_ALGORITHMS, DEFAULT_MODELS,
                       run_bench, solve_instance, verify_matrix,
                       write_trace_csv)
 from .instances import (MODELS, GraphSamplingError, InstanceFormatError,
-                        gen_instance, parse_instance, write_instance)
+                        gen_instance, parse_instance_text, realize_instance,
+                        write_instance)
 from .solvers import ORACLE_MAX_N, BudgetExceededError
 
 # The algorithms that `verify` compares against the oracle, in table order.
@@ -72,6 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="pin the search-order root agent")
     gen.add_argument("-o", "--output", default=None,
                      help="write here instead of stdout")
+    gen.set_defaults(run=_cmd_gen)
 
     solve = sub.add_parser("solve", help="solve one instance file")
     solve.add_argument("instance", help="instance path, or - for stdin")
@@ -79,6 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--trace", default=None, metavar="PATH",
                        help="write the anytime trace CSV here")
     _add_run_flags(solve)
+    solve.set_defaults(run=_cmd_solve)
 
     verify = sub.add_parser(
         "verify", help="compare solvers against the brute-force oracle")
@@ -95,6 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--quiet", action="store_true",
                         help="suppress per-cell progress lines")
+    verify.set_defaults(run=_cmd_verify)
 
     bench = sub.add_parser("bench", help="run timed sweeps, emit CSV")
     bench.add_argument("instances", nargs="+", help="instance files")
@@ -104,14 +108,14 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--out", default="bench_out",
                        help="directory for report.csv and trace files")
     _add_run_flags(bench)
+    bench.set_defaults(run=_cmd_bench)
 
     return parser
 
 
 def _load_instance(path: str):
-    if path == "-":
-        return parse_instance(sys.stdin.read())
-    return parse_instance(Path(path).read_text())
+    text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    return realize_instance(parse_instance_text(text))
 
 
 def _cmd_gen(args) -> int:
@@ -235,21 +239,13 @@ def _cmd_bench(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
+        return args.run(args)
     except (_UsageError, GraphSamplingError) as e:
         print(e, file=sys.stderr)
         return 2
     except (InstanceFormatError, OSError, ValueError) as e:
         print(f"instance error: {e}", file=sys.stderr)
         return 3
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

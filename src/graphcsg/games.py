@@ -66,9 +66,9 @@ class Game:
         return new > old + self.tolerance
 
     @classmethod
-    def from_table(cls, values: Sequence[Value], *,
-                   decompose: bool = False) -> "Game":
-        """Build a game from explicit values in mask order.
+    def from_table(cls, values: Sequence[Value]) -> "Game":
+        """Build a game from explicit values in mask order. The safe
+        quadratic split of `_split_factor` is always attached.
 
         Accepts either 2^n entries (index = mask, entry 0 must be 0) or
         2^n - 1 entries for the nonempty masks 1..2^n-1. Either way the
@@ -86,18 +86,15 @@ class Game:
         n = len(full).bit_length() - 1
         if n > 20:
             raise ValueError(f"tabulated games support n <= 20, got n={n}")
-        sup = sub = None
-        if decompose:
-            k = _split_factor(full, n)
-            table = full
+        k = _split_factor(full, n)
 
-            def sup(c, _t=table, _k=k):
-                p = c.bit_count()
-                return _t[c] + _k * p * p
+        def sup(c, _t=full, _k=k):
+            p = c.bit_count()
+            return _t[c] + _k * p * p
 
-            def sub(c, _k=k):
-                p = c.bit_count()
-                return -_k * p * p
+        def sub(c, _k=k):
+            p = c.bit_count()
+            return -_k * p * p
 
         return cls(n, full.__getitem__, sup_value=sup, sub_value=sub)
 
@@ -110,8 +107,6 @@ def _split_factor(values: Sequence[Value], n: int) -> int:
     agents above c's lowest); a coarse but safe overestimate otherwise.
     """
     full = (1 << n) - 1
-    if n == 0 or full == 0:
-        return 0
     if n <= _EXACT_SPLIT_MAX_N:
         worst = 0
         for c in range(1, full + 1):
@@ -199,15 +194,13 @@ def make_supersub_game(n: int, weights: Sequence[int] | None = None,
     return Game(n, value, sup_value=sup, sub_value=sub)
 
 
-def random_table_game(n: int, seed: int | random.Random | None = None, *,
-                      lo: int = 0, hi: int = 100) -> Game:
-    """Uniform random integer table over the nonempty masks, with a safe
-    quadratic split attached so the pruning bounds apply to it."""
+def random_table_game(n: int, seed: int | random.Random | None = None) -> Game:
+    """Uniform random integer table over the nonempty masks, values 0-100,
+    with the split `Game.from_table` attaches."""
     if not 1 <= n <= 20:
         raise ValueError(f"tabulated games support n in 1..20, got {n}")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    return Game.from_table(tuple(randints(rng, lo, hi, (1 << n) - 1)),
-                           decompose=True)
+    return Game.from_table(tuple(randints(rng, 0, 100, (1 << n) - 1)))
 
 
 def randints(rng: random.Random, lo: int, hi: int,

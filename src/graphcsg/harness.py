@@ -40,12 +40,10 @@ MATRIX_RUNS = (
 
 def _solve_connected(game: Game, g: Graph, algorithm: str, *, bound=None,
                      mode: str = "interleaved", root: int = 0,
-                     deadline: float | None = None, on_incumbent=None,
-                     bound_factory=None) -> SolverResult:
-    """Dispatch one algorithm on a connected graph. `bound_factory(game,
-    kind)` builds the tree-search bound for `tsp` and `d-tsp`; None means
-    `make_tsp_bound`, looked up at call time so a rebound name applies."""
-    bound_factory = bound_factory or make_tsp_bound
+                     deadline: float | None = None,
+                     on_incumbent=None) -> SolverResult:
+    """Dispatch one algorithm on a connected graph. The bound factories are
+    looked up at call time, so a rebound module name applies."""
     if algorithm == "oracle":
         return brute_force_best(game, g, deadline=deadline)
     if algorithm == "cfss":
@@ -54,13 +52,13 @@ def _solve_connected(game: Game, g: Graph, algorithm: str, *, bound=None,
     if algorithm == "dype":
         return dype(game, g, pt, deadline=deadline)
     if algorithm == "tsp":
-        return tsp(game, g, pt, bound_factory(game, bound),
+        return tsp(game, g, pt, make_tsp_bound(game, bound),
                    deadline=deadline)
     if algorithm == "dype-star":
         return dype_star(game, g, pt, on_incumbent=on_incumbent,
                          deadline=deadline)
     if algorithm == "d-tsp":
-        return d_tsp(game, g, pt, bound_factory(game, bound), mode=mode,
+        return d_tsp(game, g, pt, make_tsp_bound(game, bound), mode=mode,
                      on_incumbent=on_incumbent, deadline=deadline)
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
@@ -116,44 +114,41 @@ def solve_instance(game: Game, g: Graph, algorithm: str, *, bound=None,
         return res
 
     anytime = algorithm in ANYTIME_ALGORITHMS
+    # Every component's graph and subgame is built before the clock starts,
+    # so the stitched trace times the solves alone.
     parts = []
     for comp in comps:
         agents = agents_of(comp)
-        local_edges = []
         index = {a: i for i, a in enumerate(agents)}
-        for u, w in g.edges:
-            if (comp >> u) & 1 and (comp >> w) & 1:
-                local_edges.append((index[u], index[w]))
-        lg = Graph(len(agents), local_edges)
-        lgame, expand = _subgame(game, agents)
+        lg = Graph(len(agents), [(index[u], index[w]) for u, w in g.edges
+                                 if (comp >> u) & 1 and (comp >> w) & 1])
         lroot = index[root] if root is not None and (comp >> root) & 1 else 0
-        init_val = lgame.value(lg.full_mask)
-        parts.append((lgame, lg, expand, lroot, init_val))
+        lgame, expand = _subgame(game, agents)
+        parts.append((comp, lg, lroot, lgame, expand))
+    remaining_init = sum(map(game.value, comps))
 
     t0 = time.monotonic()
-    total_init = sum(p[4] for p in parts)
-    trace = [(0, total_init)] if anytime else []
+    trace = [(0, remaining_init)] if anytime else []
     blocks: list[int] = []
     total = 0
     stats = SearchStats()
     completed = True
-    remaining_init = total_init
-    for k, (lgame, lg, expand, lroot, init_val) in enumerate(parts):
+    for k, (comp, lg, lroot, lgame, expand) in enumerate(parts):
+        init_val = game.value(comp)
         remaining_init -= init_val
         if deadline is not None and time.monotonic() >= deadline:
             if not anytime:
                 raise BudgetExceededError(
                     "budget exhausted with components left to solve")
             completed = False
-            blocks.append(expand(lg.full_mask))
+            blocks.append(comp)
             total += init_val
             continue
         baseline = total + remaining_init
         offset = int((time.monotonic() - t0) * 1_000_000)
         # Unsolved components sit in the reported structure as one block
         # each until their turn comes.
-        context = list(blocks) + [parts[j][2](parts[j][1].full_mask)
-                                  for j in range(k + 1, len(parts))]
+        context = blocks + comps[k + 1:]
 
         # Each offer beats the component's incumbent, so it also raises
         # the stitched trace.
@@ -227,19 +222,14 @@ def matrix_seed(base_seed: int, model_index: int, n: int, index: int) -> int:
     return base_seed * 1_000_000 + model_index * 100_000 + n * 1_000 + index
 
 
-def matrix_instance(model_spec: str, n: int, index: int, *,
-                    base_seed: int = 0) -> tuple[Game, Graph, int]:
-    """Reconstruct one (game, graph) cell of the verification matrix from
-    its coordinates; returns the derived seed too, for error reports. A
-    model outside DEFAULT_MODELS is seeded as a matrix's first model."""
+def matrix_instance(model_spec: str, n: int, seed: int) -> tuple[Game, Graph]:
+    """One (game, graph) cell of the verification matrix, the graph drawn
+    before the table from `random.Random(seed)`. The model, n and seed of
+    a `verify_matrix` failure line rebuild the cell that failed."""
     name, p = parse_model(model_spec)
-    model_index = (DEFAULT_MODELS.index(model_spec)
-                   if model_spec in DEFAULT_MODELS else 0)
-    seed = matrix_seed(base_seed, model_index, n, index)
     rng = random.Random(seed)
     edges = model_edges(name, n, p=p if p is not None else 0.5, rng=rng)
-    game = random_table_game(n, rng)
-    return game, Graph(n, edges), seed
+    return random_table_game(n, rng), Graph(n, edges)
 
 
 def _check_trace(res: SolverResult, v_full: Value, optimum: Value,
@@ -260,36 +250,28 @@ def _check_trace(res: SolverResult, v_full: Value, optimum: Value,
 def verify_matrix(*, models=DEFAULT_MODELS, ns=range(1, 10),
                   games_per_cell: int = 100, base_seed: int = 0,
                   algorithms: tuple[str, ...] | None = None,
-                  bound_factory=None, progress=None) -> VerifyReport:
+                  progress=None) -> VerifyReport:
     """Compare every solver against the brute-force optimum over the full
     instance grid, auditing DP tables, anytime traces, and the hybrid's
     frontier bookkeeping along the way. A run that raises
     InternalInvariantError is reported in `faults`, and the sweep goes on.
 
-    `bound_factory(game, kind)` overrides pruning-bound construction (the
-    fault-injection hook used by tests); `algorithms` limits the matrix
-    rows to the named algorithms.
+    Each cell is `matrix_instance(model, n, seed)`, with the seed from
+    `matrix_seed`; `algorithms` limits the matrix rows to the named ones.
     """
     runs = [r for r in MATRIX_RUNS
             if algorithms is None or r[0] in algorithms]
     report = VerifyReport()
     for mi, model_spec in enumerate(models):
-        name, p = parse_model(model_spec)
-        deterministic = name != "gnp"
+        deterministic = parse_model(model_spec)[0] != "gnp"
         for n in ns:
-            shared_graph = None
+            # A deterministic model's cells share one graph's structures.
             shared_structures = None
-            if deterministic:
-                shared_graph = Graph(n, model_edges(name, n))
-                shared_structures = list(structure_masks(shared_graph))
             for i in range(games_per_cell):
                 seed = matrix_seed(base_seed, mi, n, i)
-                rng = random.Random(seed)
-                if deterministic:
-                    g = shared_graph
-                else:
-                    g = Graph(n, model_edges("gnp", n, p=p, rng=rng))
-                game = random_table_game(n, rng)
+                game, g = matrix_instance(model_spec, n, seed)
+                if deterministic and shared_structures is None:
+                    shared_structures = list(structure_masks(g))
                 ident = f"{model_spec}/n={n}/game={i} (seed {seed})"
                 report.instances += 1
 
@@ -307,8 +289,7 @@ def verify_matrix(*, models=DEFAULT_MODELS, ns=range(1, 10),
                     report.runs += 1
                     try:
                         res = _solve_connected(game, g, alg, bound=bound_kind,
-                                               mode=mode,
-                                               bound_factory=bound_factory)
+                                               mode=mode)
                     except InternalInvariantError as e:
                         report.faults.append(f"{where}: {e}")
                         continue

@@ -236,22 +236,18 @@ def write_instance(inst: InstanceFile) -> str:
 def realize_instance(inst: InstanceFile) -> tuple[Game, Graph, int | None]:
     """Build the Game and Graph an InstanceFile describes.
 
-    Tabulated games get the synthetic split attached so the pruning bounds
-    are usable on them as well.
+    Tabulated games get the synthetic split `Game.from_table` attaches,
+    so the pruning bounds are usable on them as well.
     """
     g = Graph(inst.n, inst.edges)
     if inst.game_kind == "table":
-        game = Game.from_table(inst.table, decompose=True)
+        game = Game.from_table(inst.table)
     elif inst.game_kind == "supersub":
         game = make_supersub_game(inst.n, weights=inst.weights,
                                   kappa=inst.kappa)
     else:
         raise ValueError(f"unknown game kind {inst.game_kind!r}")
     return game, g, inst.root
-
-
-def parse_instance(text: str) -> tuple[Game, Graph, int | None]:
-    return realize_instance(parse_instance_text(text))
 
 
 def model_edges(model: str, n: int, *, p: float = 0.5,

@@ -2,13 +2,14 @@
 
 The sweep walks the breadth-first order backwards. At each position it
 tabulates, for every connected set anchored there whose complement stays
-connected, the best way to carve off a connected block around the anchor
-and partition the leftovers optimally. Those sets are found from the
-complement side, as DPccp pairs a block with its complement (Moerkotte and
-Neumann, VLDB 2006): they are the connected remainders of stage L's seeds,
-the connected first blocks that hold every agent before position L and
-leave out the agent at L. One pass over the seeds fills level L; then the
-sweep prices every seed as its value plus its remainder's summed entries,
+connected, the DyPE split (Vinyals et al., 2013): the best connected block
+around the anchor plus the rest, priced from the table (`_solve_level`;
+`audit_dp_table` re-derives it with its own loop). The sets are found from
+the complement side, as DPccp pairs a block with its complement (Moerkotte
+and Neumann, VLDB 2006): the connected remainders of stage L's seeds, the
+connected first blocks that hold every agent before position L and leave
+out the agent at L. One pass over the seeds fills level L; then the sweep
+prices every seed as its value plus its remainder's summed entries,
 completing every structure that starts with it. Only the hybrid's own
 search (treesearch.py) uses `tsp_star_step`.
 
@@ -63,50 +64,20 @@ def _remainder_value(g: Graph, table_values, memo: dict, rest: int,
     return val
 
 
-def _best_anchored_split(v, g: Graph, table_values, c: int, anchor_bit: int,
-                         memo: dict, deadline: float | None = None,
-                         ticks: int = 0):
-    """Best value over connected blocks S containing the anchor inside c,
-    the rest of c priced through `memo` (remainder -> its components' summed
-    entries; start it as {0: 0}). A level fill passes its deadline and
-    `ticks`, its subset count so far: counting on from there, the deadline
-    is checked every `DEADLINE_STRIDE` subsets, and BudgetExceededError
-    raised once it has passed.
-
-    Returns (value, block, blocks_scanned).
-    """
-    best_val = None
-    best_sub = 0
-    get = memo.get
-    count = ticks
-    for s in g.connected_subsets(c, required=anchor_bit):
-        count += 1
-        if deadline is not None and count % DEADLINE_STRIDE == 1 \
-                and time.monotonic() >= deadline:
-            raise BudgetExceededError(
-                "deadline hit while splitting a table entry")
-        rest = c & ~s
-        r = get(rest)
-        if r is None:
-            r = _remainder_value(g, table_values, memo, rest)
-        val = v(s) + r
-        if best_val is None or val > best_val:
-            best_val = val
-            best_sub = s
-    return best_val, best_sub, count - ticks
-
-
 def _solve_level(v, g: Graph, pt: Pseudotree, table: DpTable, level: int,
                  stats: SearchStats, memo: dict,
                  deadline: float | None = None) -> list:
-    """Fill every table entry anchored at the agent holding `level` in the
-    order (the stage seeds' connected remainders, each also memoised as its
-    own summed value), publish the level, and return the seeds, each as a
-    pair of the seed and its remainder's first component."""
+    """Fill level `level`, publish it, and return its stage seeds, each as a
+    pair of the seed and its remainder's first component. Each connected
+    remainder c is an entry: the best v(S) + memo[c - S] over connected
+    blocks S of c holding the anchor (the agent at `level`), where the memo
+    maps a remainder to its components' summed entries; c is memoised too."""
     anchor_bit = 1 << pt.order[level - 1]
     full = g.full_mask
     component_of = g.component_of
+    connected_subsets = g.connected_subsets
     tv = table.values
+    get = memo.get
     seeds = []
     ticks = 0
     solved = 0
@@ -124,11 +95,24 @@ def _solve_level(v, g: Graph, pt: Pseudotree, table: DpTable, level: int,
             seeds.append((d, comp))
             if comp != c:
                 continue
-            val, sub, cnt = _best_anchored_split(v, g, tv, c, anchor_bit,
-                                                 memo, deadline, ticks)
-            ticks += cnt
-            table.put(c, val, sub)
-            memo[c] = val
+            best_val = None
+            best_sub = 0
+            for s in connected_subsets(c, required=anchor_bit):
+                ticks += 1
+                if deadline is not None and ticks % DEADLINE_STRIDE == 1 \
+                        and time.monotonic() >= deadline:
+                    raise BudgetExceededError(
+                        "deadline hit while splitting a table entry")
+                rest = c & ~s
+                r = get(rest)
+                if r is None:
+                    r = _remainder_value(g, tv, memo, rest)
+                val = v(s) + r
+                if best_val is None or val > best_val:
+                    best_val = val
+                    best_sub = s
+            table.put(c, best_val, best_sub)
+            memo[c] = best_val
             solved += 1
     finally:
         stats.subsets_enumerated += ticks
@@ -156,16 +140,14 @@ class _Sweep:
         self.next_level = g.n
         self._memo = {0: 0}
 
-    def step(self) -> bool:
-        """Fill one level and scan the seeds it settles."""
+    def step(self) -> None:
+        """Fill one level and scan the seeds it settles. `_drive` stops at
+        the crossing, before the next level drops below 2."""
         level = self.next_level
-        if level < 2:
-            return False
         seeds = _solve_level(self.game.value, self.g, self.pt, self.table,
                              level, self.stats, self._memo, self.deadline)
         self._scan(level, seeds)
         self.next_level = level - 1
-        return True
 
     def _scan(self, level: int, seeds: list) -> None:
         """Price each seed D of stage `level`, given as (D, the first
@@ -229,11 +211,11 @@ def _drive(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
         """One sweep level; interleaved, then as many search ticks as that
         level enumerated subsets."""
         before = sweep_stats.subsets_enumerated
-        more = sweep.step()
+        sweep.step()
         searcher.last_stage = sweep.next_level
         if search and not parallel and not crossed():
             searcher.step(sweep_stats.subsets_enumerated - before)
-        return more
+        return True
 
     def run(step):
         nonlocal completed
@@ -297,9 +279,18 @@ def audit_dp_table(table: DpTable, game: Game, g: Graph,
     tv = table.values
     pos = pt.position
     memo = {0: 0}
-    for c, stored in table.values.items():
+
+    def price(block: int, c: int):
+        """v(block) plus the rest of c's summed entries (the audit's memo)."""
+        rest = c & ~block
+        if rest not in memo:
+            _remainder_value(g, tv, memo, rest)
+        return v(block) + memo[rest]
+
+    for c, stored in tv.items():
         anchor = min(agents_of(c), key=pos)
-        best, _, _ = _best_anchored_split(v, g, tv, c, 1 << anchor, memo)
+        best = max(price(s, c)
+                   for s in g.connected_subsets(c, required=1 << anchor))
         if best != stored:
             raise InternalInvariantError(
                 f"entry for mask {c} stores {stored}, recurrence gives {best}")
@@ -308,10 +299,7 @@ def audit_dp_table(table: DpTable, game: Game, g: Graph,
                 or not g.is_connected(witness):
             raise InternalInvariantError(
                 f"entry for mask {c} has an invalid witness block {witness}")
-        rest = c & ~witness
-        if rest not in memo:
-            _remainder_value(g, tv, memo, rest)
-        val = v(witness) + memo[rest]
+        val = price(witness, c)
         if val != stored:
             raise InternalInvariantError(
                 f"witness for mask {c} prices at {val}, entry stores {stored}")

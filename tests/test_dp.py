@@ -261,19 +261,22 @@ def test_dype_star_stops_soon_after_the_deadline_inside_a_split():
                 pass
         return base.value(m)
 
-    split = dp._best_anchored_split
+    subsets = Graph.connected_subsets
+    root_bit = 1 << pt.order[0]
     largest = (0, 0)  # (agents, first value call) of the largest split
 
-    def spy(v, g, tv, c, anchor_bit, *args):
+    def spy(self, ground, required=0):
+        # A split's ground is an entry, which leaves out the root; a stage
+        # seed stream's ground holds it.
         nonlocal largest
-        if c.bit_count() > largest[0]:
-            largest = (c.bit_count(), calls + 1)
-        return split(v, g, tv, c, anchor_bit, *args)
+        if not ground & root_bit and ground.bit_count() > largest[0]:
+            largest = (ground.bit_count(), calls + 1)
+        return subsets(self, ground, required)
 
     gm = Game(n, value)
     t0 = time.monotonic()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dp, "_best_anchored_split", spy)
+        mp.setattr(Graph, "connected_subsets", spy)
         dype_star(gm, g, pt)
     assert largest[0] == n - 1
     K = largest[1]
@@ -283,6 +286,47 @@ def test_dype_star_stops_soon_after_the_deadline_inside_a_split():
     res = dype_star(gm, g, pt, deadline=deadline)
     assert not res.completed
     assert K <= calls <= K + 256 + n
+
+
+def test_a_fill_stopped_inside_a_split_counts_the_split(monkeypatch):
+    # A value call past the 50,000th lands inside a K12 level's split; the
+    # stopped run's subset count must still hold every subset the fill
+    # enumerated, the split's included.
+    n = 12
+    g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    base = random_table_game(n, seed=6)
+    pt = build_pseudotree(g, 0)
+    calls = 0
+    deadline = 0.0  # passed: no stall while the unbudgeted run is timed
+
+    def value(m):
+        nonlocal calls
+        calls += 1
+        if calls == 50_000:
+            while time.monotonic() < deadline:
+                pass
+        return base.value(m)
+
+    gm = Game(n, value)
+    t0 = time.monotonic()
+    dype_star(gm, g, pt)
+    assert calls > 50_000
+    subsets = Graph.connected_subsets
+    yielded = 0
+
+    def counting(self, ground, required=0):
+        nonlocal yielded
+        for s in subsets(self, ground, required):
+            yielded += 1
+            yield s
+
+    monkeypatch.setattr(Graph, "connected_subsets", counting)
+    calls = 0
+    # late enough that the run reaches the stalling call before it
+    deadline = time.monotonic() + 2 * (time.monotonic() - t0) + 0.5
+    res = dype_star(gm, g, pt, deadline=deadline)
+    assert not res.completed
+    assert res.stats.subsets_enumerated == yielded
 
 
 def test_dype_and_dype_star_do_the_same_work():

@@ -1,5 +1,6 @@
 import csv
 import random
+import re
 import time
 from dataclasses import fields
 
@@ -10,6 +11,7 @@ from graphcsg import (BudgetExceededError, Game, Graph, InternalInvariantError,
                       make_supersub_game, model_edges, partition_value,
                       random_table_game, realize_instance, run_bench,
                       solve_instance, verify_matrix)
+from graphcsg import harness
 from graphcsg.solvers import treesearch
 from graphcsg.harness import (ALGORITHMS, ANYTIME_ALGORITHMS, BenchRow,
                               inconsistent_instances, matrix_instance,
@@ -166,10 +168,10 @@ def test_parse_model():
 
 
 def test_matrix_instance_is_reproducible():
-    a_gm, a_g, a_root = matrix_instance("gnp:0.5", 6, 3, base_seed=0)
-    b_gm, b_g, b_root = matrix_instance("gnp:0.5", 6, 3, base_seed=0)
+    seed = matrix_seed(0, 1, 6, 3)
+    a_gm, a_g = matrix_instance("gnp:0.5", 6, seed)
+    b_gm, b_g = matrix_instance("gnp:0.5", 6, seed)
     assert a_g.edges == b_g.edges
-    assert a_root == b_root
     for m in range(1 << 6):
         assert a_gm.value(m) == b_gm.value(m)
     assert matrix_seed(0, 1, 6, 3) != matrix_seed(0, 1, 6, 4)
@@ -184,19 +186,43 @@ def test_verify_matrix_small_grid_passes():
     assert "pass" in rep.summary()
 
 
-def test_verify_matrix_catches_a_lying_bound():
+def _lying_bound(game, kind):
+    return lambda partial, rem: partial  # ignores the remainder's worth
+
+
+def test_verify_matrix_catches_a_lying_bound(monkeypatch):
     # an inadmissible bound makes the pruning search miss optima; the
     # harness must notice and name the seed
-    def sabotage(game, kind):
-        return lambda partial, rem: partial  # ignores the remainder's worth
-
+    monkeypatch.setattr(harness, "make_tsp_bound", _lying_bound)
     rep = verify_matrix(models=("complete",), ns=range(4, 7),
-                        games_per_cell=4, algorithms=("tsp",),
-                        bound_factory=sabotage)
+                        games_per_cell=4, algorithms=("tsp",))
     assert not rep.ok
     assert len(rep.value_mismatches) > 0
     assert any("seed" in line for line in rep.failure_lines())
     assert rep.summary().startswith("FAIL")
+
+
+def test_a_reported_cell_rebuilds_from_its_line(monkeypatch):
+    # the n and seed a failure line names rebuild the very cell that
+    # failed, whatever the model's place in the grid
+    solved = set()
+
+    def recording(game, kind):
+        solved.add(tuple(map(game.value, range(1 << game.n))))
+        return _lying_bound(game, kind)
+
+    monkeypatch.setattr(harness, "make_tsp_bound", recording)
+    rep = verify_matrix(models=("cycle",), ns=range(4, 8),
+                        games_per_cell=4, algorithms=("tsp",))
+    assert rep.value_mismatches
+    for line in rep.value_mismatches:
+        found = re.search(r"/n=(\d+)/.* \(seed (\d+)\).* oracle (-?\d+)$",
+                          line)
+        n, seed, optimum = map(int, found.groups())
+        gm, g = matrix_instance("cycle", n, seed)
+        assert tuple(map(gm.value, range(1 << n))) in solved
+        assert g.edges == Graph(n, model_edges("cycle", n)).edges
+        assert brute_force_best(gm, g).best_value == optimum
 
 
 def test_verify_matrix_reports_faults_with_seeds_and_goes_on(monkeypatch):

@@ -5,8 +5,8 @@ import tracemalloc
 import pytest
 
 from graphcsg import (Graph, InstanceFile, InstanceFormatError, gen_instance,
-                      model_edges, parse_instance, parse_instance_text,
-                      realize_instance, write_instance)
+                      model_edges, parse_instance_text, realize_instance,
+                      write_instance)
 from graphcsg.instances import MODELS
 
 
@@ -54,8 +54,8 @@ def test_realize_supersub_instance():
 
 
 def test_parse_instance_convenience():
-    gm, g, root = parse_instance(
-        "csg 1\nn 3\ne 0 1\ne 1 2\nroot 1\ngame table 1 2 3 4 5 6 7\n")
+    gm, g, root = realize_instance(parse_instance_text(
+        "csg 1\nn 3\ne 0 1\ne 1 2\nroot 1\ngame table 1 2 3 4 5 6 7\n"))
     assert root == 1
     assert gm.value(0b111) == 7
     assert g.n == 3
