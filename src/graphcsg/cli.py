@@ -16,8 +16,8 @@ from dataclasses import fields
 from pathlib import Path
 
 from .harness import (ALGORITHMS, ANYTIME_ALGORITHMS, DEFAULT_MODELS,
-                      MATRIX_RUNS, inconsistent_instances, parse_model,
-                      run_bench, solve_instance, verify_matrix,
+                      MATRIX_RUNS, inconsistent_instances, matrix_seed,
+                      parse_model, run_bench, solve_instance, verify_matrix,
                       write_trace_csv)
 from .instances import (MODELS, GraphSamplingError, InstanceFormatError,
                         gen_instance, parse_instance_text, realize_instance,
@@ -190,6 +190,10 @@ def _cmd_verify(args) -> int:
                           f"the oracle's cap")
     if not (models and algorithms and args.games >= 1):
         raise _UsageError("the grid holds no solver run")
+    try:  # the largest cell's seed: no two cells may share one
+        matrix_seed(args.seed, len(models) - 1, args.n_max, args.games - 1)
+    except ValueError as e:
+        raise _UsageError(f"--models/--games: {e}") from None
     try:
         report = verify_matrix(
             models=models, ns=range(args.n_min, args.n_max + 1),

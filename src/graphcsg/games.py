@@ -14,9 +14,13 @@ import random
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
+from .graph import MAX_N
 from .masks import agents_of
 
 Value = int | float
+
+# Tabulated games keep one value per mask: 2^20 entries at most.
+TABLE_MAX_N = 20
 
 # Exact split factors scan each unordered disjoint pair, about 3^n / 2;
 # above this size a cheap safe overestimate is used instead.
@@ -43,8 +47,8 @@ class Game:
                  sup_value: Callable[[int], Value] | None = None,
                  sub_value: Callable[[int], Value] | None = None,
                  tolerance: Value = 0):
-        if not 1 <= n <= 63:
-            raise ValueError(f"agent count must be in 1..63, got {n}")
+        if not 1 <= n <= MAX_N:
+            raise ValueError(f"agent count must be in 1..{MAX_N}, got {n}")
         if value(0) != 0:
             raise ValueError("the empty coalition must have value 0")
         if (sup_value is None) != (sub_value is None):
@@ -60,10 +64,6 @@ class Game:
     @property
     def decomposed(self) -> bool:
         return self.sup_value is not None
-
-    def improves(self, new: Value, old: Value) -> bool:
-        """Incumbent update test: strictly better beyond the tolerance."""
-        return new > old + self.tolerance
 
     @classmethod
     def from_table(cls, values: Sequence[Value]) -> "Game":
@@ -84,8 +84,9 @@ class Game:
             raise ValueError(
                 f"table must list values for all nonempty masks; got {m} entries")
         n = len(full).bit_length() - 1
-        if n > 20:
-            raise ValueError(f"tabulated games support n <= 20, got n={n}")
+        if n > TABLE_MAX_N:
+            raise ValueError(
+                f"tabulated games support n <= {TABLE_MAX_N}, got n={n}")
         k = _split_factor(full, n)
 
         def sup(c, _t=full, _k=k):
@@ -162,8 +163,6 @@ def make_supersub_game(n: int, weights: Sequence[int] | None = None,
     This family is a stand-in generator, not a canonical benchmark; swap in
     a different decomposed game wherever a Game is accepted.
     """
-    if not 1 <= n <= 63:
-        raise ValueError(f"agent count must be in 1..63, got {n}")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     if weights is None:
         weights = [rng.randint(0, 10) for _ in range(n)]
@@ -197,8 +196,9 @@ def make_supersub_game(n: int, weights: Sequence[int] | None = None,
 def random_table_game(n: int, seed: int | random.Random | None = None) -> Game:
     """Uniform random integer table over the nonempty masks, values 0-100,
     with the split `Game.from_table` attaches."""
-    if not 1 <= n <= 20:
-        raise ValueError(f"tabulated games support n in 1..20, got {n}")
+    if not 1 <= n <= TABLE_MAX_N:
+        raise ValueError(
+            f"tabulated games support n in 1..{TABLE_MAX_N}, got {n}")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     return Game.from_table(tuple(randints(rng, 0, 100, (1 << n) - 1)))
 

@@ -19,7 +19,7 @@ from collections.abc import Iterable, Iterator
 # Above it, component_of walks adjacency agent by agent.
 _CACHE_MAX_N = 24
 
-_MAX_N = 63
+MAX_N = 63  # the agent cap of every graph, game and instance
 
 
 class DisconnectedGraphError(ValueError):
@@ -37,8 +37,8 @@ class Graph:
                  "_lo_mask")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if not 1 <= n <= _MAX_N:
-            raise ValueError(f"agent count must be in 1..{_MAX_N}, got {n}")
+        if not 1 <= n <= MAX_N:
+            raise ValueError(f"agent count must be in 1..{MAX_N}, got {n}")
         norm = set()
         adj = [0] * n
         for u, v in edges:

@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import csv
-import random
 import time
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 from .games import (Game, Partition, Value, make_cfss_bound, make_tsp_bound,
-                    partition_value, random_table_game)
+                    partition_value)
 from .graph import Graph
-from .instances import MODELS, model_edges
+from .instances import MODELS, gen_instance, realize_instance
 from .masks import agents_of
 from .pseudotree import build_pseudotree
 from .solvers import (BudgetExceededError, InternalInvariantError,
@@ -219,17 +218,21 @@ def parse_model(spec: str) -> tuple[str, float | None]:
 
 
 def matrix_seed(base_seed: int, model_index: int, n: int, index: int) -> int:
+    """A verification cell's seed, one decimal field per coordinate."""
+    if not (0 <= model_index < 10 and 0 <= n < 100 and 0 <= index < 1000):
+        raise ValueError("a seeded grid holds at most 10 models, n below "
+                         "100 and 1,000 games per cell")
     return base_seed * 1_000_000 + model_index * 100_000 + n * 1_000 + index
 
 
 def matrix_instance(model_spec: str, n: int, seed: int) -> tuple[Game, Graph]:
-    """One (game, graph) cell of the verification matrix, the graph drawn
-    before the table from `random.Random(seed)`. The model, n and seed of
-    a `verify_matrix` failure line rebuild the cell that failed."""
+    """One (game, graph) cell of the verification matrix: the table game
+    and graph of `graphcsg gen --model <name> --p <p> --n <n> --seed
+    <seed>`. The model, n and seed of a `verify_matrix` failure line
+    rebuild the cell that failed."""
     name, p = parse_model(model_spec)
-    rng = random.Random(seed)
-    edges = model_edges(name, n, p=p if p is not None else 0.5, rng=rng)
-    return random_table_game(n, rng), Graph(n, edges)
+    inst = gen_instance(name, n, seed=seed, p=0.5 if p is None else p)
+    return realize_instance(inst)[:2]
 
 
 def _check_trace(res: SolverResult, v_full: Value, optimum: Value,

@@ -23,11 +23,9 @@ import random
 import re
 from dataclasses import dataclass
 
-from .games import Game, make_supersub_game, randints
-from .graph import Graph
+from .games import TABLE_MAX_N, Game, make_supersub_game, randints
+from .graph import MAX_N, Graph
 
-_TABLE_MAX_N = 20
-_MAX_N = 63
 _GNP_RETRIES = 1000
 # Table values are printed and parsed in batches of about this many, so a
 # 2^20-entry table never holds a million token strings at once.
@@ -116,9 +114,9 @@ def parse_instance_text(text: str) -> InstanceFile:
                 raise InstanceFormatError(
                     f"line {lineno}: n takes one integer")
             n = _int_token(toks[1], lineno, "agent count")
-            if not 1 <= n <= _MAX_N:
+            if not 1 <= n <= MAX_N:
                 raise InstanceFormatError(
-                    f"line {lineno}: n must be in 1..{_MAX_N}, got {n}")
+                    f"line {lineno}: n must be in 1..{MAX_N}, got {n}")
         elif key == "e":
             if n is None:
                 raise InstanceFormatError(
@@ -145,10 +143,10 @@ def parse_instance_text(text: str) -> InstanceFile:
                 raise InstanceFormatError(f"line {lineno}: game needs a kind")
             game_kind = toks[1]
             if game_kind == "table":
-                if n > _TABLE_MAX_N:
+                if n > TABLE_MAX_N:
                     raise InstanceFormatError(
                         f"line {lineno}: table games are capped at "
-                        f"n <= {_TABLE_MAX_N}, got n={n}")
+                        f"n <= {TABLE_MAX_N}, got n={n}")
                 vals = _table_values(toks[2] if len(toks) > 2 else "",
                                      lineno)
                 want = (1 << n) - 1
@@ -297,14 +295,14 @@ def gen_instance(model: str, n: int, *, game_kind: str = "table",
                  root: int | None = None) -> InstanceFile:
     """Deterministic random instance for (model, n, seed). Table values
     are the values `rng.randint(lo, hi)` would draw (`randints`)."""
-    if not 1 <= n <= _MAX_N:
-        raise ValueError(f"n must be in 1..{_MAX_N}, got {n}")
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
     rng = random.Random(seed)
     edges = model_edges(model, n, p=p, rng=rng)
     if game_kind == "table":
-        if n > _TABLE_MAX_N:
+        if n > TABLE_MAX_N:
             raise ValueError(
-                f"table games are capped at n <= {_TABLE_MAX_N}; use "
+                f"table games are capped at n <= {TABLE_MAX_N}; use "
                 f"game_kind='supersub' for larger n")
         # The file format only records seeds for supersub games; the table
         # itself is the reproducible artifact here.

@@ -1,5 +1,5 @@
 """Shared solver types: run statistics, results, control errors, and the
-incumbent that the sweep and search workers share."""
+incumbent every solver but the oracle keeps."""
 
 from __future__ import annotations
 
@@ -82,10 +82,11 @@ def deadline_passed(deadline: float | None) -> bool:
 class _Incumbent:
     """Best structure so far, shared by the workers of one run.
 
-    `offer` is compare-and-improve under a lock, so a stale competing offer
-    loses cleanly. Unlocked reads of `value` are fine everywhere: the value
-    only rises, and a stale read merely delays pruning. `blocks` and `trace`
-    are read directly once every worker has stopped.
+    `offer` is every solver's new-best rule but the oracle's: it keeps a value
+    that beats the best by more than the tolerance, under a lock, so a stale
+    competing offer loses cleanly. Unlocked reads of `value` are fine
+    everywhere: the value only rises, and a stale read merely delays pruning.
+    `blocks` and `trace` are read directly once every worker has stopped.
     """
 
     __slots__ = ("value", "blocks", "trace", "_lock", "_t0", "_tol", "_hook")
@@ -99,14 +100,13 @@ class _Incumbent:
         self._tol = tolerance
         self._hook = hook
 
-    def offer(self, blocks, value) -> bool:
+    def offer(self, blocks, value) -> None:
         with self._lock:
             if not value > self.value + self._tol:
-                return False
+                return
             self.blocks = list(blocks)
             self.value = value
             t = elapsed_us(self._t0)
             self.trace.append((t, value))
             if self._hook is not None:
                 self._hook(t, value, Partition(self.blocks))
-        return True

@@ -24,7 +24,7 @@ import time
 from ..games import Game, Partition
 from ..graph import Graph
 from .base import (DEADLINE_STRIDE, BudgetExceededError, SearchStats,
-                   SolverResult, require_connected)
+                   SolverResult, _Incumbent, require_connected)
 
 
 def _crossing_map(g: Graph, blocks) -> dict[tuple[int, int], int]:
@@ -120,20 +120,16 @@ def cfss(game: Game, g: Graph, bound=None, *, deadline: float | None = None,
 
     `bound`, when given, maps (blocks, merged_blocks) to an upper bound on
     every structure in the subtree, merged_blocks being the coarsest
-    reachable coarsening.
+    reachable coarsening. The incumbent starts at the all-singletons root.
     """
     require_connected(g)
-    n = g.n
     v = game.value
     tol = game.tolerance
     stats = SearchStats()
-
-    best_blocks = [1 << a for a in range(n)]
-    best_val = sum(v(b) for b in best_blocks)
-    root_val = best_val
+    root = tuple(1 << a for a in range(g.n))
+    inc = _Incumbent(root, sum(map(v, root)), 0, tol)
 
     def visit(blocks, value, dashed, crossing):
-        nonlocal best_blocks, best_val
         stats.structures_visited += 1
         stats.nodes_expanded += 1
         if deadline is not None \
@@ -142,22 +138,20 @@ def cfss(game: Game, g: Graph, bound=None, *, deadline: float | None = None,
             raise BudgetExceededError("deadline hit during contraction search")
         if structure_hook is not None:
             structure_hook(tuple(blocks))
-        if value > best_val + tol:
-            best_val = value
-            best_blocks = list(blocks)
+        if value > inc.value + tol:
+            inc.offer(blocks, value)
         pairs = _solid_pairs(crossing, dashed)
         if not pairs:
             return
         if bound is not None:
             merged = _merge_all(blocks, pairs)
-            if not best_val < bound(blocks, merged):
+            if not inc.value < bound(blocks, merged):
                 stats.nodes_pruned += 1
                 return
         for i, j, nb, nd in _children(blocks, dashed, pairs):
             visit(nb, value - v(blocks[i]) - v(blocks[j]) + v(nb[i]), nd,
                   _contract_crossing(crossing, i, j))
 
-    root = tuple(1 << a for a in range(n))
-    visit(root, root_val, 0, _crossing_map(g, root))
-    return SolverResult(best=Partition(best_blocks), best_value=best_val,
+    visit(root, inc.value, 0, _crossing_map(g, root))
+    return SolverResult(best=Partition(inc.blocks), best_value=inc.value,
                         stats=stats)

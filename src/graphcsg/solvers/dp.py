@@ -48,15 +48,11 @@ def _remainder_value(g: Graph, table_values, memo: dict, rest: int,
     """Summed entries of the components of `rest`, stored for `rest` and
     each tail walked as its first component's entry + the tail's value (a
     right fold). `comp`, when given, is rest's first component, already
-    found by the caller. A missing entry is a fault, raised before anything
-    is stored."""
+    found by the caller. A missing entry is a fault: the table raises
+    InternalInvariantError before anything is stored."""
     if not comp:
         comp = g.component_of(rest)
-    try:
-        val = table_values[comp]
-    except KeyError:
-        raise InternalInvariantError(
-            f"missing table entry for mask {comp}") from None
+    val = table_values[comp]
     tail = rest & ~comp
     if tail not in memo:
         _remainder_value(g, table_values, memo, tail)
@@ -174,8 +170,7 @@ class _Sweep:
                 r = _remainder_value(g, table.values, memo, rest, comp)
             total = v(d) + r
             if total > inc.value + tol:
-                inc.offer([d] + reconstruct_blocks(
-                    table, g.connected_components(rest), g), total)
+                inc.offer([d] + reconstruct_blocks(table, rest, g), total)
 
 
 def _drive(game: Game, g: Graph, pt: Pseudotree, bound=None, *,

@@ -41,12 +41,12 @@ def structure_masks(g: Graph, ground: int | None = None):
     yield from rec(ground)
 
 
-def brute_force_best(game: Game, g: Graph, *, max_n: int = ORACLE_MAX_N,
+def brute_force_best(game: Game, g: Graph, *,
                      deadline: float | None = None) -> SolverResult:
     """Scan every feasible structure and keep the first-found maximum."""
-    if g.n > max_n:
+    if g.n > ORACLE_MAX_N:
         raise ValueError(
-            f"brute force capped at n <= {max_n}, got n = {g.n}")
+            f"brute force capped at n <= {ORACLE_MAX_N}, got n = {g.n}")
     v = game.value
     stats = SearchStats()
     best_masks = None

@@ -12,8 +12,9 @@ seeded and as pruned, and opens nothing.
 between any two nodes. A node whose remainder lies within the table's
 published levels is finished by `tsp_star_step` instead of searched; only
 the hybrid's search reaches that path, and a missing entry there is an
-`InternalInvariantError`. `tsp` runs the search alone over an empty
-table, from the better of the one-block and all-singletons partitions.
+`InternalInvariantError` (the table raises it). `tsp` runs the search
+alone over an empty table, from all-singletons, which the one-block
+partition replaces when it beats them by more than the tolerance.
 The sweep (dp.py), which `dype` and `dype_star` run alone, prices the
 seeds of stage L itself once level L is published; the hybrid runs this
 search in turns with the sweep.
@@ -26,9 +27,9 @@ import math
 from ..games import Game, Partition, Value
 from ..graph import Graph
 from ..pseudotree import Pseudotree
-from .base import (DEADLINE_STRIDE, BudgetExceededError,
-                   InternalInvariantError, SearchStats, SolverResult,
-                   _Incumbent, deadline_passed, require_connected)
+from .base import (DEADLINE_STRIDE, BudgetExceededError, SearchStats,
+                   SolverResult, _Incumbent, deadline_passed,
+                   require_connected)
 from .dptable import DpTable, reconstruct_blocks
 
 
@@ -180,17 +181,13 @@ def tsp(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
     bound on any completion; a stage seed or a node below it is skipped,
     with its subtree, unless its bound strictly beats the incumbent.
     `structure_hook` observes every full structure the search visits (used
-    by coverage tests).
+    by coverage tests). The search never visits the one-block partition.
     """
     require_connected(g)
-    full = g.full_mask
     singles = [1 << a for a in range(g.n)]
-    singles_val = sum(game.value(b) for b in singles)
-    grand_val = game.value(full)
-    if game.improves(grand_val, singles_val):
-        inc = _Incumbent([full], grand_val, 0, game.tolerance)
-    else:
-        inc = _Incumbent(singles, singles_val, 0, game.tolerance)
+    inc = _Incumbent(singles, sum(map(game.value, singles)), 0,
+                     game.tolerance)
+    inc.offer([g.full_mask], game.value(g.full_mask))
     stats = SearchStats()
     # An empty table publishes no level, so no node is ever shortcut.
     _Search(game, g, pt, DpTable(g.n), inc, stats, bound, deadline,
@@ -207,19 +204,15 @@ def tsp_star_step(table: DpTable, game: Game, g: Graph, rest: int,
     `partial_value` is the summed value of the partial's blocks and `rest`
     the agents they leave uncovered. Returns (lookups, total, blocks): the
     components looked up, the completed value, and the remainder's optimal
-    blocks when the completion beats the incumbent (None otherwise, so
-    nothing is built for a loser). A component of `rest` with no table
-    entry is a fault (hybrid.py says why) and raises InternalInvariantError.
+    blocks when the completion beats the incumbent beyond the tolerance
+    (None otherwise, so nothing is built for a loser). A component of
+    `rest` with no entry is a fault (hybrid.py says why): the table raises.
     """
     tv = table.values
     comps = g.connected_components(rest)
     total = partial_value
-    try:
-        for comp in comps:
-            total += tv[comp]
-    except KeyError:
-        raise InternalInvariantError(
-            f"missing table entry for mask {comp}") from None
-    if game.improves(total, incumbent_value):
-        return len(comps), total, reconstruct_blocks(table, comps, g)
+    for comp in comps:
+        total += tv[comp]
+    if total > incumbent_value + game.tolerance:
+        return len(comps), total, reconstruct_blocks(table, rest, g)
     return len(comps), total, None

@@ -5,7 +5,8 @@ import pytest
 
 from graphcsg import cli, harness
 from graphcsg.cli import main
-from graphcsg import InternalInvariantError, SearchStats, parse_instance_text
+from graphcsg import (InternalInvariantError, SearchStats,
+                      parse_instance_text, realize_instance)
 from graphcsg.solvers import treesearch
 
 
@@ -255,6 +256,8 @@ def test_verify_small_grid(capsys):
     ("--algorithms", ","),
     ("--games", "0"),
     ("--models", "gnp:0.0"),
+    ("--games", "1001"),
+    ("--models", ",".join(["path"] * 11)),
 ])
 def test_verify_usage_errors_exit_2_before_any_solve(capsys, monkeypatch,
                                                      flags):
@@ -265,6 +268,21 @@ def test_verify_usage_errors_exit_2_before_any_solve(capsys, monkeypatch,
     assert code == 2, err
     assert "instance error" not in err and err.strip()
     assert solved == []
+
+
+def test_a_verify_cell_is_the_instance_gen_writes(tmp_path, capsys):
+    path = tmp_path / "cell.csg"
+    for seed in (harness.matrix_seed(0, 4, 7, 0),
+                 harness.matrix_seed(3, 4, 7, 41)):
+        code, out, err = run(capsys, "gen", "--model", "gnp", "--p", "0.2",
+                             "--n", "7", "--seed", str(seed), "-o", str(path))
+        assert code == 0
+        game, g, root = realize_instance(parse_instance_text(
+            path.read_text()))
+        cell_game, cell_g = harness.matrix_instance("gnp:0.2", 7, seed)
+        assert (cell_g.n, cell_g.edges, root) == (7, g.edges, None)
+        assert [cell_game.value(m) for m in range(1 << 7)] \
+            == [game.value(m) for m in range(1 << 7)]
 
 
 def test_verify_faults_exit_4(capsys, monkeypatch):

@@ -96,7 +96,46 @@ def test_table_entries_are_write_once():
     # a missing entry is reported as a fault, not read as a KeyError
     g = Graph(3, [(0, 1), (1, 2)])
     with pytest.raises(InternalInvariantError):
-        reconstruct_blocks(t, [0b111], g)
+        reconstruct_blocks(t, 0b111, g)
+
+
+def test_a_table_miss_raises_in_every_reader():
+    # both columns raise on a miss, naming the mask
+    t = DpTable(3)
+    for column in (t.values, t.subsets):
+        with pytest.raises(InternalInvariantError,
+                           match="missing table entry for mask 5$"):
+            column[5]
+    # so do the readers of a dype table that lost one entry
+    g = Graph(6, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (3, 5)])
+    gm = random_table_game(6, seed=8)
+    table = dype(gm, g, build_pseudotree(g, 0)).table
+    for c in [c for c in table.values if c & (c - 1)]:
+        miss = f"missing table entry for mask {c}$"
+        witness = table.subsets.pop(c)
+        with pytest.raises(InternalInvariantError, match=miss):
+            reconstruct_blocks(table, c, g)
+        table.subsets[c] = witness
+        value = table.values.pop(c)
+        memo = {0: 0}
+        with pytest.raises(InternalInvariantError, match=miss):
+            dp._remainder_value(g, table.values, memo, c)
+        assert memo == {0: 0}  # nothing stored before the miss
+        table.values[c] = value
+
+
+def test_reconstruct_blocks_partitions_a_two_component_remainder():
+    # a stage-3 seed {0, 1} leaves the components {2, 3} and {4, 5}
+    g = Graph(6, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5)])
+    for seed in range(5):
+        gm = random_table_game(6, seed=seed)
+        table = dype(gm, g, build_pseudotree(g, 0)).table
+        rest = 0b111100
+        blocks = reconstruct_blocks(table, rest, g)
+        assert Partition(blocks).covered == rest
+        assert all(g.is_connected(b) for b in blocks)
+        assert partition_value(gm, blocks) \
+            == table.values[0b001100] + table.values[0b110000]
 
 
 def test_published_level_reaches_bottom():
@@ -114,7 +153,7 @@ def test_reconstruction_returns_optimal_feasible_blocks():
         pt = build_pseudotree(g, 0)
         table = dype(gm, g, pt).table
         for c, val in table.values.items():
-            blocks = reconstruct_blocks(table, [c], g)
+            blocks = reconstruct_blocks(table, c, g)
             assert all(g.is_connected(b) for b in blocks)
             # Partition rejects overlapping blocks
             assert Partition(blocks).covered == c

@@ -49,16 +49,6 @@ def test_game_validates_construction():
         Game(2, lambda m: 0, tolerance=-1)
 
 
-def test_improves_uses_tolerance():
-    g = Game(2, lambda m: 0, tolerance=2)
-    assert not g.improves(5, 4)
-    assert not g.improves(6, 4)
-    assert g.improves(7, 4)
-    strict = Game(2, lambda m: 0)
-    assert strict.improves(5, 4)
-    assert not strict.improves(4, 4)
-
-
 def test_partition_normalization_and_views():
     p = Partition([0b100, 0b011])
     assert p.blocks == (0b011, 0b100)  # sorted by lowest agent

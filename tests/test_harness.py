@@ -177,6 +177,19 @@ def test_matrix_instance_is_reproducible():
     assert matrix_seed(0, 1, 6, 3) != matrix_seed(0, 1, 6, 4)
 
 
+def test_matrix_seed_refuses_a_field_that_would_share_a_seed():
+    # every field keeps its own digits: the largest grid seeds stay as
+    # they were, and one step past a field's range raises instead of
+    # landing on another cell's seed
+    assert matrix_seed(0, 0, 5, 0) == 5000
+    assert matrix_seed(2, 9, 99, 999) == 2_999_999
+    assert matrix_seed(-1, 0, 0, 0) == -1_000_000
+    for fields_ in ((0, 0, 4, 1000), (0, 10, 4, 0), (0, 0, 100, 0),
+                    (0, -1, 4, 0), (0, 0, -1, 0), (0, 0, 4, -1)):
+        with pytest.raises(ValueError, match="at most 10 models"):
+            matrix_seed(*fields_)
+
+
 def test_verify_matrix_small_grid_passes():
     rep = verify_matrix(models=("path", "gnp:0.5"), ns=range(1, 5),
                         games_per_cell=3)

@@ -6,6 +6,7 @@ import pytest
 
 from graphcsg import (BudgetExceededError, Graph, Partition, brute_force_best,
                       partition_value, random_table_game, structure_masks)
+from graphcsg.solvers import exhaustive
 
 from conftest import (FOUR_CYCLE_EDGES, canon, feasible_partitions_by_filter,
                       random_connected_edges)
@@ -74,12 +75,13 @@ def test_brute_force_matches_exhaustive_scan():
             sum(1 for _ in structure_masks(g))
 
 
-def test_brute_force_refuses_large_instances():
+def test_brute_force_refuses_large_instances(monkeypatch):
     g = Graph(13, [(i, i + 1) for i in range(12)])
     with pytest.raises(ValueError):
         brute_force_best(random_table_game(13, seed=0), g)
-    # the cap is adjustable for callers that accept the wait
-    res = brute_force_best(random_table_game(13, seed=0), g, max_n=13)
+    # the cap is read at call time
+    monkeypatch.setattr(exhaustive, "ORACLE_MAX_N", 13)
+    res = brute_force_best(random_table_game(13, seed=0), g)
     assert res.completed
 
 

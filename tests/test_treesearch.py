@@ -5,7 +5,7 @@ import time
 import pytest
 
 from graphcsg import (BudgetExceededError, Game, Graph, InternalInvariantError,
-                      brute_force_best, build_pseudotree, dype,
+                      brute_force_best, build_pseudotree, cfss, dype,
                       make_supersub_game, make_tsp_bound, partition_value,
                       random_table_game, structure_masks, tsp, tsp_star_step)
 
@@ -168,6 +168,27 @@ def test_tsp_star_step_raises_on_a_missing_entry():
         with pytest.raises(InternalInvariantError,
                            match=f"missing table entry for mask {comp}$"):
             tsp_star_step(table, gm, g, rest, 0, float("-inf"))
+
+
+def test_tsp_and_cfss_keep_the_first_best_beyond_the_tolerance():
+    # v(C) = |C| prices every structure at n: both keep all-singletons, the
+    # first incumbent; v(C) = |C|^2 makes the grand coalition the optimum
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)])
+    pt = build_pseudotree(g, 0)
+    singles = tuple(1 << a for a in range(5))
+    for tol in (0, 3):
+        flat = Game(5, int.bit_count, tolerance=tol)
+        square = Game(5, lambda c: c.bit_count() ** 2, tolerance=tol)
+        for res in (tsp(flat, g, pt), cfss(flat, g)):
+            assert (res.best.blocks, res.best_value) == (singles, 5)
+        for res in (tsp(square, g, pt), cfss(square, g)):
+            assert (res.best.blocks, res.best_value) == ((0b11111,), 25)
+    # the rule is strict: a lead of exactly the tolerance keeps the first
+    pair = Graph(2, [(0, 1)])
+    for lead, want in ((2, (1, 2)), (3, (3,))):
+        gm = Game(2, lambda c, _l=lead: _l if c == 3 else 0, tolerance=2)
+        for res in (tsp(gm, pair, build_pseudotree(pair, 0)), cfss(gm, pair)):
+            assert res.best.blocks == want
 
 
 def test_tsp_deadline():
