@@ -1,9 +1,10 @@
 """Command-line interface: gen, solve, verify, bench.
 
 Exit codes: 0 success, 1 verification mismatch or no result produced,
-2 usage error (a bad flag or a hopeless gnp p, a `verify` grid with no
-run, or a `bench --out` directory that cannot be created), 3 unreadable or
-invalid instance, 4 solver fault (for `verify`, also a grid run that
+2 usage error (a bad flag, a NaN or negative --budget, any flag value
+`gen` refuses such as a hopeless gnp p, a `verify` grid with no run, or a
+`bench --out` directory that cannot be created), 3 unreadable or invalid
+instance, 4 solver fault (for `verify`, also a grid run that
 raised InternalInvariantError).
 """
 
@@ -16,9 +17,9 @@ from dataclasses import fields
 from pathlib import Path
 
 from .harness import (ALGORITHMS, ANYTIME_ALGORITHMS, DEFAULT_MODELS,
-                      MATRIX_RUNS, inconsistent_instances, matrix_seed,
-                      parse_model, run_bench, solve_instance, verify_matrix,
-                      write_trace_csv)
+                      MATRIX_RUNS, check_budget, inconsistent_instances,
+                      matrix_seed, parse_model, run_bench, solve_instance,
+                      verify_matrix, write_trace_csv)
 from .instances import (MODELS, GraphSamplingError, InstanceFormatError,
                         gen_instance, parse_instance_text, realize_instance,
                         write_instance)
@@ -42,12 +43,17 @@ def _algorithms(text: str, allowed=ALGORITHMS) -> tuple[str, ...]:
     return algorithms
 
 
+def nonnegative_ms(text: str) -> float:
+    """A --budget value; argparse reports its ValueError with exit 2."""
+    return check_budget(float(text))
+
+
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bound", choices=("none", "supersub"), default="none",
                    help="pruning bound for tsp/d-tsp/cfss")
     p.add_argument("--mode", choices=("interleaved", "parallel"),
                    default="interleaved", help="worker scheduling for d-tsp")
-    p.add_argument("--budget", type=float, metavar="MS", default=None,
+    p.add_argument("--budget", type=nonnegative_ms, metavar="MS",
                    help="wall-clock budget in milliseconds")
 
 
@@ -121,9 +127,12 @@ def _load_instance(path: str):
 def _cmd_gen(args) -> int:
     if args.lo > args.hi:
         raise _UsageError(f"--lo {args.lo} exceeds --hi {args.hi}")
-    inst = gen_instance(args.model, args.n, game_kind=args.game,
-                        seed=args.seed, p=args.p, lo=args.lo, hi=args.hi,
-                        root=args.root)
+    try:  # no instance is read, so every refusal is of a flag value
+        inst = gen_instance(args.model, args.n, game_kind=args.game,
+                            seed=args.seed, p=args.p, lo=args.lo,
+                            hi=args.hi, root=args.root)
+    except ValueError as e:
+        raise _UsageError(e) from None
     text = write_instance(inst)
     if args.output is None:
         sys.stdout.write(text)

@@ -5,6 +5,9 @@ A game maps every agent-set mask to a value; the empty set is worth 0.
 A game may additionally carry a split into a reward part that never loses
 from merging disjoint sets and a cost part that never gains from it. That
 split is what makes the pruning bounds in this module admissible.
+
+Per-agent sums (supersub weights, the tsp bound's singleton costs) are two
+lookups in the half-width tables of `masks.half_sums`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .graph import MAX_N
-from .masks import agents_of
+from .masks import agents_of, half_sums
 
 Value = int | float
 
@@ -129,28 +132,6 @@ def _split_factor(values: Sequence[Value], n: int) -> int:
     return max(0, -(-gap // 2)) if gap > 0 else 0
 
 
-def _byte_sums(xs: Sequence[Value]) -> Callable[[int], Value]:
-    """The function mapping a mask to the sum of its agents' `xs`, read
-    from per-byte tables: table i lists, for each byte b, the sum of x[a]
-    over the agents a = 8*i + k whose bit k is set in b. One lookup per
-    byte, not one step per agent; exact for integers."""
-    tables = []
-    for lo in range(0, len(xs), 8):
-        t = [0]
-        for x in xs[lo:lo + 8]:
-            t += [s + x for s in t]
-        tables.append(t)
-
-    def total(c):
-        s = 0
-        for t in tables:
-            s += t[c & 255]
-            c >>= 8
-        return s
-
-    return total
-
-
 def make_supersub_game(n: int, weights: Sequence[int] | None = None,
                        kappa: int | None = None, *,
                        seed: int | random.Random | None = None) -> Game:
@@ -159,6 +140,8 @@ def make_supersub_game(n: int, weights: Sequence[int] | None = None,
     kappa*|C|^2. Both parts have the merge properties the bounds need as
     long as weights and kappa are nonnegative. Weights left out are drawn
     from 0-10, and kappa from 0-5.
+
+    `value` and `sup` read the weight sum from the two `half_sums` tables.
 
     This family is a stand-in generator, not a canonical benchmark; swap in
     a different decomposed game wherever a Game is accepted.
@@ -177,10 +160,10 @@ def make_supersub_game(n: int, weights: Sequence[int] | None = None,
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
 
-    weight = _byte_sums(wt)
+    lo, hi, m, h = half_sums(wt)
 
     def sup(c):
-        return weight(c) * c.bit_count()
+        return (lo[c & m] + hi[c >> h]) * c.bit_count()
 
     def sub(c, _k=kappa):
         p = c.bit_count()
@@ -188,7 +171,7 @@ def make_supersub_game(n: int, weights: Sequence[int] | None = None,
 
     def value(c):
         k = c.bit_count()
-        return k * (weight(c) - kappa * k)
+        return k * (lo[c & m] + hi[c >> h] - kappa * k)
 
     return Game(n, value, sup_value=sup, sub_value=sub)
 
@@ -241,10 +224,7 @@ class Partition:
 
     @property
     def covered(self) -> int:
-        m = 0
-        for b in self.blocks:
-            m |= b
-        return m
+        return sum(self.blocks)  # the blocks are disjoint
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -277,14 +257,16 @@ def _prunes(game: Game, kind: str | None) -> bool:
 
 def make_tsp_bound(game: Game, kind: str | None):
     """Bound hook for the tree-search solvers, or None for no pruning
-    (`_prunes`). The closure takes (partial_value, remainder_mask)."""
+    (`_prunes`). The closure takes (partial_value, remainder_mask) and
+    adds the remainder's `sup_value` and its singletons' `sub_value`s,
+    the latter read from two `half_sums` tables."""
     if not _prunes(game, kind):
         return None
     sup = game.sup_value
-    singles = _byte_sums([game.sub_value(1 << a) for a in range(game.n)])
+    lo, hi, m, h = half_sums([game.sub_value(1 << a) for a in range(game.n)])
 
-    def bound(partial_value, remainder):
-        return partial_value + sup(remainder) + singles(remainder)
+    def bound(partial_value, rest):
+        return partial_value + sup(rest) + lo[rest & m] + hi[rest >> h]
 
     return bound
 
@@ -294,10 +276,9 @@ def make_cfss_bound(game: Game, kind: str | None):
     (`_prunes`). The closure takes (blocks, merged_blocks)."""
     if not _prunes(game, kind):
         return None
-    sup = game.sup_value
-    sub = game.sub_value
+    sup, sub = game.sup_value, game.sub_value
 
     def bound(blocks, merged):
-        return sum(sub(b) for b in blocks) + sum(sup(b) for b in merged)
+        return sum(map(sub, blocks)) + sum(map(sup, merged))
 
     return bound

@@ -7,17 +7,21 @@ holds the neighborhood of every set of the agents below h = ceil(n/2),
 `_hi` that of every set of the agents from h up. The neighborhood of any
 set is then one lookup in each, so the tables keep 2^h + 2^(n-h) entries
 rather than 2^n. Both are built eagerly in `__init__` by doubling: agent
-i's sets are the lower sets joined with adj[i].
+i's sets are the lower sets joined with adj[i]. Games read their per-agent
+sums from two tables in the same layout, under the same cap
+(`masks.half_sums`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
+from .masks import HALF_TABLE_MAX_N
+
 # Up to this size the two half-width neighborhood tables hold at most
 # 2 * 2^12 entries: a Graph keeps 21 KiB at n = 16 and 322 KiB at n = 24.
 # Above it, component_of walks adjacency agent by agent.
-_CACHE_MAX_N = 24
+_CACHE_MAX_N = HALF_TABLE_MAX_N
 
 MAX_N = 63  # the agent cap of every graph, game and instance
 

@@ -11,7 +11,7 @@ from .games import (Game, Partition, Value, make_cfss_bound, make_tsp_bound,
                     partition_value)
 from .graph import Graph
 from .instances import MODELS, gen_instance, realize_instance
-from .masks import agents_of
+from .masks import agents_of, half_sums
 from .pseudotree import build_pseudotree
 from .solvers import (BudgetExceededError, InternalInvariantError,
                       SolverResult, audit_dp_table, brute_force_best, cfss,
@@ -65,26 +65,28 @@ def _solve_connected(game: Game, g: Graph, algorithm: str, *, bound=None,
 def _subgame(game: Game, agents: list[int]):
     """Restriction of a game to one connected component, with agents
     renumbered 0..k-1. Returns (game, expand) where expand maps local
-    masks back to global ones."""
-    to_global = tuple(agents)
+    masks back to global ones: two `half_sums` lookups over the agents'
+    global bits, whose sum is their union."""
+    lo, hi, mask, h = half_sums([1 << a for a in agents])
 
     def expand(m: int) -> int:
-        out = 0
-        while m:
-            b = m & -m
-            m ^= b
-            out |= 1 << to_global[b.bit_length() - 1]
-        return out
+        return lo[m & mask] | hi[m >> h]
 
-    v = game.value
-    sup = sub = None
-    if game.decomposed:
-        gsup, gsub = game.sup_value, game.sub_value
-        sup = lambda m: gsup(expand(m))
-        sub = lambda m: gsub(expand(m))
-    local = Game(len(agents), lambda m: v(expand(m)), sup_value=sup,
-                 sub_value=sub, tolerance=game.tolerance)
-    return local, expand
+    def local(f):  # f read at the global mask; an absent part stays None
+        return None if f is None else lambda m: f(expand(m))
+
+    return Game(len(agents), local(game.value),
+                sup_value=local(game.sup_value),
+                sub_value=local(game.sub_value),
+                tolerance=game.tolerance), expand
+
+
+def check_budget(budget_ms: float | None) -> float | None:
+    """`budget_ms` itself; ValueError when it is NaN, which no deadline
+    check would ever pass, or negative."""
+    if budget_ms is not None and not budget_ms >= 0:
+        raise ValueError(f"budget must be 0 ms or more, got {budget_ms}")
+    return budget_ms
 
 
 def solve_instance(game: Game, g: Graph, algorithm: str, *, bound=None,
@@ -101,9 +103,8 @@ def solve_instance(game: Game, g: Graph, algorithm: str, *, bound=None,
     The result never holds a DP table (`table` is None on every path), so
     a caller that keeps many results keeps no tables; call the solvers
     directly to inspect one."""
-    deadline = None
-    if budget_ms is not None:
-        deadline = time.monotonic() + budget_ms / 1000.0
+    deadline = None if check_budget(budget_ms) is None \
+        else time.monotonic() + budget_ms / 1000.0
     comps = g.connected_components(g.full_mask)
     if len(comps) == 1:
         res = _solve_connected(game, g, algorithm, bound=bound, mode=mode,
@@ -368,6 +369,7 @@ def run_bench(instances, algorithms, *, budget_ms: float | None = None,
     `instances` is a list of (name, game, graph, root). With `out_dir` a
     report.csv and one trace file per anytime run are written there.
     """
+    check_budget(budget_ms)
     out = None
     if out_dir is not None:
         out = Path(out_dir)
@@ -377,32 +379,26 @@ def run_bench(instances, algorithms, *, budget_ms: float | None = None,
         for alg in algorithms:
             for rep in range(repetitions):
                 t0 = time.monotonic()
-                status = "ok"
-                value = None
-                stats = SearchStats()
-                trace = None
                 try:
                     res = solve_instance(game, g, alg, bound=bound,
                                          mode=mode, root=root,
                                          budget_ms=budget_ms)
-                    value = res.best_value
-                    stats = res.stats
-                    trace = res.trace
-                    if not res.completed:
-                        status = "timeout"
-                except BudgetExceededError:
+                    status = "ok" if res.completed else "timeout"
+                except BudgetExceededError:  # no value, no trace
+                    res = SolverResult(Partition(()), None, SearchStats())
                     status = "incomplete"
                 wall_ms = (time.monotonic() - t0) * 1000.0
+                stats = res.stats
                 rows.append(BenchRow(
                     instance=name, algorithm=alg, rep=rep, status=status,
-                    value=value, wall_ms=round(wall_ms, 3),
+                    value=res.best_value, wall_ms=round(wall_ms, 3),
                     subsets_enumerated=stats.subsets_enumerated,
                     dp_entries=stats.dp_subproblems,
                     nodes_expanded=stats.nodes_expanded,
                     nodes_pruned=stats.nodes_pruned))
-                if out is not None and alg in ANYTIME_ALGORITHMS and trace:
+                if out is not None and alg in ANYTIME_ALGORITHMS and res.trace:
                     write_trace_csv(
-                        out / f"{name}.{alg}.r{rep}.trace.csv", trace)
+                        out / f"{name}.{alg}.r{rep}.trace.csv", res.trace)
     if out is not None:
         with open(out / "report.csv", "w", newline="") as f:
             # csv writes None (a run with no value) as an empty cell

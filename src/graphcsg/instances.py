@@ -297,6 +297,8 @@ def gen_instance(model: str, n: int, *, game_kind: str = "table",
     are the values `rng.randint(lo, hi)` would draw (`randints`)."""
     if not 1 <= n <= MAX_N:
         raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
+    if root is not None and not 0 <= root < n:
+        raise ValueError(f"root {root} out of range for n={n}")
     rng = random.Random(seed)
     edges = model_edges(model, n, p=p, rng=rng)
     if game_kind == "table":

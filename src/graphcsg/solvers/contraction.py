@@ -23,6 +23,7 @@ import time
 
 from ..games import Game, Partition
 from ..graph import Graph
+from ..masks import agents_of
 from .base import (DEADLINE_STRIDE, BudgetExceededError, SearchStats,
                    SolverResult, _Incumbent, require_connected)
 
@@ -30,13 +31,7 @@ from .base import (DEADLINE_STRIDE, BudgetExceededError, SearchStats,
 def _crossing_map(g: Graph, blocks) -> dict[tuple[int, int], int]:
     """{(i, j): mask of the edges between blocks i < j} over every adjacent
     pair of `blocks`, built from the graph's edges."""
-    block_of = {}
-    for idx, b in enumerate(blocks):
-        m = b
-        while m:
-            bit = m & -m
-            m ^= bit
-            block_of[bit.bit_length() - 1] = idx
+    block_of = {a: idx for idx, b in enumerate(blocks) for a in agents_of(b)}
     crossing: dict[tuple[int, int], int] = {}
     for k, (u, w) in enumerate(g.edges):
         bu = block_of[u]

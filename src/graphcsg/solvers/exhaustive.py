@@ -58,9 +58,7 @@ def brute_force_best(game: Game, g: Graph, *,
                 and time.monotonic() >= deadline:
             stats.structures_visited = count
             raise BudgetExceededError("deadline hit during exhaustive scan")
-        val = 0
-        for b in masks:
-            val += v(b)
+        val = sum(map(v, masks))
         if best_masks is None or val > best_val:
             best_val = val
             best_masks = masks

@@ -95,6 +95,7 @@ class _Search:
         ticks = 0
         looked_up = 0
         seeded = 0
+        pruned = 0
         # The next tick count at which to stop or to check the deadline.
         limit = min(budget, DEADLINE_STRIDE)
         try:
@@ -133,7 +134,7 @@ class _Search:
                     # No seed covers every agent, so seeds are bounded too.
                     if bound is not None \
                             and not inc.value < bound(nval, full & ~ncov):
-                        stats.nodes_pruned += 1
+                        pruned += 1
                         if ticks >= limit:
                             break
                         continue
@@ -166,6 +167,7 @@ class _Search:
             # Ticks not spent on lookups enumerated subsets: seeds or nodes.
             stats.subsets_enumerated += ticks - looked_up
             stats.nodes_expanded += ticks - looked_up - seeded
+            stats.nodes_pruned += pruned
 
     def _partial(self) -> list:
         """The blocks chosen on the way to the open node, seed first."""

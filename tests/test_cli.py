@@ -132,6 +132,32 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert "unknown algorithms" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--model", "path", "--n", "0"),
+    ("--model", "path", "--n", "64", "--game", "supersub"),
+    ("--model", "gnp", "--n", "5", "--p", "1.5"),
+    ("--model", "path", "--n", "21"),
+    ("--model", "path", "--n", "5", "--root", "9"),
+])
+def test_gen_flag_values_it_refuses_exit_2(capsys, argv):
+    """gen reads no instance, so a value gen_instance refuses is a usage
+    error, not an instance error."""
+    code, out, err = run(capsys, "gen", *argv)
+    assert code == 2 and out == ""
+    assert "instance error" not in err
+
+
+@pytest.mark.parametrize("budget", ["nan", "-1", "-5"])
+def test_a_nan_or_negative_budget_exits_2_before_any_read(capsys, budget):
+    """The instance path does not exist: argparse refuses the flag first."""
+    for command in (("solve", "missing.csg", "--algorithm", "dype"),
+                    ("bench", "missing.csg")):
+        with pytest.raises(SystemExit) as e:
+            main([*command, f"--budget={budget}"])
+        assert e.value.code == 2
+        assert "--budget" in capsys.readouterr().err
+
+
 def test_hopeless_generator_flags_exit_2(capsys):
     code, out, err = run(capsys, "gen", "--model", "path", "--n", "3",
                          "--lo", "5", "--hi", "3")

@@ -104,10 +104,12 @@ def disjoint_pairs(n):
 
 
 def test_byte_table_pricing_matches_the_bit_loop():
-    """sup, value and the tsp bound read weight sums from per-byte tables;
-    they must equal the sums taken agent by agent."""
+    """sup, value and the tsp bound read weight sums from two half-width
+    tables (`half_sums`; past 24 agents the high one walks per-byte
+    tables); they must equal the sums taken agent by agent. The sizes
+    cross both cuts: odd and even halves, 24 and 25 agents."""
     rng = random.Random(31)
-    for n in (1, 7, 8, 9, 16, 17, 63):
+    for n in (1, 2, 7, 8, 9, 12, 13, 16, 17, 23, 24, 25, 40, 63):
         weights = [rng.randint(0, 50) for _ in range(n)]
         kappa = rng.randint(0, 5)
         gm = make_supersub_game(n, weights, kappa)

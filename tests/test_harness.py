@@ -83,6 +83,36 @@ def test_disconnected_anytime_trace_is_stitched():
             assert partition_value(gm, p) == v
 
 
+def test_subgame_expand_matches_the_bit_loop():
+    """expand reads two half-width tables over the agents' global bits; it
+    must map each local mask as a walk over its bits does, for lists of
+    1-30 agents drawn from 0..62 (past 24 agents the high table walks
+    bytes)."""
+    rng = random.Random(5)
+    for k in range(1, 31):
+        agents = sorted(rng.sample(range(63), k))
+        game = make_supersub_game(63, seed=k)
+        local, expand = harness._subgame(game, agents)
+        for m in [0, (1 << k) - 1] + [rng.getrandbits(k) for _ in range(200)]:
+            want = 0
+            for i, a in enumerate(agents):
+                if m >> i & 1:
+                    want |= 1 << a
+            assert expand(m) == want, (agents, m)
+            assert local.value(m) == game.value(want)
+            assert local.sup_value(m) == game.sup_value(want)
+
+
+@pytest.mark.parametrize("budget", [float("nan"), -1, -0.5])
+def test_a_nan_or_negative_budget_is_refused(budget):
+    """No deadline check ever fires on NaN, so it would run unbudgeted."""
+    gm, g = two_triangles()
+    with pytest.raises(ValueError, match="budget"):
+        solve_instance(gm, g, "dype", budget_ms=budget)
+    with pytest.raises(ValueError, match="budget"):
+        run_bench([("tri", gm, g, None)], ["dype"], budget_ms=budget)
+
+
 def test_budget_zero_behaviour():
     gm, g = two_triangles()
     with pytest.raises(BudgetExceededError):

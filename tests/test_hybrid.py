@@ -11,7 +11,7 @@ from graphcsg import (Game, Graph, SearchStats, brute_force_best,
                       build_pseudotree, d_tsp, dype, dype_star,
                       make_supersub_game, make_tsp_bound, partition_value,
                       random_table_game, structure_masks, tsp)
-from graphcsg.solvers.base import _Incumbent
+from graphcsg.solvers.base import BudgetExceededError, _Incumbent
 from graphcsg.solvers.dptable import DpTable
 from graphcsg.solvers.treesearch import _Search
 
@@ -133,6 +133,41 @@ def test_deadline_keeps_incumbent_without_raising():
         assert res.best.covered == g.full_mask
         assert all(g.is_connected(b) for b in res.best)
         assert res.best_value == res.trace[-1][1]
+
+
+def test_a_deadline_inside_a_search_step_keeps_every_prune(monkeypatch):
+    """The search step counts its prunes locally and adds them to the stats
+    on the way out. A bound that prunes every child and sleeps past the
+    deadline at its 300th call stops a step by BudgetExceededError; the run
+    must still report one prune per bound call."""
+    g = Graph(12, [(i, j) for i in range(12) for j in range(i + 1, 12)])
+    gm = random_table_game(12, seed=5)
+    pt = build_pseudotree(g, 0)
+    deadline = time.monotonic() + 1.0
+    calls = 0
+
+    def spy(partial_value, rest):
+        nonlocal calls
+        calls += 1
+        if calls == 300:
+            time.sleep(max(0.0, deadline - time.monotonic()) + 0.001)
+        return -math.inf
+
+    raised = []
+    step = _Search.step
+
+    def watched(self, budget):
+        try:
+            return step(self, budget)
+        except BudgetExceededError as e:
+            raised.append(e)
+            raise
+
+    monkeypatch.setattr(_Search, "step", watched)
+    res = d_tsp(gm, g, pt, spy, deadline=deadline)
+    assert not res.completed
+    assert len(raised) == 1 and calls > 300
+    assert res.stats.nodes_pruned == calls
 
 
 @pytest.mark.parametrize("faulty", ["search", "sweep"])

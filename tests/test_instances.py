@@ -241,3 +241,10 @@ def test_table_text_round_trip_holds_no_string_per_value():
     finally:
         tracemalloc.stop()
     assert max(peaks) <= 40 * len(inst.table), peaks
+
+
+@pytest.mark.parametrize("root", [-1, 5, 9])
+def test_gen_refuses_a_root_outside_the_agents(root):
+    with pytest.raises(ValueError, match=f"root {root} out of range"):
+        gen_instance("path", 5, root=root)
+    assert gen_instance("path", 5, root=4).root == 4
