@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 verification mismatch or no result produced,
 2 usage error (a bad flag, a NaN or negative --budget, any flag value
-`gen` refuses such as a hopeless gnp p, a `verify` grid with no run, or a
-`bench --out` directory that cannot be created), 3 unreadable or invalid
-instance, 4 solver fault (for `verify`, also a grid run that
-raised InternalInvariantError).
+`gen` refuses such as a hopeless gnp p, a `gen -o` file that cannot be
+written, a `verify` grid or a `bench` with no run, or a `bench --out`
+directory that cannot be created), 3 unreadable or invalid instance, 4
+solver fault (for `verify`, also a grid run that raised
+InternalInvariantError).
 """
 
 from __future__ import annotations
@@ -136,8 +137,11 @@ def _cmd_gen(args) -> int:
     text = write_instance(inst)
     if args.output is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         Path(args.output).write_text(text)
+    except OSError as e:  # the message names the path
+        raise _UsageError(f"cannot write --output file: {e}") from None
     return 0
 
 
@@ -221,6 +225,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     algorithms = _algorithms(args.algorithms)
+    if not (algorithms and args.repetitions >= 1):
+        raise _UsageError("the bench holds no run: need an algorithm and "
+                          "--repetitions >= 1")
     loaded = []
     for path in args.instances:
         game, g, root = _load_instance(path)

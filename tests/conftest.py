@@ -7,9 +7,11 @@ so the package's own enumerators have something external to disagree
 with.
 """
 
+import math
+
 import pytest
 
-from graphcsg import Graph
+from graphcsg import Graph, cfss, random_table_game
 
 
 def agents_of(mask):
@@ -138,6 +140,33 @@ def random_connected_edges(rng, n, extra=None):
 def canon(blocks):
     """Order-free form of a partition given as an iterable of masks."""
     return frozenset(blocks)
+
+
+def contraction_tree(g):
+    """cfss's contraction tree on g, read through its two hooks with a
+    bound that never prunes: a preorder list of [blocks, parent, merged].
+
+    `parent` is the index of the parent state, -1 at the root. A child
+    has one block fewer than its parent, and the walk is depth first, so
+    a state's parent is the last earlier state with one block more.
+    `merged` is what cfss handed the bound there, None at a leaf (no
+    solid pair, no bound call)."""
+    states = []
+    path = []
+
+    def hook(blocks):
+        depth = g.n - len(blocks)
+        del path[depth:]
+        states.append([blocks, path[-1] if path else -1, None])
+        path.append(len(states) - 1)
+
+    def bound(blocks, merged):
+        assert blocks == states[-1][0]
+        states[-1][2] = merged
+        return math.inf
+
+    cfss(random_table_game(g.n, seed=0), g, bound, structure_hook=hook)
+    return states
 
 
 FOUR_CYCLE_EDGES = [(0, 1), (1, 2), (2, 3), (3, 0)]

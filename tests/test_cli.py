@@ -259,6 +259,38 @@ def test_bench_out_directory_that_cannot_be_created_exits_2(
     assert solved == []  # refused before any solve
 
 
+def test_gen_output_that_cannot_be_written_exits_2(tmp_path, capsys):
+    """gen reads no instance, so an unwritable -o is a usage error."""
+    target = tmp_path / "missing_dir" / "x.csg"
+    code, out, err = run(capsys, "gen", "--model", "path", "--n", "3",
+                         "-o", str(target))
+    assert code == 2
+    assert "cannot write --output file" in err and "missing_dir" in err
+    assert "instance error" not in err and out == ""
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ("--repetitions", "0"),
+    ("--repetitions", "-1"),
+    ("--algorithms", ""),
+    ("--algorithms", ","),
+])
+def test_bench_with_no_run_exits_2_before_any_read(tmp_path, capsys,
+                                                   monkeypatch, flags):
+    """The instance path does not exist and --out is never created: the
+    bench is refused before any instance is read or file written."""
+    solved = []
+    monkeypatch.setattr(harness, "solve_instance",
+                        lambda *args, **kwargs: solved.append(args))
+    out_dir = tmp_path / "bo"
+    code, out, err = run(capsys, "bench", str(tmp_path / "missing.csg"),
+                         "--out", str(out_dir), *flags)
+    assert code == 2, err
+    assert "no run" in err and "instance error" not in err and out == ""
+    assert not out_dir.exists() and solved == []
+
+
 def test_verify_small_grid(capsys):
     code, out, err = run(capsys, "verify", "--models", "path,cycle",
                          "--n-max", "4", "--games", "2")
