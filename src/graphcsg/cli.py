@@ -3,10 +3,10 @@
 Exit codes: 0 success, 1 verification mismatch or no result produced,
 2 usage error (a bad flag, a NaN or negative --budget, any flag value
 `gen` refuses such as a hopeless gnp p, a `gen -o` file that cannot be
-written, a `verify` grid or a `bench` with no run, or a `bench --out`
-directory that cannot be created), 3 unreadable or invalid instance, 4
-solver fault (for `verify`, also a grid run that raised
-InternalInvariantError).
+written, a `verify` grid or a `bench` with no run, two `bench` instances
+with one file stem, or a `bench --out` directory that cannot be created),
+3 unreadable or invalid instance, 4 solver fault (for `verify`, also a
+grid run that raised InternalInvariantError).
 """
 
 from __future__ import annotations
@@ -228,6 +228,10 @@ def _cmd_bench(args) -> int:
     if not (algorithms and args.repetitions >= 1):
         raise _UsageError("the bench holds no run: need an algorithm and "
                           "--repetitions >= 1")
+    stems = [Path(path).stem for path in args.instances]
+    repeated = sorted({stem for stem in stems if stems.count(stem) > 1})
+    if repeated:  # rows and trace files are named by stem
+        raise _UsageError(f"repeated instance stems: {', '.join(repeated)}")
     loaded = []
     for path in args.instances:
         game, g, root = _load_instance(path)

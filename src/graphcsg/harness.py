@@ -102,7 +102,12 @@ def solve_instance(game: Game, g: Graph, algorithm: str, *, bound=None,
 
     The result never holds a DP table (`table` is None on every path), so
     a caller that keeps many results keeps no tables; call the solvers
-    directly to inspect one."""
+    directly to inspect one. A game over another agent count than the
+    graph's, or a root outside 0..n-1, is a ValueError."""
+    if game.n != g.n:
+        raise ValueError(f"the game has {game.n} agents, the graph {g.n}")
+    if root is not None and not 0 <= root < g.n:
+        raise ValueError(f"root {root} out of range for n={g.n}")
     deadline = None if check_budget(budget_ms) is None \
         else time.monotonic() + budget_ms / 1000.0
     comps = g.connected_components(g.full_mask)

@@ -13,8 +13,10 @@ its representative r, its lowest agent, and `reps` masks them:
 - `blk[r]` is the block (0 for an agent that represents none), `val[r]`
   its value, `nbr[r]` its neighbour mask and `dn[r]` its dashed-neighbour
   mask: the agents across a dashed pair;
-- `own[a]` leads to the representative of a's block: a contraction links
-  the higher representative to the lower, and its undo unlinks it.
+- `own[a]` is the representative of a's block, one hop away: the child
+  that contracts (r, y), linking y to r until its undo, has dashed every
+  solid pair of every representative below r, so below it no such block
+  merges and r never merges downward.
 
 Dashing a pair ORs each whole block into the other's `dn`, which stays
 exact because blocks only grow: a pair is dashed once any part of it was,
@@ -78,8 +80,6 @@ def cfss(game: Game, g: Graph, bound=None, *, deadline: float | None = None,
             c = nbr[r] & ~d & -rb
             while c:
                 y = own[(c & -c).bit_length() - 1]
-                while own[y] != y:
-                    y = own[y]
                 b = blk[y]
                 c &= ~b
                 if y > r and not d & b:

@@ -13,14 +13,15 @@ prices every seed as its value plus its remainder's summed entries,
 completing every structure that starts with it. Only the hybrid's own
 search (treesearch.py) uses `tsp_star_step`.
 
-Each sweep memoises every split and seed remainder's summed component
-entries, so a recurring remainder is walked once; entries are write-once,
-and the sums fold right (`_remainder_value`), so they are exact for
-integer games. Only the sweep's thread touches its memo.
+Each sweep memoises every entry and seed remainder's summed component
+entries, so a split reads its remainder in one lookup (`_solve_level`
+proves it is there); entries are write-once, and the sums fold right
+(`_remainder_value`), so they are exact for integer games. Only the
+sweep's thread touches its memo.
 
-`_drive` steps a `_Sweep`, alone (`dype_star`) or in turns with the tree
-search (hybrid.py). The exact `dype` is the same sweep run to the end: it
-raises instead of returning an unfinished incumbent, and keeps no trace.
+`_drive` steps a `_Sweep`, alone (`dype_star`) or with the tree search
+(hybrid.py). The exact `dype` is the same sweep run to the end: it raises
+instead of returning an unfinished incumbent, and keeps no trace.
 """
 
 from __future__ import annotations
@@ -67,13 +68,18 @@ def _solve_level(v, g: Graph, pt: Pseudotree, table: DpTable, level: int,
     pair of the seed and its remainder's first component. Each connected
     remainder c is an entry: the best v(S) + memo[c - S] over connected
     blocks S of c holding the anchor (the agent at `level`), where the memo
-    maps a remainder to its components' summed entries; c is memoised too."""
+    maps a remainder to its components' summed entries; c is memoised too.
+
+    memo[c - S] is always there: S holds the anchor, whose tree parent lies
+    before position `level`, in the seed D = full - c. So D | S is
+    connected and holds every agent before its first missing position
+    L' > `level`: a stage-L' seed, whose remainder c - S `_scan` memoised
+    before this level was filled (or every agent, and memo[0] = 0). A miss
+    would be a fault, and the plain dict raises KeyError."""
     anchor_bit = 1 << pt.order[level - 1]
     full = g.full_mask
     component_of = g.component_of
     connected_subsets = g.connected_subsets
-    tv = table.values
-    get = memo.get
     seeds = []
     ticks = 0
     solved = 0
@@ -99,11 +105,7 @@ def _solve_level(v, g: Graph, pt: Pseudotree, table: DpTable, level: int,
                         and time.monotonic() >= deadline:
                     raise BudgetExceededError(
                         "deadline hit while splitting a table entry")
-                rest = c & ~s
-                r = get(rest)
-                if r is None:
-                    r = _remainder_value(g, tv, memo, rest)
-                val = v(s) + r
+                val = v(s) + memo[c & ~s]
                 if best_val is None or val > best_val:
                     best_val = val
                     best_sub = s
@@ -118,12 +120,13 @@ def _solve_level(v, g: Graph, pt: Pseudotree, table: DpTable, level: int,
 
 
 class _Sweep:
-    """Table-filling worker; `next_level` is its frontier. `_drive` steps it
-    alone or in turns with the search. Each step fills a level and then
-    prices that level's stage seeds itself, from the table."""
+    """Table-filling worker, whose frontier is the table's
+    `published_level`. `_drive` steps it alone or with the search. Each
+    step fills a level and then prices that level's stage seeds itself,
+    from the table."""
 
     __slots__ = ("game", "g", "pt", "table", "inc", "stats", "deadline",
-                 "next_level", "_memo")
+                 "_memo")
 
     def __init__(self, game, g, pt, table, inc, stats, deadline):
         self.game = game
@@ -133,17 +136,15 @@ class _Sweep:
         self.inc = inc
         self.stats = stats
         self.deadline = deadline
-        self.next_level = g.n
         self._memo = {0: 0}
 
     def step(self) -> None:
-        """Fill one level and scan the seeds it settles. `_drive` stops at
-        the crossing, before the next level drops below 2."""
-        level = self.next_level
-        seeds = _solve_level(self.game.value, self.g, self.pt, self.table,
-                             level, self.stats, self._memo, self.deadline)
-        self._scan(level, seeds)
-        self.next_level = level - 1
+        """Fill the level below the published one and scan the seeds it
+        settles. `_drive` stops at the crossing, before level 1."""
+        level = self.table.published_level - 1
+        self._scan(level, _solve_level(self.game.value, self.g, self.pt,
+                                       self.table, level, self.stats,
+                                       self._memo, self.deadline))
 
     def _scan(self, level: int, seeds: list) -> None:
         """Price each seed D of stage `level`, given as (D, the first
@@ -174,43 +175,37 @@ class _Sweep:
 
 
 def _drive(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
-           search: bool = True, mode: str = "interleaved", on_incumbent=None,
+           search: str | None = None, on_incumbent=None,
            deadline: float | None = None) -> SolverResult:
-    """Run the sweep, and with `search` the tree search, over one table and
-    one incumbent until the sweep's next level drops below the search's
-    pending stage. `d_tsp` describes the two modes; with `search` off the
-    search never gets a turn. Every worker runs the same loop over its own
-    step: the main thread takes the sweep's turns, and in parallel mode a
-    second thread takes the search's steps. Hitting the deadline returns
-    the incumbent with completed=False instead of raising."""
+    """Run the sweep, and the tree search as `search` schedules it, over
+    one table and one incumbent until their frontiers cross. `search` is
+    None (the sweep alone), "interleaved" or "parallel" (`d_tsp` describes
+    both). Every worker runs the same loop over its own step: the main
+    thread takes the sweep's turns, and in parallel mode a second thread
+    takes the search's steps. Hitting the deadline returns the incumbent
+    with completed=False instead of raising."""
     require_connected(g)
-    if mode not in ("interleaved", "parallel"):
-        raise ValueError(f"unknown mode {mode!r}")
-    parallel = search and mode == "parallel"
     full = g.full_mask
     table = DpTable(g.n)
     inc = _Incumbent([full], game.value(full), time.monotonic(),
                      game.tolerance, on_incumbent)
-    sweep_stats = SearchStats()
-    search_stats = SearchStats()
-    sweep = _Sweep(game, g, pt, table, inc, sweep_stats, deadline)
-    searcher = _Search(game, g, pt, table, inc, search_stats, bound, deadline)
+    sweep = _Sweep(game, g, pt, table, inc, SearchStats(), deadline)
+    searcher = _Search(game, g, pt, table, inc, SearchStats(), bound,
+                       deadline)
     stop = threading.Event()
     faults = []  # read after the join; the first is re-raised
     completed = True
 
     def crossed() -> bool:
-        return sweep.next_level < searcher.next_stage
+        return table.published_level <= searcher.next_stage
 
-    def turn() -> bool:
+    def turn() -> None:
         """One sweep level; interleaved, then as many search ticks as that
         level enumerated subsets."""
-        before = sweep_stats.subsets_enumerated
+        before = sweep.stats.subsets_enumerated
         sweep.step()
-        searcher.last_stage = sweep.next_level
-        if search and not parallel and not crossed():
-            searcher.step(sweep_stats.subsets_enumerated - before)
-        return True
+        if search == "interleaved" and not crossed():
+            searcher.step(sweep.stats.subsets_enumerated - before)
 
     def run(step):
         nonlocal completed
@@ -218,8 +213,7 @@ def _drive(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
             while not stop.is_set() and not crossed():
                 if deadline_passed(deadline):
                     raise BudgetExceededError("deadline hit")
-                if not step():
-                    break
+                step()
         except BudgetExceededError:
             # Not stored: its traceback holds this frame, which refers to
             # `faults`, so the cycle would keep the table for the collector.
@@ -229,19 +223,18 @@ def _drive(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
         finally:
             stop.set()
 
-    if parallel:
+    if search == "parallel":
         worker = threading.Thread(
-            target=run,
-            args=(lambda: searcher.step(_PARALLEL_STEP_TICKS),),
-            name="block-search", daemon=True)
+            target=run, name="block-search", daemon=True,
+            args=(lambda: searcher.step(_PARALLEL_STEP_TICKS),))
         worker.start()
     run(turn)
-    if parallel:
+    if search == "parallel":
         worker.join()
     if faults:
         raise faults[0]
-    stats = sweep_stats.merged_with(search_stats)
-    stats.frontier_crossed = search and crossed()
+    stats = sweep.stats.merged_with(searcher.stats)
+    stats.frontier_crossed = search is not None and crossed()
     return SolverResult(best=Partition(inc.blocks), best_value=inc.value,
                         stats=stats, trace=inc.trace, completed=completed,
                         table=table)
@@ -251,7 +244,7 @@ def dype(game: Game, g: Graph, pt: Pseudotree, *,
          deadline: float | None = None) -> SolverResult:
     """The `dype_star` sweep run to the end: optimal to within the game's
     tolerance per component, or BudgetExceededError at the deadline."""
-    res = _drive(game, g, pt, search=False, deadline=deadline)
+    res = _drive(game, g, pt, deadline=deadline)
     if not res.completed:
         raise BudgetExceededError("deadline hit before the sweep finished")
     res.trace = []
@@ -262,8 +255,7 @@ def dype_star(game: Game, g: Graph, pt: Pseudotree, *, on_incumbent=None,
               deadline: float | None = None) -> SolverResult:
     """Anytime variant: keeps a feasible incumbent from the start (the
     one-block partition) and improves it after every completed level."""
-    return _drive(game, g, pt, search=False, on_incumbent=on_incumbent,
-                  deadline=deadline)
+    return _drive(game, g, pt, on_incumbent=on_incumbent, deadline=deadline)
 
 
 def audit_dp_table(table: DpTable, game: Game, g: Graph,

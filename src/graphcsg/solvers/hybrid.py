@@ -5,11 +5,11 @@
 of the breadth-first order and after each level prices that level's stage
 seeds itself; the search (`treesearch._Search`) consumes seed stages from
 the front. Both families are indexed the same way (by the first agent, in
-order, excluded from the first block), so once the sweep's next level
-drops below the search's pending stage the two sides have jointly covered
-every structure and the shared incumbent is optimal. After every sweep
-level the search's `last_stage` is lowered to the sweep's next level, so
-it never starts a stage the sweep has already run.
+order, excluded from the first block), and the table's `published_level`
+is the one frontier both sides read: the sweep fills the level below it,
+and the search starts no stage at or past it. The frontiers cross once
+`published_level <= next_stage`: the two sides have then jointly covered
+every structure, and the shared incumbent is optimal.
 
 Work is measured in ticks: one enumerated subset, or one table entry a
 completion looks up. Interleaved, the two sides take equal turns: a sweep
@@ -45,14 +45,13 @@ def d_tsp(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
           deadline: float | None = None) -> SolverResult:
     """Run the sweep and the search together until their frontiers cross.
 
-    `mode` is "interleaved" (one thread taking turns, deterministic) or
-    "parallel" (two threads). Interleaved, each turn fills and scans one
-    sweep level, whose seeds the sweep prices itself, and then gives the
-    search as many ticks as that level enumerated subsets, so both sides
-    do equal work and the run costs about twice its faster side. In
-    parallel mode the search runs in steps of a fixed tick budget, checking
-    the stop flag and the crossing between steps. Hitting the deadline
-    returns the incumbent with completed=False instead of raising.
+    `mode` is "interleaved" (one thread taking the equal turns above, so
+    the run is deterministic) or "parallel" (the search in a second thread,
+    in steps of a fixed tick budget, checking the stop flag and the
+    crossing between steps); any other mode is a ValueError. Hitting the
+    deadline returns the incumbent with completed=False instead of raising.
     """
-    return _drive(game, g, pt, bound, mode=mode, on_incumbent=on_incumbent,
+    if mode not in ("interleaved", "parallel"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return _drive(game, g, pt, bound, search=mode, on_incumbent=on_incumbent,
                   deadline=deadline)

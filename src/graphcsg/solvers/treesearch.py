@@ -9,15 +9,13 @@ cannot beat the incumbent, stage seeds included: a pruned seed counts as
 seeded and as pruned, and opens nothing.
 
 `_Search` keeps its open nodes on an explicit stack, so it can pause
-between any two nodes. A node whose remainder lies within the table's
-published levels is finished by `tsp_star_step` instead of searched; only
-the hybrid's search reaches that path, and a missing entry there is an
-`InternalInvariantError` (the table raises it). `tsp` runs the search
+between any two nodes. It starts no stage at or past the table's
+`published_level` (hybrid.py), and finishes a node whose remainder lies
+within the published levels by `tsp_star_step` instead of searching it;
+only the hybrid's search reaches that path, and a missing entry there is
+an `InternalInvariantError` (the table raises it). `tsp` runs the search
 alone over an empty table, from all-singletons, which the one-block
 partition replaces when it beats them by more than the tolerance.
-The sweep (dp.py), which `dype` and `dype_star` run alone, prices the
-seeds of stage L itself once level L is published; the hybrid runs this
-search in turns with the sweep.
 """
 
 from __future__ import annotations
@@ -50,14 +48,13 @@ class _Search:
     children iterator, covered mask, value, order position and the block
     chosen to reach it (the seed frame covers nothing). `next_stage` is the
     frontier (the stage whose seeds are pending); it advances only once a
-    stage's whole seed frame is exhausted. The search stops before any
-    stage past `last_stage` (n unless a driver lowers it).
+    stage's whole seed frame is exhausted, and stops at the table's
+    `published_level`.
     `structure_hook`, when given, observes every full structure reached.
     """
 
     __slots__ = ("game", "g", "pt", "table", "inc", "stats", "bound",
-                 "deadline", "structure_hook", "next_stage", "last_stage",
-                 "_stack")
+                 "deadline", "structure_hook", "next_stage", "_stack")
 
     def __init__(self, game, g, pt, table, inc, stats, bound, deadline,
                  structure_hook=None):
@@ -71,14 +68,13 @@ class _Search:
         self.deadline = deadline
         self.structure_hook = structure_hook
         self.next_stage = 2
-        self.last_stage = g.n
         self._stack = []
 
     def step(self, budget) -> bool:
         """Advance the search by about `budget` ticks, where a tick is one
         subset handled: a seed or child enumerated, or a remainder
-        component a table completion looks up. False when past
-        `last_stage`; True when the budget ran out first."""
+        component a table completion looks up. False at the table's
+        `published_level`; True when the budget ran out first."""
         g = self.g
         full = g.full_mask
         connected_subsets = g.connected_subsets
@@ -108,7 +104,7 @@ class _Search:
                     limit = min(budget, ticks + DEADLINE_STRIDE)
                 if not stack:
                     stage = self.next_stage
-                    if stage > self.last_stage:
+                    if stage >= table.published_level:
                         return False
                     # A seed holds every agent before the stage agent and
                     # leaves it out, so its node opens at position `stage`.
@@ -191,7 +187,8 @@ def tsp(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
                      game.tolerance)
     inc.offer([g.full_mask], game.value(g.full_mask))
     stats = SearchStats()
-    # An empty table publishes no level, so no node is ever shortcut.
+    # An empty table publishes level n + 1: stages 2..n all run, and no
+    # node is ever shortcut.
     _Search(game, g, pt, DpTable(g.n), inc, stats, bound, deadline,
             structure_hook).step(math.inf)
     return SolverResult(best=Partition(inc.blocks), best_value=inc.value,

@@ -134,9 +134,7 @@ def test_state_kept_in_place_matches_state_rebuilt_from_edges():
                 assert blk[r] == b and val[r] == gm.value(b)
                 assert own[r] == r
                 for a in agents_of(b):
-                    while own[a] != a:
-                        a = own[a]
-                    assert a == r
+                    assert own[own[a]] == own[a] == r
                 adj = 0
                 for a in agents_of(b):
                     adj |= g.adj[a]

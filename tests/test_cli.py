@@ -291,6 +291,23 @@ def test_bench_with_no_run_exits_2_before_any_read(tmp_path, capsys,
     assert not out_dir.exists() and solved == []
 
 
+def test_bench_refuses_instances_that_share_a_stem(tmp_path, capsys,
+                                                  monkeypatch):
+    """a/x.csg and b/x.csg would write one trace file and one report
+    name: the bench is refused, naming the stem, before any instance is
+    read or --out created."""
+    solved = []
+    monkeypatch.setattr(harness, "solve_instance",
+                        lambda *args, **kwargs: solved.append(args))
+    out_dir = tmp_path / "bo"
+    paths = [str(tmp_path / name) for name in ("a/x.csg", "y.csg", "b/x.csg")]
+    code, out, err = run(capsys, "bench", *paths, "--algorithms",
+                         "dype,d-tsp", "--out", str(out_dir))
+    assert code == 2, err
+    assert "stems: x\n" in err and "instance error" not in err and out == ""
+    assert not out_dir.exists() and solved == []
+
+
 def test_verify_small_grid(capsys):
     code, out, err = run(capsys, "verify", "--models", "path,cycle",
                          "--n-max", "4", "--games", "2")

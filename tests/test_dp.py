@@ -10,7 +10,7 @@ from graphcsg import (BudgetExceededError, Game, Graph, InternalInvariantError,
 from graphcsg.solvers import base, dp
 from graphcsg.solvers.dp import audit_dp_table
 from graphcsg.solvers.dptable import DpTable, reconstruct_blocks
-from graphcsg.solvers.treesearch import tsp_star_step
+from graphcsg.solvers.treesearch import _stage_seeds, tsp_star_step
 
 from conftest import (FOUR_CYCLE_EDGES, agents_of, bfs_reach,
                       is_connected_agents, mask_of, random_connected_edges)
@@ -144,6 +144,31 @@ def test_published_level_reaches_bottom():
     pt = build_pseudotree(g, 0)
     table = dype(gm, g, pt).table
     assert table.published_level == 2
+
+
+def test_every_split_remainder_is_memoised_before_its_level():
+    # The fill reads memo[c - S] with no fallback: for every entry c of
+    # level L and every anchored block S of c, c - S is 0 or the remainder
+    # of a seed of a stage above L, which the sweep's scan memoised first.
+    rng = random.Random(78)
+    later_seeds = 0
+    for _ in range(40):
+        _, g = random_instance(rng, n_max=9)
+        pt = build_pseudotree(g, rng.randrange(g.n))
+        full = g.full_mask
+        scanned = {0}
+        for level in range(g.n, 1, -1):
+            anchor = 1 << pt.order[level - 1]
+            seeds = list(_stage_seeds(g, pt, level))
+            for d in seeds:
+                c = full & ~d
+                if not g.is_connected(c):
+                    continue
+                for s in g.connected_subsets(c, required=anchor):
+                    assert c & ~s in scanned, (g.edges, pt.root, level, s)
+                    later_seeds += c & ~s != 0
+            scanned.update(full & ~d for d in seeds)
+    assert later_seeds > 0
 
 
 def test_reconstruction_returns_optimal_feasible_blocks():

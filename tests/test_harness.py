@@ -186,6 +186,32 @@ def test_root_is_respected_per_component():
         assert solve_instance(gm, g, "dype", root=root).best_value == want
 
 
+def four_agents(connected):
+    return Graph(4, [(0, 1), (2, 3)] + [(1, 2)] * connected)
+
+
+@pytest.mark.parametrize("root", [99, 4, -1])
+@pytest.mark.parametrize("connected", [True, False])
+def test_solve_instance_refuses_a_root_outside_the_graph(root, connected):
+    g = four_agents(connected)
+    gm = random_table_game(4, seed=5)
+    for alg in ALGORITHMS:
+        with pytest.raises(ValueError,
+                           match=f"root {root} out of range for n=4"):
+            solve_instance(gm, g, alg, root=root)
+
+
+@pytest.mark.parametrize("game_n", [3, 5])
+@pytest.mark.parametrize("connected", [True, False])
+def test_solve_instance_refuses_a_game_over_other_agents(game_n, connected):
+    g = four_agents(connected)
+    gm = random_table_game(game_n, seed=5)
+    for alg in ALGORITHMS:
+        with pytest.raises(ValueError,
+                           match=f"the game has {game_n} agents, the graph 4"):
+            solve_instance(gm, g, alg)
+
+
 def test_parse_model():
     assert parse_model("path") == ("path", None)
     assert parse_model("gnp") == ("gnp", 0.5)

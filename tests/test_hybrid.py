@@ -12,6 +12,7 @@ from graphcsg import (Game, Graph, SearchStats, brute_force_best,
                       make_supersub_game, make_tsp_bound, partition_value,
                       random_table_game, structure_masks, tsp)
 from graphcsg.solvers.base import BudgetExceededError, _Incumbent
+from graphcsg.solvers.dp import _Sweep
 from graphcsg.solvers.dptable import DpTable
 from graphcsg.solvers.treesearch import _Search
 
@@ -263,6 +264,49 @@ def test_search_steps_walk_the_tsp_tree_at_any_budget():
         assert len(visited) == len(set(visited))
         assert set(visited) == {canon(s) for s in structure_masks(g)}
         assert best == brute_force_best(base, g).best_value
+
+
+def swept_table(gm, g, pt, level):
+    """A table that a sweep has published down to `level`."""
+    table = DpTable(g.n)
+    inc = _Incumbent([g.full_mask], gm.value(g.full_mask), 0, 0)
+    sweep = _Sweep(gm, g, pt, table, inc, SearchStats(), None)
+    while table.published_level > level:
+        sweep.step()
+    return table
+
+
+def test_search_starts_no_stage_at_or_past_the_published_level():
+    # The table's published level is the search's one stop: over a table
+    # published down to k the search runs stages 2..k-1 and returns False,
+    # and a level published mid-stage stops it at that stage's end.
+    rng = random.Random(109)
+    for _ in range(12):
+        n = rng.randint(2, 8)
+        g = Graph(n, random_connected_edges(rng, n))
+        gm = random_table_game(n, seed=rng.randrange(10 ** 6))
+        pt = build_pseudotree(g, rng.randrange(n))
+
+        def search(table):
+            inc = _Incumbent([g.full_mask], gm.value(g.full_mask), 0, 0)
+            return _Search(gm, g, pt, table, inc, SearchStats(), None, None)
+
+        for k in range(2, n + 2):
+            s = search(swept_table(gm, g, pt, k))
+            assert s.step(math.inf) is False
+            assert s.next_stage == k
+            assert s.step(math.inf) is False and s.next_stage == k
+
+        table = swept_table(gm, g, pt, 2)
+        table.published_level = n + 1
+        s = search(table)
+        stage = rng.randint(2, n)
+        while not (s._stack and s.next_stage == stage):
+            assert s.step(1)
+        table.published_level = rng.randint(2, stage)
+        assert s.step(math.inf) is False
+        assert s.next_stage == stage + 1
+        assert not s._stack
 
 
 def test_interleaved_work_stays_within_twice_the_sweep():
