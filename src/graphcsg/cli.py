@@ -2,11 +2,12 @@
 
 Exit codes: 0 success, 1 verification mismatch or no result produced,
 2 usage error (a bad flag, a NaN or negative --budget, any flag value
-`gen` refuses such as a hopeless gnp p, a `gen -o` file that cannot be
-written, a `verify` grid or a `bench` with no run, two `bench` instances
-with one file stem, or a `bench --out` directory that cannot be created),
-3 unreadable or invalid instance, 4 solver fault (for `verify`, also a
-grid run that raised InternalInvariantError).
+`gen` refuses such as a hopeless gnp p, a `gen -o` or anytime `solve
+--trace` file that cannot be written, a `verify` grid or a `bench` with
+no run, two `bench` instances with one file stem, or a `bench --out`
+directory that cannot be created), 3 unreadable or invalid instance,
+4 solver fault (for `verify`, also a grid run that raised
+InternalInvariantError).
 """
 
 from __future__ import annotations
@@ -164,6 +165,12 @@ def _internal_error(e: Exception) -> int:
 def _cmd_solve(args) -> int:
     game, g, root = _load_instance(args.instance)
     _check_oracle_cap(g, (args.algorithm,))
+    trace = args.trace if args.algorithm in ANYTIME_ALGORITHMS else None
+    if trace is not None:
+        try:  # refused before the solve, as `gen -o` is
+            open(trace, "w").close()
+        except OSError as e:  # the message names the path
+            raise _UsageError(f"cannot write --trace file: {e}") from None
     try:
         res = solve_instance(game, g, args.algorithm, bound=args.bound,
                              mode=args.mode, root=root,
@@ -178,13 +185,12 @@ def _cmd_solve(args) -> int:
     print(f"status {'complete' if res.completed else 'timeout'}")
     print("stats " + " ".join(f"{f.name}={getattr(res.stats, f.name)}"
                               for f in fields(res.stats)))
-    if args.trace is not None:
-        if args.algorithm in ANYTIME_ALGORITHMS:
-            write_trace_csv(args.trace, res.trace)
-            print(f"trace {args.trace}")
-        else:
-            print(f"note: {args.algorithm} keeps no anytime trace; "
-                  f"--trace ignored", file=sys.stderr)
+    if trace is not None:
+        write_trace_csv(trace, res.trace)
+        print(f"trace {trace}")
+    elif args.trace is not None:
+        print(f"note: {args.algorithm} keeps no anytime trace; "
+              f"--trace ignored", file=sys.stderr)
     return 0
 
 

@@ -267,9 +267,15 @@ def verify_matrix(*, models=DEFAULT_MODELS, ns=range(1, 10),
 
     Each cell is `matrix_instance(model, n, seed)`, with the seed from
     `matrix_seed`; `algorithms` limits the matrix rows to the named ones.
+    An unknown algorithm, or a grid with no solver run, is a ValueError.
     """
+    bad = set(algorithms or ()) - {alg for alg, _, _ in MATRIX_RUNS}
+    if bad:
+        raise ValueError(f"unknown algorithms: {', '.join(sorted(bad))}")
     runs = [r for r in MATRIX_RUNS
             if algorithms is None or r[0] in algorithms]
+    if not (runs and models and ns and games_per_cell >= 1):
+        raise ValueError("the grid holds no solver run")
     report = VerifyReport()
     for mi, model_spec in enumerate(models):
         deterministic = parse_model(model_spec)[0] != "gnp"
@@ -372,9 +378,16 @@ def run_bench(instances, algorithms, *, budget_ms: float | None = None,
     """Run each (instance, algorithm, repetition) cell and collect rows.
 
     `instances` is a list of (name, game, graph, root). With `out_dir` a
-    report.csv and one trace file per anytime run are written there.
+    report.csv and one trace file per anytime run, named by instance, are
+    written there. A repeated name, or no run, is a ValueError.
     """
     check_budget(budget_ms)
+    names = [name for name, _, _, _ in instances]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"repeated instance stems: {', '.join(repeated)}")
+    if not (names and algorithms and repetitions >= 1):
+        raise ValueError("the bench holds no run")
     out = None
     if out_dir is not None:
         out = Path(out_dir)

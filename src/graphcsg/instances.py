@@ -55,12 +55,15 @@ class InstanceFile:
     root: int | None = None
 
 
+def _error(lineno: int, message: str) -> InstanceFormatError:
+    return InstanceFormatError(f"line {lineno}: {message}")
+
+
 def _int_token(tok: str, lineno: int, what: str) -> int:
     try:
         return int(tok)
     except ValueError:
-        raise InstanceFormatError(
-            f"line {lineno}: {what} {tok!r} is not an integer") from None
+        raise _error(lineno, f"{what} {tok!r} is not an integer") from None
 
 
 def _table_values(text: str, lineno: int) -> list[int]:
@@ -80,18 +83,22 @@ def _table_values(text: str, lineno: int) -> list[int]:
     return vals
 
 
+# Each directive's name in messages; a key not listed is unknown.
+_NAMES = {"n": "n", "e": "edge", "game": "game", "root": "root"}
+
+
 def parse_instance_text(text: str) -> InstanceFile:
     """Parse instance text into its file-level form, without realizing the
-    game or graph. Raises InstanceFormatError with the offending line."""
+    game or graph. Raises InstanceFormatError with the offending line.
+
+    After the header, a line's checks run in one order: an unknown
+    directive, a repeated one (only `e` repeats), one other than `n`
+    before `n`, the arity of `n` and `root`, then its values. A line with
+    several faults reports the first."""
     n = None
     edges: list[tuple[int, int]] = []
-    game_kind = None
-    table = None
-    weights = None
-    kappa = None
-    seed = None
-    root = None
-    saw_header = False
+    game_kind = table = weights = kappa = seed = root = None
+    seen = set()  # the directives read so far, the header ("csg") first
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -101,104 +108,79 @@ def parse_instance_text(text: str) -> InstanceFile:
         if toks[:2] != ["game", "table"]:
             toks = line.split()
         key = toks[0]
-        if not saw_header:
+        if not seen:
             if toks != ["csg", "1"]:
-                raise InstanceFormatError(
-                    f"line {lineno}: expected header 'csg 1', got {line!r}")
-            saw_header = True
+                raise _error(lineno,
+                             f"expected header 'csg 1', got {line!r}")
+            seen.add("csg")
             continue
+        name = _NAMES.get(key)
+        if name is None:
+            raise _error(lineno, f"unknown directive {key!r}")
+        if key in seen and key != "e":
+            raise _error(lineno, f"duplicate {name}")
+        if "n" not in seen and key != "n":
+            raise _error(lineno, f"{name} before n is declared")
+        if key in ("n", "root") and len(toks) != 2:
+            raise _error(lineno, f"{name} takes one integer")
+        seen.add(key)
         if key == "n":
-            if n is not None:
-                raise InstanceFormatError(f"line {lineno}: duplicate n")
-            if len(toks) != 2:
-                raise InstanceFormatError(
-                    f"line {lineno}: n takes one integer")
             n = _int_token(toks[1], lineno, "agent count")
             if not 1 <= n <= MAX_N:
-                raise InstanceFormatError(
-                    f"line {lineno}: n must be in 1..{MAX_N}, got {n}")
+                raise _error(lineno, f"n must be in 1..{MAX_N}, got {n}")
         elif key == "e":
-            if n is None:
-                raise InstanceFormatError(
-                    f"line {lineno}: edge before n is declared")
             if len(toks) != 3:
-                raise InstanceFormatError(
-                    f"line {lineno}: edge takes two endpoints")
+                raise _error(lineno, "edge takes two endpoints")
             i = _int_token(toks[1], lineno, "edge endpoint")
             j = _int_token(toks[2], lineno, "edge endpoint")
             if not (0 <= i < n and 0 <= j < n):
-                raise InstanceFormatError(
-                    f"line {lineno}: edge ({i}, {j}) out of range for n={n}")
+                raise _error(lineno,
+                             f"edge ({i}, {j}) out of range for n={n}")
             if i == j:
-                raise InstanceFormatError(
-                    f"line {lineno}: edge ({i}, {j}) is a self-loop")
+                raise _error(lineno, f"edge ({i}, {j}) is a self-loop")
             edges.append((i, j))
         elif key == "game":
-            if game_kind is not None:
-                raise InstanceFormatError(f"line {lineno}: duplicate game")
-            if n is None:
-                raise InstanceFormatError(
-                    f"line {lineno}: game before n is declared")
             if len(toks) < 2:
-                raise InstanceFormatError(f"line {lineno}: game needs a kind")
+                raise _error(lineno, "game needs a kind")
             game_kind = toks[1]
             if game_kind == "table":
                 if n > TABLE_MAX_N:
-                    raise InstanceFormatError(
-                        f"line {lineno}: table games are capped at "
-                        f"n <= {TABLE_MAX_N}, got n={n}")
+                    raise _error(lineno, f"table games are capped at n <= "
+                                         f"{TABLE_MAX_N}, got n={n}")
                 vals = _table_values(toks[2] if len(toks) > 2 else "",
                                      lineno)
                 want = (1 << n) - 1
                 if len(vals) != want:
-                    raise InstanceFormatError(
-                        f"line {lineno}: table needs {want} values for "
-                        f"n={n}, got {len(vals)}")
+                    raise _error(lineno, f"table needs {want} values for "
+                                         f"n={n}, got {len(vals)}")
                 table = tuple(vals)
             elif game_kind == "supersub":
                 rest = toks[2:]
                 if not rest or rest[0] != "w":
-                    raise InstanceFormatError(
-                        f"line {lineno}: supersub game starts with 'w'")
+                    raise _error(lineno, "supersub game starts with 'w'")
                 if len(rest) < n + 3 or rest[n + 1] != "k":
-                    raise InstanceFormatError(
-                        f"line {lineno}: supersub game needs {n} weights "
-                        f"then 'k <kappa>'")
+                    raise _error(lineno, f"supersub game needs {n} weights "
+                                         f"then 'k <kappa>'")
                 weights = tuple(_int_token(t, lineno, "weight")
                                 for t in rest[1:n + 1])
                 kappa = _int_token(rest[n + 2], lineno, "kappa")
                 tail = rest[n + 3:]
                 if tail:
                     if len(tail) != 2 or tail[0] != "seed":
-                        raise InstanceFormatError(
-                            f"line {lineno}: unexpected trailing tokens "
-                            f"{' '.join(tail)!r}")
+                        raise _error(lineno, f"unexpected trailing tokens "
+                                             f"{' '.join(tail)!r}")
                     seed = _int_token(tail[1], lineno, "seed")
                 if any(w < 0 for w in weights) or kappa < 0:
-                    raise InstanceFormatError(
-                        f"line {lineno}: weights and kappa must be "
-                        f"nonnegative")
+                    raise _error(lineno,
+                                 "weights and kappa must be nonnegative")
             else:
-                raise InstanceFormatError(
-                    f"line {lineno}: unknown game kind {game_kind!r}")
+                raise _error(lineno, f"unknown game kind {game_kind!r}")
         elif key == "root":
-            if root is not None:
-                raise InstanceFormatError(f"line {lineno}: duplicate root")
-            if n is None:
-                raise InstanceFormatError(
-                    f"line {lineno}: root before n is declared")
-            if len(toks) != 2:
-                raise InstanceFormatError(
-                    f"line {lineno}: root takes one integer")
             root = _int_token(toks[1], lineno, "root")
             if not 0 <= root < n:
-                raise InstanceFormatError(
-                    f"line {lineno}: root {root} out of range for n={n}")
-        else:
-            raise InstanceFormatError(
-                f"line {lineno}: unknown directive {key!r}")
+                raise _error(lineno, f"root {root} out of range for n={n}")
 
-    if not saw_header:
+    if not seen:
         raise InstanceFormatError("line 1: missing 'csg 1' header")
     if n is None:
         raise InstanceFormatError("missing n declaration")

@@ -73,7 +73,9 @@ class _Search:
     def step(self, budget) -> bool:
         """Advance the search by about `budget` ticks, where a tick is one
         subset handled: a seed or child enumerated, or a remainder
-        component a table completion looks up. False at the table's
+        component a table completion looks up. A child is a full
+        structure, a pruned node, a table-completed node or an opened one;
+        the step can stop after any of them. False at the table's
         `published_level`; True when the budget ran out first."""
         g = self.g
         full = g.full_mask
@@ -118,28 +120,28 @@ class _Search:
                     nval = value + v(c)
                     if seeds:
                         seeded += 1
-                    elif ncov == full:
+                    # No seed covers every agent: a full structure is a
+                    # node's child, and a seed is bounded like a node.
+                    if ncov == full:
                         stats.structures_visited += 1
                         if hook is not None:
                             hook(tuple(self._partial()) + (c,))
                         if nval > inc.value + tol:
                             inc.offer(self._partial() + [c], nval)
-                        if ticks >= limit:
-                            break
-                        continue
-                    # No seed covers every agent, so seeds are bounded too.
-                    if bound is not None \
+                    elif bound is not None \
                             and not inc.value < bound(nval, full & ~ncov):
                         pruned += 1
-                        if ticks >= limit:
+                    else:
+                        # Open the node: its children hold its first
+                        # uncovered agent, unless the table can finish it.
+                        npos = pos + 1
+                        while (1 << order[npos - 1]) & ncov:
+                            npos += 1
+                        if npos < table.published_level:
+                            stack.append((connected_subsets(
+                                full & ~ncov, required=1 << order[npos - 1]),
+                                ncov, nval, npos, c))
                             break
-                        continue
-                    # Open the node: its children hold its first uncovered
-                    # agent, unless the table can finish it.
-                    npos = pos + 1
-                    while (1 << order[npos - 1]) & ncov:
-                        npos += 1
-                    if npos >= table.published_level:
                         spent, total, rest = tsp_star_step(
                             table, game, g, full & ~ncov, nval, inc.value)
                         if not seeds:
@@ -148,13 +150,8 @@ class _Search:
                             inc.offer(self._partial() + [c] + rest, total)
                         ticks += spent
                         looked_up += spent
-                        if ticks >= limit:
-                            break
-                        continue
-                    stack.append((connected_subsets(
-                        full & ~ncov, required=1 << order[npos - 1]),
-                        ncov, nval, npos, c))
-                    break
+                    if ticks >= limit:
+                        break
                 else:
                     stack.pop()
                     if not stack:

@@ -104,6 +104,36 @@ def test_solve_trace_file(tmp_path, capsys):
     assert "no anytime trace" in err
 
 
+@pytest.mark.parametrize("target", ["missing_dir/t.csv", "adir"])
+def test_solve_trace_that_cannot_be_written_exits_2_before_the_solve(
+        tmp_path, capsys, monkeypatch, target):
+    """An anytime solve refuses the path before it starts, as gen -o
+    does; a solver that keeps no trace notes the flag and writes
+    nothing."""
+    path = tmp_path / "c5.csg"
+    run(capsys, "gen", "--model", "cycle", "--n", "5", "-o", str(path))
+    (tmp_path / "adir").mkdir()
+    trace = tmp_path / target
+    solved = []
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "solve_instance",
+                   lambda *args, **kwargs: solved.append(args))
+        for alg in ("dype-star", "d-tsp"):
+            code, out, err = run(capsys, "solve", str(path), "--algorithm",
+                                 alg, "--trace", str(trace))
+            assert code == 2, err
+            assert "cannot write --trace file: [Errno" in err
+            assert str(trace) in err
+            assert "instance error" not in err and out == ""
+    assert solved == []
+    code, out, err = run(capsys, "solve", str(path), "--algorithm", "dype",
+                         "--trace", str(trace))
+    assert code == 0 and out.startswith("value ")
+    assert "no anytime trace" in err
+    assert not (tmp_path / "missing_dir").exists()
+    assert list((tmp_path / "adir").iterdir()) == []
+
+
 def test_solve_budget_exhausted_returns_1(tmp_path, capsys):
     path = tmp_path / "big.csg"
     run(capsys, "gen", "--model", "complete", "--n", "12", "--seed", "1",

@@ -406,3 +406,58 @@ def test_solve_instance_results_hold_no_table():
     for alg in ("dype", "dype-star", "d-tsp"):
         assert solve_instance(gm, g, alg).table is None, alg
         assert solve_instance(split_gm, split_g, alg).table is None, alg
+
+
+def test_run_bench_refuses_repeated_names_before_any_run(tmp_path,
+                                                         monkeypatch):
+    # rows and trace files are named by instance: two instances named x
+    # would share x.d-tsp.r0.trace.csv and read as a value disagreement
+    solved = []
+    monkeypatch.setattr(harness, "solve_instance",
+                        lambda *args, **kwargs: solved.append(args))
+    g = four_agents(True)
+    game1, game2 = (random_table_game(4, seed=s) for s in (1, 2))
+    out_dir = tmp_path / "bo"
+    with pytest.raises(ValueError, match="repeated instance stems: x$"):
+        run_bench([("x", game1, g, None), ("y", game2, g, None),
+                   ("x", game2, g, None)], ("dype", "d-tsp"),
+                  out_dir=out_dir)
+    assert not out_dir.exists() and solved == []
+
+
+@pytest.mark.parametrize("named,algorithms,repetitions", [
+    (True, ("dype",), 0),
+    (True, ("dype",), -1),
+    (True, (), 1),
+    (False, ("dype",), 1),
+])
+def test_run_bench_with_no_run_is_refused_before_any_write(
+        tmp_path, monkeypatch, named, algorithms, repetitions):
+    solved = []
+    monkeypatch.setattr(harness, "solve_instance",
+                        lambda *args, **kwargs: solved.append(args))
+    cases = [("tiny", random_table_game(4, seed=3), four_agents(True),
+              None)] * named
+    out_dir = tmp_path / "bo"
+    with pytest.raises(ValueError, match="no run"):
+        run_bench(cases, algorithms, repetitions=repetitions,
+                  out_dir=out_dir)
+    assert not out_dir.exists() and solved == []
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(algorithms=("dyp",)), "unknown algorithms: dyp"),
+    (dict(algorithms=("oracle", "dype")), "unknown algorithms: oracle"),
+    (dict(games_per_cell=0), "no solver run"),
+    (dict(algorithms=()), "no solver run"),
+    (dict(models=()), "no solver run"),
+    (dict(ns=range(3, 3)), "no solver run"),
+])
+def test_verify_matrix_refuses_unknown_algorithms_and_empty_grids(
+        monkeypatch, kwargs, message):
+    built = []
+    monkeypatch.setattr(harness, "matrix_instance",
+                        lambda *args: built.append(args))
+    with pytest.raises(ValueError, match=message):
+        verify_matrix(**kwargs)
+    assert built == []

@@ -309,6 +309,46 @@ def test_search_starts_no_stage_at_or_past_the_published_level():
         assert not s._stack
 
 
+def test_search_steps_agree_at_any_budget_with_prunes_and_shortcuts():
+    # the supersub bound and a table swept down to a random level: a step
+    # may end on a pruned node or a table-completed one, and stepping in
+    # small budgets must still do what one unbounded step does
+    rng = random.Random(112)
+    pruned = shortcut = 0
+    for i in range(40):
+        n = rng.randint(3, 10)
+        g = Graph(n, random_connected_edges(rng, n, extra=rng.randint(0, n)))
+        seed = rng.randrange(10 ** 6)
+        base = (random_table_game(n, seed=seed) if i % 2
+                else make_supersub_game(n, seed=seed))
+        pt = build_pseudotree(g, rng.randrange(n))
+        table = swept_table(base, g, pt, rng.randint(2, n + 1))
+        bound = make_tsp_bound(base, "supersub")
+        seen = []
+
+        def value(m):
+            seen.append(m)
+            return base.value(m)
+
+        gm = Game(n, value, tolerance=base.tolerance)
+        runs = {}
+        for budget in (math.inf, 1, 7):
+            inc = _Incumbent([g.full_mask], base.value(g.full_mask), 0,
+                             base.tolerance)
+            del seen[:]
+            stats = SearchStats()
+            search = _Search(gm, g, pt, table, inc, stats, bound, None)
+            while search.step(budget):
+                pass
+            runs[budget] = (list(seen), stats, inc.value, canon(inc.blocks))
+        assert runs[1] == runs[math.inf]
+        assert runs[7] == runs[math.inf]
+        pruned += stats.nodes_pruned > 0
+        shortcut += stats.tsp_star_shortcuts > 0
+    # both early exits are reached on many graphs
+    assert pruned >= 10 and shortcut >= 10, (pruned, shortcut)
+
+
 def test_interleaved_work_stays_within_twice_the_sweep():
     # equal turns: the search never enumerates more than the sweep did, so
     # the hybrid's work is at most twice the sweep's alone

@@ -152,6 +152,31 @@ def test_gen_draws_the_table_without_a_second_copy():
     ("csg 1\nn 0\ngame table\n", "n"),
     ("csg 1\nn 21\ngame table 1 2 3\n", "table games are capped at n <= 20"),
     ("csg 1\nn 64\ngame supersub w 1 k 1\n", "n must be in 1..63"),
+    ("csg 1\nroot 0\nn 2\ngame table 1 1 3\n",
+     "line 2: root before n is declared"),
+    ("csg 1\ngame table 1 1 3\nn 2\n", "line 2: game before n is declared"),
+    ("csg 1\nn 2\nroot 0\nroot 1\ngame table 1 1 3\n",
+     "line 4: duplicate root"),
+    ("csg 1\nn 2 3\ngame table 1 1 3\n", "line 2: n takes one integer"),
+    ("csg 1\nn 2\nroot\ngame table 1 1 3\n",
+     "line 3: root takes one integer"),
+    ("csg 1\nn 2\ngame\n", "line 3: game needs a kind"),
+    ("csg 1\nn 2\ngame edgesum 1 2\n",
+     "line 3: unknown game kind 'edgesum'"),
+    ("csg 1\nn 2\ngame supersub w 1 1 k 0 seed\n",
+     "line 3: unexpected trailing tokens 'seed'"),
+    ("csg 1\nn 2\ngame supersub 1 1 k 0\n",
+     "line 3: supersub game starts with 'w'"),
+    ("csg 1\ncsg 1\nn 2\ngame table 1 1 3\n",
+     "line 2: unknown directive 'csg'"),
+    # a line with two faults reports the first of: unknown, duplicate,
+    # before n, arity, values
+    ("csg 1\nn 2\nn\n", "line 3: duplicate n"),
+    ("csg 1\nn 2\nroot 0\nroot\n", "line 4: duplicate root"),
+    ("csg 1\nroot\nn 2\n", "line 2: root before n is declared"),
+    ("csg 1\ne 0\nn 2\n", "line 2: edge before n is declared"),
+    ("csg 1\nn 2\ngame table 1 1 3\ngame\n", "line 4: duplicate game"),
+    ("csg 1\nn 2 x\n", "line 2: n takes one integer"),
 ])
 def test_parse_errors_carry_position(text, fragment):
     with pytest.raises(InstanceFormatError) as err:
