@@ -267,7 +267,8 @@ def verify_matrix(*, models=DEFAULT_MODELS, ns=range(1, 10),
 
     Each cell is `matrix_instance(model, n, seed)`, with the seed from
     `matrix_seed`; `algorithms` limits the matrix rows to the named ones.
-    An unknown algorithm, or a grid with no solver run, is a ValueError.
+    An unknown algorithm or model spec, or a grid with no solver run, is a
+    ValueError, raised before the first cell.
     """
     bad = set(algorithms or ()) - {alg for alg, _, _ in MATRIX_RUNS}
     if bad:
@@ -276,9 +277,10 @@ def verify_matrix(*, models=DEFAULT_MODELS, ns=range(1, 10),
             if algorithms is None or r[0] in algorithms]
     if not (runs and models and ns and games_per_cell >= 1):
         raise ValueError("the grid holds no solver run")
+    kinds = [parse_model(spec)[0] for spec in models]
     report = VerifyReport()
     for mi, model_spec in enumerate(models):
-        deterministic = parse_model(model_spec)[0] != "gnp"
+        deterministic = kinds[mi] != "gnp"
         for n in ns:
             # A deterministic model's cells share one graph's structures.
             shared_structures = None
@@ -379,7 +381,8 @@ def run_bench(instances, algorithms, *, budget_ms: float | None = None,
 
     `instances` is a list of (name, game, graph, root). With `out_dir` a
     report.csv and one trace file per anytime run, named by instance, are
-    written there. A repeated name, or no run, is a ValueError.
+    written there. A repeated name, no run, an unknown algorithm or an
+    unknown mode is a ValueError, raised before anything is written.
     """
     check_budget(budget_ms)
     names = [name for name, _, _, _ in instances]
@@ -388,6 +391,11 @@ def run_bench(instances, algorithms, *, budget_ms: float | None = None,
         raise ValueError(f"repeated instance stems: {', '.join(repeated)}")
     if not (names and algorithms and repetitions >= 1):
         raise ValueError("the bench holds no run")
+    bad = sorted(set(algorithms) - set(ALGORITHMS))
+    if bad:
+        raise ValueError(f"unknown algorithms: {', '.join(bad)}")
+    if mode not in ("interleaved", "parallel"):
+        raise ValueError(f"unknown mode {mode!r}")
     out = None
     if out_dir is not None:
         out = Path(out_dir)

@@ -8,10 +8,11 @@ around the anchor plus the rest, priced from the table (`_solve_level`;
 the complement side, as DPccp pairs a block with its complement (Moerkotte
 and Neumann, VLDB 2006): the connected remainders of stage L's seeds, the
 connected first blocks that hold every agent before position L and leave
-out the agent at L. One pass over the seeds fills level L; then the sweep
-prices every seed as its value plus its remainder's summed entries,
-completing every structure that starts with it. Only the hybrid's own
-search (treesearch.py) uses `tsp_star_step`.
+out the agent at L. One pass over the seeds finds level L's entries, one
+walk over their union prices each block against every entry holding it,
+and then the sweep prices every seed as its value plus its remainder's
+summed entries, completing every structure that starts with it. Only the
+hybrid's own search (treesearch.py) uses `tsp_star_step`.
 
 Each sweep memoises every entry and seed remainder's summed component
 entries, so a split reads its remainder in one lookup (`_solve_level`
@@ -70,21 +71,30 @@ def _solve_level(v, g: Graph, pt: Pseudotree, table: DpTable, level: int,
     blocks S of c holding the anchor (the agent at `level`), where the memo
     maps a remainder to its components' summed entries; c is memoised too.
 
+    One depth-first walk from the anchor over the entries' union, under
+    `Graph.connected_subsets`' push/ban rule, yields each block once. A
+    frame carries the entries holding its block; a child keeps those that
+    hold its new agent, and is dropped, its agent still banned, if none
+    do. Restricted to an entry c the walk is `connected_subsets(c,
+    required=anchor)`: in c the frontiers and bans coincide, and no child
+    outside c has a subset of c below it. So c keeps that stream's first
+    strict best. A tick is a seed or a priced (block, entry) pair; the
+    walk checks the deadline after its first block, then after each block
+    that ends a stride of ticks since the last check.
+
     memo[c - S] is always there: S holds the anchor, whose tree parent lies
     before position `level`, in the seed D = full - c. So D | S is
     connected and holds every agent before its first missing position
     L' > `level`: a stage-L' seed, whose remainder c - S `_scan` memoised
     before this level was filled (or every agent, and memo[0] = 0). A miss
     would be a fault, and the plain dict raises KeyError."""
-    anchor_bit = 1 << pt.order[level - 1]
+    anchor = pt.order[level - 1]
     full = g.full_mask
     component_of = g.component_of
-    connected_subsets = g.connected_subsets
+    adj = g.adj
     seeds = []
-    ticks = 0
-    solved = 0
-    # Seeds and split subsets share one stride, as one entry can split
-    # over thousands; the first check comes at the level's first seed.
+    entries = []
+    ground = ticks = check_at = 0
     try:
         for d in _stage_seeds(g, pt, level):
             ticks += 1
@@ -95,26 +105,44 @@ def _solve_level(v, g: Graph, pt: Pseudotree, table: DpTable, level: int,
             c = full & ~d
             comp = component_of(c)
             seeds.append((d, comp))
-            if comp != c:
-                continue
-            best_val = None
-            best_sub = 0
-            for s in connected_subsets(c, required=anchor_bit):
-                ticks += 1
-                if deadline is not None and ticks % DEADLINE_STRIDE == 1 \
-                        and time.monotonic() >= deadline:
+            if comp == c:
+                entries.append(c)
+                ground |= c
+        best_val = dict.fromkeys(entries, float("-inf"))
+        best_sub = {}
+        stack = [(1 << anchor, adj[anchor] & ground, 0, entries)] \
+            if entries else []
+        pop = stack.pop
+        push = stack.append
+        while stack:
+            sub, nbr, ban, held = pop()
+            vs = v(sub)
+            for c in held:
+                val = vs + memo[c ^ sub]
+                if val > best_val[c]:
+                    best_val[c] = val
+                    best_sub[c] = sub
+            ticks += len(held)
+            if deadline is not None and ticks >= check_at:
+                if time.monotonic() >= deadline:
                     raise BudgetExceededError(
-                        "deadline hit while splitting a table entry")
-                val = v(s) + memo[c & ~s]
-                if best_val is None or val > best_val:
-                    best_val = val
-                    best_sub = s
-            table.put(c, best_val, best_sub)
-            memo[c] = best_val
-            solved += 1
+                        "deadline hit while splitting the level's entries")
+                check_at = ticks + DEADLINE_STRIDE
+            ext = nbr & ~sub & ~ban
+            while ext:
+                u = ext & -ext
+                ext ^= u
+                keep = [c for c in held if c & u]
+                if keep:
+                    push((sub | u, nbr | (adj[u.bit_length() - 1] & ground),
+                          ban, keep))
+                ban |= u
+        for c in entries:
+            memo[c] = val = best_val[c]
+            table.put(c, val, best_sub[c])
+        stats.dp_subproblems += len(entries)
     finally:
         stats.subsets_enumerated += ticks
-        stats.dp_subproblems += solved
     table.published_level = level
     return seeds
 

@@ -237,12 +237,65 @@ def test_deadline_behaviour():
     assert all(g.is_connected(b) for b in res.best)
 
 
+def level_entries(g, pt, level):
+    """Stage `level`'s seeds and the level's entries, their connected
+    remainders (plain BFS)."""
+    full = g.full_mask
+    seeds = list(g.connected_subsets(full ^ (1 << pt.order[level - 1]),
+                                     required=pt.prefix_masks[level]))
+    edges = g.edges
+    return seeds, [full & ~d for d in seeds
+                   if is_connected_agents(edges, agents_of(full & ~d))]
+
+
+def fill_ticks(g, pt, calls):
+    """(call number, level, ticks) after each value call in `calls`, the
+    masks of a run's calls in order, that prices a fill block. Fill blocks
+    leave out the root; the scan's seeds hold it. A level's seeds tick
+    before its first block, and a block ticks once per entry of its level
+    that holds it: the (block, entry) pairs priced."""
+    root_bit = 1 << pt.root
+    entries = {}
+    ticks = 0
+    entered = g.n + 1
+    out = []
+    for i, m in enumerate(calls, 1):
+        if m & root_bit:
+            continue
+        level = min(map(pt.position, agents_of(m)))
+        while entered > level:
+            entered -= 1
+            seeds, entries[entered] = level_entries(g, pt, entered)
+            ticks += len(seeds)
+        ticks += sum(1 for c in entries[level] if not m & ~c)
+        out.append((i, level, ticks))
+    return out
+
+
+def stalling_game(base, stall_at):
+    """`base` with its value calls recorded in `calls`; the `stall_at[0]`-th
+    call spins until `deadline[0]` (the lists are the caller's to set)."""
+    calls = []
+    deadline = [0.0]
+
+    def value(m):
+        calls.append(m)
+        if len(calls) == stall_at[0]:
+            while time.monotonic() < deadline[0]:
+                pass
+        return base.value(m)
+
+    game = Game(base.n, value)
+    calls.clear()  # the constructor's check of the empty coalition
+    return game, calls, deadline
+
+
 def test_dype_star_stops_soon_after_the_deadline():
     # A deadline already gone stops the first level fill at its first
-    # subset. One that passes mid-level (here: at the K-th value call,
-    # deep inside the inner split enumerations) stops within a stride of
-    # subsets plus the one split under way, inner subsets included.
-    n, K = 10, 1000
+    # seed. One that passes mid-level (here: at the value call of the
+    # 100th block of the last level's walk) stops within a stride of
+    # ticks, at the first block that ends one.
+    n = 10
     g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     base = random_table_game(n, seed=3)
     pt = build_pseudotree(g, 0)
@@ -250,22 +303,19 @@ def test_dype_star_stops_soon_after_the_deadline():
     assert not res.completed
     assert res.stats.subsets_enumerated <= 16
 
-    calls = 0
-    deadline = None
-
-    def value(m):
-        nonlocal calls
-        calls += 1
-        if calls == K:
-            while time.monotonic() < deadline:
-                pass
-        return base.value(m)
-
-    gm = Game(n, value)
-    deadline = time.monotonic() + 0.05
-    res = dype_star(gm, g, pt, deadline=deadline)
+    stall_at = [-1]
+    gm, calls, deadline = stalling_game(base, stall_at)
+    whole = dype_star(gm, g, pt).stats.subsets_enumerated
+    walk = [(i, t) for i, level, t in fill_ticks(g, pt, calls) if level == 2]
+    assert walk[-1][1] == whole
+    stall_at[0], at_stall = walk[99]
+    stop_by = next(t for _, t in walk if t >= at_stall + dp.DEADLINE_STRIDE)
+    assert stop_by < whole
+    calls.clear()
+    deadline[0] = time.monotonic() + 0.05
+    res = dype_star(gm, g, pt, deadline=deadline[0])
     assert not res.completed
-    assert res.stats.subsets_enumerated <= K + 1024
+    assert at_stall <= res.stats.subsets_enumerated <= stop_by
 
 
 def test_dype_stops_soon_after_the_deadline_in_the_last_scan():
@@ -306,91 +356,110 @@ def test_dype_stops_soon_after_the_deadline_in_the_last_scan():
 
 
 def test_dype_star_stops_soon_after_the_deadline_inside_a_split():
-    # On K12 the last level's largest entry splits over 2^10 blocks. A
-    # deadline that passes at that split's first value call is noticed
-    # inside the split, within one stride of 256 subsets.
+    # On K12 the last level's walk prices 2^10 blocks. A deadline that
+    # passes at its second block's value call is noticed inside the walk,
+    # within one stride of 256 ticks, so of 256 blocks.
     n = 12
     g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     base = random_table_game(n, seed=6)
     pt = build_pseudotree(g, 0)
-    calls = 0
-    K = -1
-    deadline = None
-
-    def value(m):
-        nonlocal calls
-        calls += 1
-        if calls == K:
-            while time.monotonic() < deadline:
-                pass
-        return base.value(m)
-
-    subsets = Graph.connected_subsets
-    root_bit = 1 << pt.order[0]
-    largest = (0, 0)  # (agents, first value call) of the largest split
-
-    def spy(self, ground, required=0):
-        # A split's ground is an entry, which leaves out the root; a stage
-        # seed stream's ground holds it.
-        nonlocal largest
-        if not ground & root_bit and ground.bit_count() > largest[0]:
-            largest = (ground.bit_count(), calls + 1)
-        return subsets(self, ground, required)
-
-    gm = Game(n, value)
-    t0 = time.monotonic()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Graph, "connected_subsets", spy)
-        dype_star(gm, g, pt)
-    assert largest[0] == n - 1
-    K = largest[1]
-    calls = 0
-    # late enough that the run reaches the K-th value call before it
-    deadline = time.monotonic() + 2 * (time.monotonic() - t0) + 0.5
-    res = dype_star(gm, g, pt, deadline=deadline)
-    assert not res.completed
-    assert K <= calls <= K + 256 + n
-
-
-def test_a_fill_stopped_inside_a_split_counts_the_split(monkeypatch):
-    # A value call past the 50,000th lands inside a K12 level's split; the
-    # stopped run's subset count must still hold every subset the fill
-    # enumerated, the split's included.
-    n = 12
-    g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    base = random_table_game(n, seed=6)
-    pt = build_pseudotree(g, 0)
-    calls = 0
-    deadline = 0.0  # passed: no stall while the unbudgeted run is timed
-
-    def value(m):
-        nonlocal calls
-        calls += 1
-        if calls == 50_000:
-            while time.monotonic() < deadline:
-                pass
-        return base.value(m)
-
-    gm = Game(n, value)
+    stall_at = [-1]
+    gm, calls, deadline = stalling_game(base, stall_at)
     t0 = time.monotonic()
     dype_star(gm, g, pt)
-    assert calls > 50_000
-    subsets = Graph.connected_subsets
-    yielded = 0
-
-    def counting(self, ground, required=0):
-        nonlocal yielded
-        for s in subsets(self, ground, required):
-            yielded += 1
-            yield s
-
-    monkeypatch.setattr(Graph, "connected_subsets", counting)
-    calls = 0
-    # late enough that the run reaches the stalling call before it
-    deadline = time.monotonic() + 2 * (time.monotonic() - t0) + 0.5
-    res = dype_star(gm, g, pt, deadline=deadline)
+    elapsed = time.monotonic() - t0
+    walk = [i for i, level, _ in fill_ticks(g, pt, calls) if level == 2]
+    assert len(walk) == 1 << (n - 2)
+    K = stall_at[0] = walk[1]
+    calls.clear()
+    # late enough that the run reaches the K-th value call before it
+    deadline[0] = time.monotonic() + 2 * elapsed + 0.5
+    res = dype_star(gm, g, pt, deadline=deadline[0])
     assert not res.completed
-    assert res.stats.subsets_enumerated == yielded
+    assert K <= len(calls) <= K + 256 + n
+
+
+def test_a_fill_stopped_inside_a_split_counts_the_split():
+    # A value call in the middle of a K12 level's walk stalls past the
+    # deadline; the stopped run's subset count must hold every tick the
+    # fill made, the stopped block's (block, entry) pairs included, as an
+    # independent count of the run's value calls gives them.
+    n = 12
+    g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    base = random_table_game(n, seed=6)
+    pt = build_pseudotree(g, 0)
+    stall_at = [-1]
+    gm, calls, deadline = stalling_game(base, stall_at)
+    t0 = time.monotonic()
+    dype_star(gm, g, pt)
+    elapsed = time.monotonic() - t0
+    walk = [i for i, level, _ in fill_ticks(g, pt, calls) if level == 2]
+    stall_at[0] = walk[len(walk) // 2]
+    calls.clear()
+    # late enough that the run reaches the stalling call before it
+    deadline[0] = time.monotonic() + 2 * elapsed + 0.5
+    res = dype_star(gm, g, pt, deadline=deadline[0])
+    assert not res.completed
+    counted = fill_ticks(g, pt, calls)
+    assert counted[-1][:2] == (len(calls), 2) and len(calls) >= stall_at[0]
+    assert res.stats.subsets_enumerated == counted[-1][2]
+
+
+def per_entry_table(game, g, pt):
+    """The DyPE table filled entry by entry: each level's entries in seed
+    order, each taking the first strictly best block of its own
+    `connected_subsets(c, required=anchor)` stream, priced with its rest's
+    components (plain BFS) read from the entries already filled. Also
+    counts the entries whose best is reached by more than one block."""
+    values, witnesses = {}, {}
+    tied = 0
+
+    def rest_value(rest):
+        left = set(agents_of(rest))
+        total = 0
+        while left:
+            comp = bfs_reach(g.edges, left, min(left))
+            total += values[mask_of(comp)]
+            left -= comp
+        return total
+
+    for level in range(g.n, 1, -1):
+        anchor = 1 << pt.order[level - 1]
+        for c in level_entries(g, pt, level)[1]:
+            best = None
+            for s in g.connected_subsets(c, required=anchor):
+                val = game.value(s) + rest_value(c & ~s)
+                if best is None or val > best:
+                    best, witnesses[c], reached = val, s, 0
+                reached += val == best
+            values[c] = best
+            tied += reached > 1
+    return values, witnesses, tied
+
+
+def test_ties_go_to_each_entrys_first_best_block_in_its_own_stream():
+    # The fill prices a block against every entry holding it in one walk;
+    # on tie-heavy tables each entry must still keep the block the
+    # per-entry fill keeps, and the entries must go in in the same order.
+    rng = random.Random(81)
+    ties = 0
+    for i in range(240):
+        n = rng.randint(2, 9)
+        edges = random_connected_edges(rng, n)
+        for _ in range(rng.randint(0, n)):
+            u, w = rng.sample(range(n), 2)
+            edges.append((u, w))
+        g = Graph(n, edges)
+        top = (1, 3)[i % 2]
+        vals = [0] + [rng.randint(0, top) for _ in range(1, 1 << n)]
+        gm = Game(n, vals.__getitem__)
+        pt = build_pseudotree(g, rng.randrange(n))
+        table = dype_star(gm, g, pt).table
+        values, witnesses, tied = per_entry_table(gm, g, pt)
+        assert list(table.values.items()) == list(values.items()), edges
+        assert list(table.subsets.items()) == list(witnesses.items()), edges
+        ties += tied
+    assert ties > 800
 
 
 def test_dype_and_dype_star_do_the_same_work():

@@ -461,3 +461,30 @@ def test_verify_matrix_refuses_unknown_algorithms_and_empty_grids(
     with pytest.raises(ValueError, match=message):
         verify_matrix(**kwargs)
     assert built == []
+
+
+@pytest.mark.parametrize("algorithms,mode,message", [
+    (("dype-star", "dyp"), "interleaved", "unknown algorithms: dyp$"),
+    (("tsp", "dyp", "cfs"), "interleaved", "unknown algorithms: cfs, dyp$"),
+    (("dype", "d-tsp"), "paralel", "unknown mode 'paralel'"),
+])
+def test_run_bench_refuses_unknown_names_before_any_write(
+        tmp_path, monkeypatch, algorithms, mode, message):
+    # the names are checked before the directory or any cell: a late
+    # refusal would leave the earlier cells' trace files behind
+    solved = []
+    monkeypatch.setattr(harness, "solve_instance",
+                        lambda *args, **kwargs: solved.append(args))
+    cases = [("x", random_table_game(4, seed=3), four_agents(True), None)]
+    out_dir = tmp_path / "bo"
+    with pytest.raises(ValueError, match=message):
+        run_bench(cases, algorithms, mode=mode, out_dir=out_dir)
+    assert not out_dir.exists() and solved == []
+
+
+def test_verify_matrix_parses_every_model_spec_before_the_first_cell():
+    lines = []
+    with pytest.raises(ValueError, match="bad model spec 'foo'"):
+        verify_matrix(models=("path", "foo"), ns=range(1, 3),
+                      games_per_cell=1, progress=lines.append)
+    assert lines == []
