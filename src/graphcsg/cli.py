@@ -1,13 +1,8 @@
 """Command-line interface: gen, solve, verify, bench.
 
 Exit codes: 0 success, 1 verification mismatch or no result produced,
-2 usage error (a bad flag, a NaN or negative --budget, any flag value
-`gen` refuses such as a hopeless gnp p, a `gen -o` or anytime `solve
---trace` file that cannot be written, a `verify` grid or a `bench` with
-no run, two `bench` instances with one file stem, or a `bench --out`
-directory that cannot be created), 3 unreadable or invalid instance,
-4 solver fault (for `verify`, also a grid run that raised
-InternalInvariantError).
+2 usage error, 3 unreadable or invalid instance, 4 solver fault. The
+README lists what each one covers.
 """
 
 from __future__ import annotations
@@ -19,13 +14,13 @@ from dataclasses import fields
 from pathlib import Path
 
 from .harness import (ALGORITHMS, ANYTIME_ALGORITHMS, DEFAULT_MODELS,
-                      MATRIX_RUNS, check_budget, inconsistent_instances,
-                      matrix_seed, parse_model, run_bench, solve_instance,
-                      verify_matrix, write_trace_csv)
+                      MATRIX_RUNS, check_bench, check_grid, check_oracle_cap,
+                      check_settings, inconsistent_instances, run_bench,
+                      solve_instance, verify_matrix, write_trace_csv)
 from .instances import (MODELS, GraphSamplingError, InstanceFormatError,
                         gen_instance, parse_instance_text, realize_instance,
                         write_instance)
-from .solvers import ORACLE_MAX_N, BudgetExceededError
+from .solvers import BudgetExceededError
 
 # The algorithms that `verify` compares against the oracle, in table order.
 _VERIFY_ALGORITHMS = tuple(dict.fromkeys(alg for alg, _, _ in MATRIX_RUNS))
@@ -35,19 +30,15 @@ class _UsageError(Exception):
     """A flag value argparse cannot check by itself; exits with 2."""
 
 
-def _algorithms(text: str, allowed=ALGORITHMS) -> tuple[str, ...]:
-    """The names in a comma-separated --algorithms value."""
-    algorithms = tuple(a for a in text.split(",") if a)
-    bad = set(algorithms) - set(allowed)
-    if bad:
-        raise _UsageError(f"unknown algorithms: {', '.join(sorted(bad))} "
-                          f"(choose from {', '.join(allowed)})")
-    return algorithms
+def _names(text: str) -> tuple[str, ...]:
+    """The names in a comma-separated flag value."""
+    return tuple(a for a in text.split(",") if a)
 
 
 def nonnegative_ms(text: str) -> float:
     """A --budget value; argparse reports its ValueError with exit 2."""
-    return check_budget(float(text))
+    check_settings(budget_ms=float(text))
+    return float(text)
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -146,15 +137,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _check_oracle_cap(g, algorithms) -> None:
-    """An instance beyond the oracle's cap is an instance error (exit 3),
-    raised before any solve starts."""
-    largest = max(map(int.bit_count, g.connected_components(g.full_mask)))
-    if "oracle" in algorithms and largest > ORACLE_MAX_N:
-        raise ValueError(f"the oracle is capped at components of n <= "
-                         f"{ORACLE_MAX_N}, got n = {largest}")
-
-
 def _internal_error(e: Exception) -> int:
     """Report a fault raised after every input was checked; exits with 4."""
     traceback.print_exc()
@@ -164,7 +146,7 @@ def _internal_error(e: Exception) -> int:
 
 def _cmd_solve(args) -> int:
     game, g, root = _load_instance(args.instance)
-    _check_oracle_cap(g, (args.algorithm,))
+    check_oracle_cap(g, (args.algorithm,))  # an instance error, exit 3
     trace = args.trace if args.algorithm in ANYTIME_ALGORITHMS else None
     if trace is not None:
         try:  # refused before the solve, as `gen -o` is
@@ -195,29 +177,18 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    models = tuple(m for m in args.models.split(",") if m)
+    grid = dict(models=_names(args.models),
+                ns=range(args.n_min, args.n_max + 1),
+                games_per_cell=args.games, base_seed=args.seed,
+                algorithms=_names(args.algorithms) if args.algorithms
+                else None)
     try:
-        specs = [parse_model(spec) for spec in models]
+        check_grid(**grid)
     except ValueError as e:
-        raise _UsageError(f"--models: {e}") from None
-    if ("gnp", 0.0) in specs and args.n_max >= 2:
-        raise _UsageError("--models: gnp:0 has no connected graph on n >= 2")
-    algorithms = (_algorithms(args.algorithms, _VERIFY_ALGORITHMS)
-                  if args.algorithms else _VERIFY_ALGORITHMS)
-    if not 1 <= args.n_min <= args.n_max <= ORACLE_MAX_N:
-        raise _UsageError(f"need 1 <= --n-min <= --n-max <= {ORACLE_MAX_N}, "
-                          f"the oracle's cap")
-    if not (models and algorithms and args.games >= 1):
-        raise _UsageError("the grid holds no solver run")
-    try:  # the largest cell's seed: no two cells may share one
-        matrix_seed(args.seed, len(models) - 1, args.n_max, args.games - 1)
-    except ValueError as e:
-        raise _UsageError(f"--models/--games: {e}") from None
+        raise _UsageError(e) from None
     try:
         report = verify_matrix(
-            models=models, ns=range(args.n_min, args.n_max + 1),
-            games_per_cell=args.games, base_seed=args.seed,
-            algorithms=algorithms,
+            **grid,
             progress=None if args.quiet else lambda line: print(line))
     except GraphSamplingError:
         raise  # p too small for some n: a usage error
@@ -230,18 +201,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    algorithms = _algorithms(args.algorithms)
-    if not (algorithms and args.repetitions >= 1):
-        raise _UsageError("the bench holds no run: need an algorithm and "
-                          "--repetitions >= 1")
-    stems = [Path(path).stem for path in args.instances]
-    repeated = sorted({stem for stem in stems if stems.count(stem) > 1})
-    if repeated:  # rows and trace files are named by stem
-        raise _UsageError(f"repeated instance stems: {', '.join(repeated)}")
+    algorithms = _names(args.algorithms)
+    try:  # rows and trace files are named by stem
+        check_bench([Path(path).stem for path in args.instances],
+                    algorithms, args.repetitions)
+    except ValueError as e:
+        raise _UsageError(e) from None
     loaded = []
     for path in args.instances:
         game, g, root = _load_instance(path)
-        _check_oracle_cap(g, algorithms)
+        check_oracle_cap(g, algorithms)  # an instance error, exit 3
         loaded.append((Path(path).stem, game, g, root))
     try:
         Path(args.out).mkdir(parents=True, exist_ok=True)

@@ -13,10 +13,11 @@ from .graph import Graph
 from .instances import MODELS, gen_instance, realize_instance
 from .masks import agents_of, half_sums
 from .pseudotree import build_pseudotree
-from .solvers import (BudgetExceededError, InternalInvariantError,
-                      SolverResult, audit_dp_table, brute_force_best, cfss,
-                      d_tsp, dype, dype_star, structure_masks, tsp)
-from .solvers.base import SearchStats
+from .solvers import (ORACLE_MAX_N, BudgetExceededError,
+                      InternalInvariantError, SolverResult, audit_dp_table,
+                      brute_force_best, cfss, d_tsp, dype, dype_star,
+                      structure_masks, tsp)
+from .solvers.base import SearchStats, elapsed_us
 
 ALGORITHMS = ("oracle", "dype", "tsp", "dype-star", "d-tsp", "cfss")
 ANYTIME_ALGORITHMS = ("dype-star", "d-tsp")
@@ -40,7 +41,7 @@ MATRIX_RUNS = (
 def _solve_connected(game: Game, g: Graph, algorithm: str, *, bound=None,
                      mode: str = "interleaved", root: int = 0,
                      deadline: float | None = None,
-                     on_incumbent=None) -> SolverResult:
+                     on_event=None) -> SolverResult:
     """Dispatch one algorithm on a connected graph. The bound factories are
     looked up at call time, so a rebound module name applies."""
     if algorithm == "oracle":
@@ -54,11 +55,10 @@ def _solve_connected(game: Game, g: Graph, algorithm: str, *, bound=None,
         return tsp(game, g, pt, make_tsp_bound(game, bound),
                    deadline=deadline)
     if algorithm == "dype-star":
-        return dype_star(game, g, pt, on_incumbent=on_incumbent,
-                         deadline=deadline)
+        return dype_star(game, g, pt, on_event=on_event, deadline=deadline)
     if algorithm == "d-tsp":
         return d_tsp(game, g, pt, make_tsp_bound(game, bound), mode=mode,
-                     on_incumbent=on_incumbent, deadline=deadline)
+                     on_event=on_event, deadline=deadline)
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
@@ -81,18 +81,32 @@ def _subgame(game: Game, agents: list[int]):
                 tolerance=game.tolerance), expand
 
 
-def check_budget(budget_ms: float | None) -> float | None:
-    """`budget_ms` itself; ValueError when it is NaN, which no deadline
-    check would ever pass, or negative."""
+def check_settings(bound=None, mode: str = "interleaved",
+                   budget_ms: float | None = None) -> None:
+    """ValueError for an unknown bound kind or mode, whatever the
+    algorithm, or a budget that is negative or NaN (which no deadline
+    check would ever pass)."""
+    if bound not in (None, "none", "supersub"):
+        raise ValueError(f"unknown bound kind {bound!r}")
+    if mode not in ("interleaved", "parallel"):
+        raise ValueError(f"unknown mode {mode!r}")
     if budget_ms is not None and not budget_ms >= 0:
         raise ValueError(f"budget must be 0 ms or more, got {budget_ms}")
-    return budget_ms
+
+
+def check_oracle_cap(g: Graph, algorithms) -> None:
+    """ValueError, before any solve starts, when the oracle is among
+    `algorithms` and a component of `g` is past its cap."""
+    largest = max(map(int.bit_count, g.connected_components(g.full_mask)))
+    if "oracle" in algorithms and largest > ORACLE_MAX_N:
+        raise ValueError(f"the oracle is capped at components of n <= "
+                         f"{ORACLE_MAX_N}, got n = {largest}")
 
 
 def solve_instance(game: Game, g: Graph, algorithm: str, *, bound=None,
                    mode: str = "interleaved", root: int | None = None,
                    budget_ms: float | None = None,
-                   on_incumbent=None) -> SolverResult:
+                   on_event=None) -> SolverResult:
     """Run one algorithm on one instance. Disconnected graphs are split
     into components, solved independently, and merged: block union, value
     sum, and for anytime algorithms a single stitched trace whose baseline
@@ -100,21 +114,26 @@ def solve_instance(game: Game, g: Graph, algorithm: str, *, bound=None,
     keeps its own incumbent, so the answer may sit up to `game.tolerance`
     below the optimum per component.
 
+    `on_event` observes `dype-star` and `d-tsp` in the whole graph's terms:
+    stitched times and values, global masks and full partitions.
+
     The result never holds a DP table (`table` is None on every path), so
     a caller that keeps many results keeps no tables; call the solvers
     directly to inspect one. A game over another agent count than the
-    graph's, or a root outside 0..n-1, is a ValueError."""
+    graph's, a root outside 0..n-1, or a setting `check_settings` refuses
+    is a ValueError."""
+    check_settings(bound, mode, budget_ms)
     if game.n != g.n:
         raise ValueError(f"the game has {game.n} agents, the graph {g.n}")
     if root is not None and not 0 <= root < g.n:
         raise ValueError(f"root {root} out of range for n={g.n}")
-    deadline = None if check_budget(budget_ms) is None \
+    deadline = None if budget_ms is None \
         else time.monotonic() + budget_ms / 1000.0
     comps = g.connected_components(g.full_mask)
     if len(comps) == 1:
         res = _solve_connected(game, g, algorithm, bound=bound, mode=mode,
                                root=root if root is not None else 0,
-                               deadline=deadline, on_incumbent=on_incumbent)
+                               deadline=deadline, on_event=on_event)
         res.table = None
         return res
 
@@ -130,43 +149,40 @@ def solve_instance(game: Game, g: Graph, algorithm: str, *, bound=None,
         lroot = index[root] if root is not None and (comp >> root) & 1 else 0
         lgame, expand = _subgame(game, agents)
         parts.append((comp, lg, lroot, lgame, expand))
-    remaining_init = sum(map(game.value, comps))
+    inits = list(map(game.value, comps))  # each one-block value
 
     t0 = time.monotonic()
-    trace = [(0, remaining_init)] if anytime else []
+    trace = [(0, sum(inits))] if anytime else []
     blocks: list[int] = []
     total = 0
     stats = SearchStats()
     completed = True
     for k, (comp, lg, lroot, lgame, expand) in enumerate(parts):
-        init_val = game.value(comp)
-        remaining_init -= init_val
         if deadline is not None and time.monotonic() >= deadline:
             if not anytime:
                 raise BudgetExceededError(
                     "budget exhausted with components left to solve")
             completed = False
             blocks.append(comp)
-            total += init_val
+            total += inits[k]
             continue
-        baseline = total + remaining_init
-        offset = int((time.monotonic() - t0) * 1_000_000)
-        # Unsolved components sit in the reported structure as one block
-        # each until their turn comes.
-        context = blocks + comps[k + 1:]
-
-        # Each offer beats the component's incumbent, so it also raises
-        # the stitched trace.
-        def hook(t_us, val, part, _b=baseline, _o=offset, _e=expand,
-                 _ctx=context):
-            trace.append((_o + t_us, _b + val))
-            if on_incumbent is not None:
-                on_incumbent(_o + t_us, _b + val,
-                             Partition(_ctx + [_e(x) for x in part]))
+        baseline = total + sum(inits[k + 1:])
+        offset = elapsed_us(t0)
+        relay = None
+        if on_event is not None:
+            # Called only during this component's solve. Unsolved
+            # components sit in a reported partition as one block each.
+            def relay(kind, *f):
+                if kind == "incumbent":
+                    on_event(kind, offset + f[0], baseline + f[1], Partition(
+                        blocks + comps[k + 1:] + list(map(expand, f[2]))))
+                else:  # "structure"
+                    on_event(kind, tuple(map(expand, f[0])))
 
         res = _solve_connected(lgame, lg, algorithm, bound=bound, mode=mode,
-                               root=lroot, deadline=deadline,
-                               on_incumbent=hook if anytime else None)
+                               root=lroot, deadline=deadline, on_event=relay)
+        # Each point after the first also raises the stitched trace.
+        trace.extend((offset + t, baseline + v) for t, v in res.trace[1:])
         completed = completed and res.completed
         blocks.extend(expand(b) for b in res.best.blocks)
         total += res.best_value
@@ -241,6 +257,29 @@ def matrix_instance(model_spec: str, n: int, seed: int) -> tuple[Game, Graph]:
     return realize_instance(inst)[:2]
 
 
+def check_grid(models, ns, games_per_cell: int, base_seed: int,
+               algorithms) -> list:
+    """A `verify_matrix` grid's `MATRIX_RUNS` rows. ValueError for an
+    unknown algorithm or model spec, a grid with no solver run, an n
+    outside 1..ORACLE_MAX_N (the oracle's cap), gnp:0 with n >= 2 (no
+    connected graph), or a cell past `matrix_seed`'s range."""
+    bad = set(algorithms or ()) - {alg for alg, _, _ in MATRIX_RUNS}
+    if bad:
+        raise ValueError(f"unknown algorithms: {', '.join(sorted(bad))}")
+    runs = [r for r in MATRIX_RUNS
+            if algorithms is None or r[0] in algorithms]
+    if not (runs and models and ns and games_per_cell >= 1):
+        raise ValueError("the grid holds no solver run")
+    specs = [parse_model(spec) for spec in models]
+    if not (1 <= min(ns) and max(ns) <= ORACLE_MAX_N):
+        raise ValueError(f"n must lie in 1..{ORACLE_MAX_N}, the oracle's cap")
+    if ("gnp", 0.0) in specs and max(ns) >= 2:
+        raise ValueError("gnp:0 has no connected graph on n >= 2")
+    # The largest cell's seed: no two cells may share one.
+    matrix_seed(base_seed, len(models) - 1, max(ns), games_per_cell - 1)
+    return runs
+
+
 def _check_trace(res: SolverResult, v_full: Value, optimum: Value,
                  where: str, out: list[str]) -> None:
     tr = res.trace
@@ -267,20 +306,13 @@ def verify_matrix(*, models=DEFAULT_MODELS, ns=range(1, 10),
 
     Each cell is `matrix_instance(model, n, seed)`, with the seed from
     `matrix_seed`; `algorithms` limits the matrix rows to the named ones.
-    An unknown algorithm or model spec, or a grid with no solver run, is a
-    ValueError, raised before the first cell.
+    A grid `check_grid` refuses is refused before the first cell.
     """
-    bad = set(algorithms or ()) - {alg for alg, _, _ in MATRIX_RUNS}
-    if bad:
-        raise ValueError(f"unknown algorithms: {', '.join(sorted(bad))}")
-    runs = [r for r in MATRIX_RUNS
-            if algorithms is None or r[0] in algorithms]
-    if not (runs and models and ns and games_per_cell >= 1):
-        raise ValueError("the grid holds no solver run")
-    kinds = [parse_model(spec)[0] for spec in models]
+    ns = tuple(ns)  # read by the check, then once per model
+    runs = check_grid(models, ns, games_per_cell, base_seed, algorithms)
     report = VerifyReport()
     for mi, model_spec in enumerate(models):
-        deterministic = kinds[mi] != "gnp"
+        deterministic = parse_model(model_spec)[0] != "gnp"
         for n in ns:
             # A deterministic model's cells share one graph's structures.
             shared_structures = None
@@ -360,6 +392,19 @@ class BenchRow:
     nodes_pruned: int
 
 
+def check_bench(names, algorithms, repetitions: int = 1) -> None:
+    """ValueError for a repeated instance name, a bench with no run, or an
+    unknown algorithm."""
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"repeated instance stems: {', '.join(repeated)}")
+    if not (names and algorithms and repetitions >= 1):
+        raise ValueError("the bench holds no run")
+    bad = sorted(set(algorithms) - set(ALGORITHMS))
+    if bad:
+        raise ValueError(f"unknown algorithms: {', '.join(bad)}")
+
+
 def write_trace_csv(path, trace) -> None:
     """Trace points as CSV; equal timestamps are bumped forward so the
     column is strictly increasing."""
@@ -381,21 +426,14 @@ def run_bench(instances, algorithms, *, budget_ms: float | None = None,
 
     `instances` is a list of (name, game, graph, root). With `out_dir` a
     report.csv and one trace file per anytime run, named by instance, are
-    written there. A repeated name, no run, an unknown algorithm or an
-    unknown mode is a ValueError, raised before anything is written.
+    written there. A bench `check_bench` or `check_settings` refuses, or an
+    instance past the oracle's cap, is a ValueError, raised before anything
+    is written.
     """
-    check_budget(budget_ms)
-    names = [name for name, _, _, _ in instances]
-    repeated = sorted({name for name in names if names.count(name) > 1})
-    if repeated:
-        raise ValueError(f"repeated instance stems: {', '.join(repeated)}")
-    if not (names and algorithms and repetitions >= 1):
-        raise ValueError("the bench holds no run")
-    bad = sorted(set(algorithms) - set(ALGORITHMS))
-    if bad:
-        raise ValueError(f"unknown algorithms: {', '.join(bad)}")
-    if mode not in ("interleaved", "parallel"):
-        raise ValueError(f"unknown mode {mode!r}")
+    check_settings(bound, mode, budget_ms)
+    check_bench([name for name, _, _, _ in instances], algorithms, repetitions)
+    for _, _, g, _ in instances:
+        check_oracle_cap(g, algorithms)
     out = None
     if out_dir is not None:
         out = Path(out_dir)

@@ -87,18 +87,24 @@ class _Incumbent:
     competing offer loses cleanly. Unlocked reads of `value` are fine
     everywhere: the value only rises, and a stale read merely delays pruning.
     `blocks` and `trace` are read directly once every worker has stopped.
+
+    `on_event(kind, *fields)`, when given, observes the run. The kinds are:
+    - "incumbent", t_us, value, partition: from `offer`, under the lock,
+      once per trace point after the first;
+    - "structure", blocks: a full structure that `tsp`, `d_tsp`'s search or
+      `cfss` visits, as a tuple of masks.
     """
 
-    __slots__ = ("value", "blocks", "trace", "_lock", "_t0", "_tol", "_hook")
+    __slots__ = ("value", "blocks", "trace", "_lock", "_t0", "_tol", "_emit")
 
-    def __init__(self, blocks, value, t0, tolerance, hook=None):
+    def __init__(self, blocks, value, tolerance, on_event=None):
         self.blocks = list(blocks)
         self.value = value
         self.trace = [(0, value)]
         self._lock = threading.Lock()
-        self._t0 = t0
+        self._t0 = time.monotonic()
         self._tol = tolerance
-        self._hook = hook
+        self._emit = on_event
 
     def offer(self, blocks, value) -> None:
         with self._lock:
@@ -108,5 +114,5 @@ class _Incumbent:
             self.value = value
             t = elapsed_us(self._t0)
             self.trace.append((t, value))
-            if self._hook is not None:
-                self._hook(t, value, Partition(self.blocks))
+            if self._emit is not None:
+                self._emit("incumbent", t, value, Partition(self.blocks))

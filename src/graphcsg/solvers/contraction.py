@@ -37,14 +37,14 @@ from .base import (DEADLINE_STRIDE, BudgetExceededError, SearchStats,
 
 
 def cfss(game: Game, g: Graph, bound=None, *, deadline: float | None = None,
-         structure_hook=None) -> SolverResult:
+         on_event=None) -> SolverResult:
     """Exact contraction search; with a bound hook it prunes subtrees whose
     optimistic value cannot beat the incumbent.
 
     `bound`, when given, maps (blocks, merged_blocks) to an upper bound on
     every structure in the subtree, merged_blocks being the coarsest
     reachable coarsening: the groups of blocks joined by solid pairs. The
-    incumbent starts at the all-singletons root.
+    incumbent starts at the all-singletons root. `on_event` observes it.
     """
     require_connected(g)
     v = game.value
@@ -54,7 +54,7 @@ def cfss(game: Game, g: Graph, bound=None, *, deadline: float | None = None,
     nbr = list(g.adj)
     dn = [0] * g.n
     own = list(range(g.n))
-    inc = _Incumbent(blk, sum(val), 0, tol)
+    inc = _Incumbent(blk, sum(val), tol, on_event)
 
     def visit(value, reps):
         nonlocal count, pruned
@@ -62,8 +62,8 @@ def cfss(game: Game, g: Graph, bound=None, *, deadline: float | None = None,
         if deadline is not None and count % DEADLINE_STRIDE == 1 \
                 and time.monotonic() >= deadline:
             raise BudgetExceededError("deadline hit during contraction search")
-        if structure_hook is not None:
-            structure_hook(tuple(filter(None, blk)))
+        if on_event is not None:
+            on_event("structure", tuple(filter(None, blk)))
         if value > inc.value + tol:
             inc.offer(tuple(filter(None, blk)), value)
         # part[r]: the representatives of r's solid partners; lows: the

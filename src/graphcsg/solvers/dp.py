@@ -203,7 +203,7 @@ class _Sweep:
 
 
 def _drive(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
-           search: str | None = None, on_incumbent=None,
+           search: str | None = None, on_event=None,
            deadline: float | None = None) -> SolverResult:
     """Run the sweep, and the tree search as `search` schedules it, over
     one table and one incumbent until their frontiers cross. `search` is
@@ -211,15 +211,14 @@ def _drive(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
     both). Every worker runs the same loop over its own step: the main
     thread takes the sweep's turns, and in parallel mode a second thread
     takes the search's steps. Hitting the deadline returns the incumbent
-    with completed=False instead of raising."""
+    with completed=False instead of raising. `on_event` observes the run."""
     require_connected(g)
     full = g.full_mask
     table = DpTable(g.n)
-    inc = _Incumbent([full], game.value(full), time.monotonic(),
-                     game.tolerance, on_incumbent)
+    inc = _Incumbent([full], game.value(full), game.tolerance, on_event)
     sweep = _Sweep(game, g, pt, table, inc, SearchStats(), deadline)
     searcher = _Search(game, g, pt, table, inc, SearchStats(), bound,
-                       deadline)
+                       deadline, on_event)
     stop = threading.Event()
     faults = []  # read after the join; the first is re-raised
     completed = True
@@ -279,11 +278,11 @@ def dype(game: Game, g: Graph, pt: Pseudotree, *,
     return res
 
 
-def dype_star(game: Game, g: Graph, pt: Pseudotree, *, on_incumbent=None,
+def dype_star(game: Game, g: Graph, pt: Pseudotree, *, on_event=None,
               deadline: float | None = None) -> SolverResult:
     """Anytime variant: keeps a feasible incumbent from the start (the
     one-block partition) and improves it after every completed level."""
-    return _drive(game, g, pt, on_incumbent=on_incumbent, deadline=deadline)
+    return _drive(game, g, pt, on_event=on_event, deadline=deadline)
 
 
 def audit_dp_table(table: DpTable, game: Game, g: Graph,

@@ -41,7 +41,7 @@ from .treesearch import _Search  # noqa: F401
 
 
 def d_tsp(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
-          mode: str = "interleaved", on_incumbent=None,
+          mode: str = "interleaved", on_event=None,
           deadline: float | None = None) -> SolverResult:
     """Run the sweep and the search together until their frontiers cross.
 
@@ -53,5 +53,5 @@ def d_tsp(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
     """
     if mode not in ("interleaved", "parallel"):
         raise ValueError(f"unknown mode {mode!r}")
-    return _drive(game, g, pt, bound, search=mode, on_incumbent=on_incumbent,
+    return _drive(game, g, pt, bound, search=mode, on_event=on_event,
                   deadline=deadline)

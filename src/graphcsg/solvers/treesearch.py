@@ -49,15 +49,14 @@ class _Search:
     chosen to reach it (the seed frame covers nothing). `next_stage` is the
     frontier (the stage whose seeds are pending); it advances only once a
     stage's whole seed frame is exhausted, and stops at the table's
-    `published_level`.
-    `structure_hook`, when given, observes every full structure reached.
+    `published_level`. `on_event` observes every full structure reached.
     """
 
     __slots__ = ("game", "g", "pt", "table", "inc", "stats", "bound",
-                 "deadline", "structure_hook", "next_stage", "_stack")
+                 "deadline", "on_event", "next_stage", "_stack")
 
     def __init__(self, game, g, pt, table, inc, stats, bound, deadline,
-                 structure_hook=None):
+                 on_event=None):
         self.game = game
         self.g = g
         self.pt = pt
@@ -66,7 +65,7 @@ class _Search:
         self.stats = stats
         self.bound = bound
         self.deadline = deadline
-        self.structure_hook = structure_hook
+        self.on_event = on_event
         self.next_stage = 2
         self._stack = []
 
@@ -88,7 +87,7 @@ class _Search:
         inc = self.inc
         stats = self.stats
         bound = self.bound
-        hook = self.structure_hook
+        emit = self.on_event
         stack = self._stack
         ticks = 0
         looked_up = 0
@@ -124,8 +123,8 @@ class _Search:
                     # node's child, and a seed is bounded like a node.
                     if ncov == full:
                         stats.structures_visited += 1
-                        if hook is not None:
-                            hook(tuple(self._partial()) + (c,))
+                        if emit is not None:
+                            emit("structure", tuple(self._partial()) + (c,))
                         if nval > inc.value + tol:
                             inc.offer(self._partial() + [c], nval)
                     elif bound is not None \
@@ -168,26 +167,26 @@ class _Search:
 
 
 def tsp(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
-        deadline: float | None = None, structure_hook=None) -> SolverResult:
+        deadline: float | None = None, on_event=None) -> SolverResult:
     """Branch-and-bound tree search; exact for any admissible bound and
     exhaustive with bound=None.
 
     `bound`, when given, maps (partial_value, remainder_mask) to an upper
     bound on any completion; a stage seed or a node below it is skipped,
     with its subtree, unless its bound strictly beats the incumbent.
-    `structure_hook` observes every full structure the search visits (used
-    by coverage tests). The search never visits the one-block partition.
+    `on_event` observes the incumbents and every full structure the search
+    visits; the search never visits the one-block partition.
     """
     require_connected(g)
     singles = [1 << a for a in range(g.n)]
-    inc = _Incumbent(singles, sum(map(game.value, singles)), 0,
-                     game.tolerance)
+    inc = _Incumbent(singles, sum(map(game.value, singles)), game.tolerance,
+                     on_event)
     inc.offer([g.full_mask], game.value(g.full_mask))
     stats = SearchStats()
     # An empty table publishes level n + 1: stages 2..n all run, and no
     # node is ever shortcut.
     _Search(game, g, pt, DpTable(g.n), inc, stats, bound, deadline,
-            structure_hook).step(math.inf)
+            on_event).step(math.inf)
     return SolverResult(best=Partition(inc.blocks), best_value=inc.value,
                         stats=stats)
 

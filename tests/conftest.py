@@ -142,9 +142,18 @@ def canon(blocks):
     return frozenset(blocks)
 
 
+def observer(kind, record):
+    """An `on_event` observer that calls record(*fields) for each event of
+    `kind` and ignores the other kinds."""
+    def on_event(event_kind, *fields):
+        if event_kind == kind:
+            record(*fields)
+    return on_event
+
+
 def contraction_tree(g):
-    """cfss's contraction tree on g, read through its two hooks with a
-    bound that never prunes: a preorder list of [blocks, parent, merged].
+    """cfss's contraction tree on g, read through its structure events and
+    a bound that never prunes: a preorder list of [blocks, parent, merged].
 
     `parent` is the index of the parent state, -1 at the root. A child
     has one block fewer than its parent, and the walk is depth first, so
@@ -165,7 +174,8 @@ def contraction_tree(g):
         states[-1][2] = merged
         return math.inf
 
-    cfss(random_table_game(g.n, seed=0), g, bound, structure_hook=hook)
+    cfss(random_table_game(g.n, seed=0), g, bound,
+         on_event=observer("structure", hook))
     return states
 
 

@@ -20,7 +20,8 @@ from graphcsg import (Graph, brute_force_best, build_pseudotree, cfss,
 from graphcsg.instances import model_edges
 
 from conftest import (FOUR_CYCLE_EDGES, canon, connected_subsets_reference,
-                      contraction_tree, is_ancestor, random_connected_edges)
+                      contraction_tree, is_ancestor, observer,
+                      random_connected_edges)
 
 GRID_MODELS = ("path", "cycle", "star", "complete", "gnp:0.2", "gnp:0.5",
                "gnp:0.8")
@@ -77,7 +78,8 @@ def test_criterion_2_exactly_once_coverage():
         feasible = {canon(s) for s in structure_masks(g)}
 
         seen = []
-        tsp(gm, g, pt, structure_hook=lambda s: seen.append(canon(s)))
+        tsp(gm, g, pt,
+            on_event=observer("structure", lambda s: seen.append(canon(s))))
         inits = {canon([g.full_mask]), canon(1 << a for a in range(g.n))}
         if len(seen) != len(set(seen)):
             failures.append(f"{label}: tsp revisited a structure")
@@ -86,7 +88,8 @@ def test_criterion_2_exactly_once_coverage():
                             f"of {len(feasible)} structures")
 
         walked = []
-        res = cfss(gm, g, structure_hook=lambda s: walked.append(canon(s)))
+        res = cfss(gm, g, on_event=observer(
+            "structure", lambda s: walked.append(canon(s))))
         if res.stats.structures_visited != len(feasible) \
                 or len(walked) != len(set(walked)) \
                 or set(walked) != feasible:

@@ -11,7 +11,7 @@ from graphcsg import (BudgetExceededError, Graph, brute_force_best, cfss,
                       random_table_game, solve_instance, structure_masks)
 
 from conftest import (FOUR_CYCLE_EDGES, agents_of, canon, contraction_tree,
-                      random_connected_edges)
+                      observer, random_connected_edges)
 
 
 def children(tree):
@@ -95,15 +95,18 @@ def reference_states(g):
 
 def in_place_states(gm, g):
     """cfss's own state at every node, in preorder, copied from the frame
-    that calls the structure hook."""
+    that reports the structure event."""
     states = []
 
-    def hook(blocks):
+    def hook(kind, *fields):
+        if kind != "structure":  # incumbents come from `_Incumbent.offer`
+            return
+        blocks, = fields
         f = sys._getframe(1).f_locals
         states.append((blocks, f["reps"], list(f["blk"]), list(f["val"]),
                        list(f["nbr"]), list(f["dn"]), list(f["own"])))
 
-    cfss(gm, g, structure_hook=hook)
+    cfss(gm, g, on_event=hook)
     return states
 
 
@@ -171,8 +174,8 @@ def test_merged_partition_is_reachable_coarsening():
                 count += 1
                 return -math.inf if count == k + 1 else math.inf
 
-            cfss(gm, g, bound,
-                 structure_hook=lambda s: seen.append(canon(s)))
+            cfss(gm, g, bound, on_event=observer(
+                "structure", lambda s: seen.append(canon(s))))
             gone = set(full) - set(seen)
             descendants = set()
             for j in range(i + 1, len(tree)):
@@ -209,7 +212,8 @@ def test_cfss_hook_sees_every_structure_once():
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     gm = random_table_game(5, seed=4)
     seen = []
-    cfss(gm, g, structure_hook=lambda s: seen.append(canon(s)))
+    cfss(gm, g,
+         on_event=observer("structure", lambda s: seen.append(canon(s))))
     assert len(seen) == len(set(seen))
     assert set(seen) == {canon(s) for s in structure_masks(g)}
 

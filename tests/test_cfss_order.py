@@ -14,6 +14,8 @@ import json
 
 from graphcsg import cfss, gen_instance, make_cfss_bound, realize_instance
 
+from conftest import observer
+
 # (model, n, seed, p): n = 4-9 over every graph model.
 GRAPHS = (("path", 6, 11, 0.5), ("cycle", 7, 12, 0.5), ("star", 6, 13, 0.5),
           ("complete", 7, 14, 0.5), ("gnp", 7, 15, 0.4), ("gnp", 8, 16, 0.5),
@@ -39,8 +41,8 @@ def order_records():
                         bounded.append([list(blocks), sorted(merged)])
                         return inner(blocks, merged)
 
-                res = cfss(game, g, bound,
-                           structure_hook=lambda s: hooked.append(list(s)))
+                res = cfss(game, g, bound, on_event=observer(
+                    "structure", lambda s: hooked.append(list(s))))
                 records.append([model, n, kind, bound_kind, hooked, bounded,
                                 list(res.best.blocks), res.best_value,
                                 list(dataclasses.astuple(res.stats))])

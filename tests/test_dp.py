@@ -207,16 +207,25 @@ def test_dype_star_trace_contract():
     for _ in range(15):
         gm, g = random_instance(rng, n_max=7)
         pt = build_pseudotree(g, 0)
-        seen = []
-        res = dype_star(gm, g, pt, on_incumbent=lambda t, v, b: seen.append(v))
+        events = []
+        res = dype_star(gm, g, pt,
+                        on_event=lambda *event: events.append(event))
         assert res.completed
         assert res.trace[0] == (0, gm.value(g.full_mask))
         for (t0, v0), (t1, v1) in zip(res.trace, res.trace[1:]):
             assert t1 >= t0 and v1 > v0
         assert res.trace[-1][1] == res.best_value
         assert res.best_value == brute_force_best(gm, g).best_value
-        # the hook fires exactly on the improving steps after the first
-        assert seen == [v for _, v in res.trace[1:]]
+        # the observer sees exactly the improving steps after the first,
+        # each an incumbent (the sweep visits no structure) with a
+        # partition of the whole graph that prices at its value
+        assert [v for _, _, v, _ in events] == [v for _, v in res.trace[1:]]
+        assert [e[:3] for e in events] \
+            == [("incumbent", t, v) for t, v in res.trace[1:]]
+        for _, _, v, p in events:
+            assert isinstance(p, Partition) and p.covered == g.full_mask
+            assert partition_value(gm, p) == v
+            assert all(g.is_connected(b) for b in p)
 
 
 def test_deadline_behaviour():

@@ -65,22 +65,41 @@ def test_disconnected_instances_decompose():
 
 
 def test_disconnected_anytime_trace_is_stitched():
-    gm, g = two_triangles()
-    init = gm.value(0b000111) + gm.value(0b111000)
-    for alg in ANYTIME_ALGORITHMS:
-        parts = []
-        res = solve_instance(
-            gm, g, alg,
-            on_incumbent=lambda t, v, p: parts.append((v, p)))
-        assert res.trace[0] == (0, init)
-        for (t0, v0), (t1, v1) in zip(res.trace, res.trace[1:]):
-            assert t1 >= t0 and v1 > v0
-        assert res.trace[-1][1] == res.best_value
-        # every reported incumbent is a feasible full partition
-        for v, p in parts:
-            assert isinstance(p, Partition)
-            assert p.covered == g.full_mask
-            assert partition_value(gm, p) == v
+    """Each relayed incumbent is a stitched trace point with a partition of
+    the whole graph, and each relayed structure is a structure of one
+    component in global masks."""
+    rng = random.Random(115)
+    edges = random_connected_edges(rng, 7)
+    edges += [(u + 7, w + 7) for u, w in random_connected_edges(rng, 6)]
+    forest = (random_table_game(13, seed=8), Graph(13, edges))
+    for gm, g in (two_triangles(), forest):
+        comps = g.connected_components(g.full_mask)
+        for alg, bound in (("dype-star", None), ("d-tsp", None),
+                           ("d-tsp", "supersub")):
+            events = []
+            res = solve_instance(gm, g, alg, bound=bound,
+                                 on_event=lambda *event: events.append(event))
+            assert res.trace[0] == (0, sum(map(gm.value, comps)))
+            for (t0, v0), (t1, v1) in zip(res.trace, res.trace[1:]):
+                assert t1 >= t0 and v1 > v0
+            assert res.trace[-1][1] == res.best_value
+            parts = [e[1:] for e in events if e[0] == "incumbent"]
+            assert [(t, v) for t, v, _ in parts] == res.trace[1:]
+            # every reported incumbent is a feasible full partition
+            for _, v, p in parts:
+                assert isinstance(p, Partition)
+                assert p.covered == g.full_mask
+                assert partition_value(gm, p) == v
+                assert all(g.is_connected(b) for b in p)
+            structures = [e[1] for e in events if e[0] == "structure"]
+            assert len(parts) + len(structures) == len(events)
+            for s in structures:
+                comp, = {c for c in comps for b in s if b & c}
+                assert Partition(s).covered == comp
+                assert all(g.is_connected(b) for b in s)
+            if g.n == 13:
+                assert len(res.trace) > 2
+                assert bool(structures) == (alg == "d-tsp")
 
 
 def test_subgame_expand_matches_the_bit_loop():
@@ -488,3 +507,63 @@ def test_verify_matrix_parses_every_model_spec_before_the_first_cell():
         verify_matrix(models=("path", "foo"), ns=range(1, 3),
                       games_per_cell=1, progress=lines.append)
     assert lines == []
+
+
+@pytest.mark.parametrize("settings,message", [
+    (dict(bound="foo"), "unknown bound kind 'foo'"),
+    (dict(bound="supersub", mode="foo"), "unknown mode 'foo'"),
+])
+@pytest.mark.parametrize("connected", [True, False])
+def test_solve_instance_refuses_unknown_settings_for_every_algorithm(
+        monkeypatch, settings, message, connected):
+    solved = []
+    monkeypatch.setattr(harness, "_solve_connected",
+                        lambda *args, **kwargs: solved.append(args))
+    g = four_agents(connected)
+    gm = random_table_game(4, seed=5)
+    for alg in ALGORITHMS:
+        with pytest.raises(ValueError, match=message):
+            solve_instance(gm, g, alg, **settings)
+    assert solved == []
+
+
+def test_run_bench_refuses_a_bad_bound_and_the_oracle_past_its_cap(
+        tmp_path, monkeypatch):
+    # both were refused only at the cell that used them, after the earlier
+    # cells had run and the directory was made
+    solved = []
+    monkeypatch.setattr(harness, "solve_instance",
+                        lambda *args, **kwargs: solved.append(args))
+    g = four_agents(True)
+    small = [("x", random_table_game(4, seed=3), g, None)]
+    out_dir = tmp_path / "bo"
+    with pytest.raises(ValueError, match="unknown bound kind 'foo'"):
+        run_bench(small, ("dype", "tsp"), bound="foo", out_dir=out_dir)
+    assert not out_dir.exists() and solved == []
+    big = [("big", make_supersub_game(13, seed=1),
+            Graph(13, model_edges("path", 13)), None)]
+    with pytest.raises(ValueError, match="capped at components of n <= 12"):
+        run_bench(big, ("dype", "oracle"), out_dir=out_dir)
+    assert not out_dir.exists() and solved == []
+
+
+@pytest.mark.parametrize("grid,message", [
+    # the path cell at n = 13 would take its optimum past the oracle's cap
+    (dict(models=("path", "gnp"), ns=range(12, 14)), "1..12"),
+    (dict(models=("gnp:0",), ns=range(1, 3)), "gnp:0 has no connected"),
+])
+def test_verify_matrix_refuses_what_the_cli_refuses_before_the_first_cell(
+        grid, message):
+    lines = []
+    with pytest.raises(ValueError, match=message):
+        verify_matrix(**grid, games_per_cell=1, algorithms=("dype",),
+                      progress=lines.append)
+    assert lines == []
+
+
+def test_verify_matrix_runs_every_model_over_an_iterator_of_ns():
+    # the n range is read once per model, so a one-pass iterator ran only
+    # the first model's cells
+    report = verify_matrix(models=("path", "cycle"), ns=iter(range(1, 3)),
+                           games_per_cell=1, algorithms=("dype",))
+    assert report.ok and report.instances == 4

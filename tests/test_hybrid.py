@@ -7,8 +7,8 @@ import time
 
 import pytest
 
-from graphcsg import (Game, Graph, SearchStats, brute_force_best,
-                      build_pseudotree, d_tsp, dype, dype_star,
+from graphcsg import (Game, Graph, Partition, SearchStats, brute_force_best,
+                      build_pseudotree, cfss, d_tsp, dype, dype_star,
                       make_supersub_game, make_tsp_bound, partition_value,
                       random_table_game, structure_masks, tsp)
 from graphcsg.solvers.base import BudgetExceededError, _Incumbent
@@ -16,7 +16,7 @@ from graphcsg.solvers.dp import _Sweep
 from graphcsg.solvers.dptable import DpTable
 from graphcsg.solvers.treesearch import _Search
 
-from conftest import canon, random_connected_edges
+from conftest import canon, observer, random_connected_edges
 
 
 def check_anytime_run(gm, g, res):
@@ -241,12 +241,12 @@ def test_search_steps_walk_the_tsp_tree_at_any_budget():
         gm = Game(n, value)
         runs = {}
         for budget in (math.inf, 1, 7):
-            inc = _Incumbent([g.full_mask], base.value(g.full_mask), 0, 0)
+            inc = _Incumbent([g.full_mask], base.value(g.full_mask), 0)
             del seen[:]
             stats = SearchStats()
             structures = []
             search = _Search(gm, g, pt, DpTable(n), inc, stats, None, None,
-                             structures.append)
+                             observer("structure", structures.append))
             steps = 0
             while search.step(budget):
                 steps += 1
@@ -269,7 +269,7 @@ def test_search_steps_walk_the_tsp_tree_at_any_budget():
 def swept_table(gm, g, pt, level):
     """A table that a sweep has published down to `level`."""
     table = DpTable(g.n)
-    inc = _Incumbent([g.full_mask], gm.value(g.full_mask), 0, 0)
+    inc = _Incumbent([g.full_mask], gm.value(g.full_mask), 0)
     sweep = _Sweep(gm, g, pt, table, inc, SearchStats(), None)
     while table.published_level > level:
         sweep.step()
@@ -288,7 +288,7 @@ def test_search_starts_no_stage_at_or_past_the_published_level():
         pt = build_pseudotree(g, rng.randrange(n))
 
         def search(table):
-            inc = _Incumbent([g.full_mask], gm.value(g.full_mask), 0, 0)
+            inc = _Incumbent([g.full_mask], gm.value(g.full_mask), 0)
             return _Search(gm, g, pt, table, inc, SearchStats(), None, None)
 
         for k in range(2, n + 2):
@@ -333,7 +333,7 @@ def test_search_steps_agree_at_any_budget_with_prunes_and_shortcuts():
         gm = Game(n, value, tolerance=base.tolerance)
         runs = {}
         for budget in (math.inf, 1, 7):
-            inc = _Incumbent([g.full_mask], base.value(g.full_mask), 0,
+            inc = _Incumbent([g.full_mask], base.value(g.full_mask),
                              base.tolerance)
             del seen[:]
             stats = SearchStats()
@@ -379,6 +379,67 @@ def test_interleaved_runs_are_deterministic():
             assert a.stats == b.stats
             assert [v for _, v in a.trace] == [v for _, v in b.trace]
             assert a.best == b.best
+
+
+@pytest.mark.parametrize("mode", ["interleaved", "parallel"])
+def test_d_tsp_reports_incumbents_and_its_searchs_structures(mode):
+    """The incumbent events, in order, are the trace after its first point,
+    each with a partition of the graph that prices at its value, and the
+    search reports each structure it visits (in parallel mode from its
+    own thread)."""
+    rng = random.Random(113)
+    searched = 0
+    for i in range(20):
+        n = rng.randint(2, 9)
+        g = Graph(n, random_connected_edges(rng, n, extra=rng.randint(0, n)))
+        seed = rng.randrange(10 ** 6)
+        gm = (random_table_game(n, seed=seed) if i % 2
+              else make_supersub_game(n, seed=seed))
+        events = []
+        res = d_tsp(gm, g, build_pseudotree(g, rng.randrange(n)),
+                    make_tsp_bound(gm, "supersub"), mode=mode,
+                    on_event=lambda *event: events.append(event))
+        check_complete_run(gm, g, res)
+        incumbents = [e[1:] for e in events if e[0] == "incumbent"]
+        assert [(t, v) for t, v, _ in incumbents] == res.trace[1:]
+        for _, v, p in incumbents:
+            assert p.covered == g.full_mask and partition_value(gm, p) == v
+            assert all(g.is_connected(b) for b in p)
+        structures = [e[1] for e in events if e[0] == "structure"]
+        assert {e[0] for e in events} <= {"incumbent", "structure"}
+        assert len(structures) == res.stats.structures_visited
+        for s in structures:
+            assert Partition(s).covered == g.full_mask
+            assert all(g.is_connected(b) for b in s)
+        searched += bool(structures)
+    assert searched >= 5, searched
+
+
+def test_tsp_and_cfss_time_their_incumbents_from_the_call():
+    """Each incumbent's time lies within the call's wall time (a clock
+    started at 0 would count from the monotonic clock's epoch), and the
+    last one is the answer when the start did not win."""
+    rng = random.Random(114)
+    reported = 0
+    for _ in range(20):
+        n = rng.randint(2, 8)
+        g = Graph(n, random_connected_edges(rng, n))
+        gm = random_table_game(n, seed=rng.randrange(10 ** 6))
+        pt = build_pseudotree(g, 0)
+        for solve in (lambda obs: tsp(gm, g, pt, on_event=obs),
+                      lambda obs: cfss(gm, g, on_event=obs)):
+            incumbents = []
+            start = time.monotonic()
+            res = solve(observer("incumbent",
+                                 lambda *fields: incumbents.append(fields)))
+            wall_us = (time.monotonic() - start) * 1_000_000
+            for t, v, p in incumbents:
+                assert 0 <= t <= wall_us + 1
+                assert partition_value(gm, p) == v
+            if incumbents:
+                assert incumbents[-1][1] == res.best_value
+                reported += 1
+    assert reported >= 20, reported
 
 
 def test_solvers_leave_no_reference_cycle():

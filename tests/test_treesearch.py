@@ -9,7 +9,8 @@ from graphcsg import (BudgetExceededError, Game, Graph, InternalInvariantError,
                       make_supersub_game, make_tsp_bound, partition_value,
                       random_table_game, structure_masks, tsp, tsp_star_step)
 
-from conftest import FOUR_CYCLE_EDGES, canon, random_connected_edges
+from conftest import (FOUR_CYCLE_EDGES, canon, observer,
+                      random_connected_edges)
 
 
 def test_tsp_matches_oracle_without_bound():
@@ -72,7 +73,8 @@ def test_bound_prunes_stage_seeds():
 
 def visited_structures(gm, g, pt):
     seen = []
-    tsp(gm, g, pt, structure_hook=lambda s: seen.append(canon(s)))
+    tsp(gm, g, pt,
+        on_event=observer("structure", lambda s: seen.append(canon(s))))
     return seen
 
 
