@@ -6,7 +6,7 @@ from .games import (Game, Partition, Value, make_cfss_bound,
                     make_supersub_game, make_tsp_bound, partition_value,
                     random_table_game)
 from .graph import DisconnectedGraphError, Graph
-from .harness import (VerifyReport, matrix_instance, run_bench,
+from .harness import (UsageError, VerifyReport, matrix_instance, run_bench,
                       solve_instance, verify_matrix)
 from .instances import (InstanceFile, InstanceFormatError, gen_instance,
                         model_edges, parse_instance_text, realize_instance,
@@ -57,5 +57,6 @@ __all__ = [
     "VerifyReport",
     "matrix_instance",
     "run_bench",
+    "UsageError",
     "__version__",
 ]

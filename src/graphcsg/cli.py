@@ -13,21 +13,18 @@ import traceback
 from dataclasses import fields
 from pathlib import Path
 
+from .games import BOUND_KINDS
 from .harness import (ALGORITHMS, ANYTIME_ALGORITHMS, DEFAULT_MODELS,
-                      MATRIX_RUNS, check_bench, check_grid, check_oracle_cap,
+                      MATRIX_RUNS, UsageError, check_bench, check_oracle_cap,
                       check_settings, inconsistent_instances, run_bench,
                       solve_instance, verify_matrix, write_trace_csv)
-from .instances import (MODELS, GraphSamplingError, InstanceFormatError,
-                        gen_instance, parse_instance_text, realize_instance,
-                        write_instance)
-from .solvers import BudgetExceededError
+from .instances import (GAME_KINDS, MODELS, GraphSamplingError,
+                        InstanceFormatError, gen_instance,
+                        parse_instance_text, realize_instance, write_instance)
+from .solvers import MODES, BudgetExceededError
 
 # The algorithms that `verify` compares against the oracle, in table order.
 _VERIFY_ALGORITHMS = tuple(dict.fromkeys(alg for alg, _, _ in MATRIX_RUNS))
-
-
-class _UsageError(Exception):
-    """A flag value argparse cannot check by itself; exits with 2."""
 
 
 def _names(text: str) -> tuple[str, ...]:
@@ -42,10 +39,10 @@ def nonnegative_ms(text: str) -> float:
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bound", choices=("none", "supersub"), default="none",
+    p.add_argument("--bound", choices=BOUND_KINDS, default="none",
                    help="pruning bound for tsp/d-tsp/cfss")
-    p.add_argument("--mode", choices=("interleaved", "parallel"),
-                   default="interleaved", help="worker scheduling for d-tsp")
+    p.add_argument("--mode", choices=MODES, default="interleaved",
+                   help="worker scheduling for d-tsp")
     p.add_argument("--budget", type=nonnegative_ms, metavar="MS",
                    help="wall-clock budget in milliseconds")
 
@@ -59,8 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a random instance")
     gen.add_argument("--model", choices=MODELS, required=True)
     gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--game", choices=("table", "supersub"),
-                     default="table")
+    gen.add_argument("--game", choices=GAME_KINDS, default="table")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--p", type=float, default=0.5,
                      help="edge probability for gnp")
@@ -119,13 +115,13 @@ def _load_instance(path: str):
 
 def _cmd_gen(args) -> int:
     if args.lo > args.hi:
-        raise _UsageError(f"--lo {args.lo} exceeds --hi {args.hi}")
+        raise UsageError(f"--lo {args.lo} exceeds --hi {args.hi}")
     try:  # no instance is read, so every refusal is of a flag value
         inst = gen_instance(args.model, args.n, game_kind=args.game,
                             seed=args.seed, p=args.p, lo=args.lo,
                             hi=args.hi, root=args.root)
     except ValueError as e:
-        raise _UsageError(e) from None
+        raise UsageError(e) from None
     text = write_instance(inst)
     if args.output is None:
         sys.stdout.write(text)
@@ -133,7 +129,7 @@ def _cmd_gen(args) -> int:
     try:
         Path(args.output).write_text(text)
     except OSError as e:  # the message names the path
-        raise _UsageError(f"cannot write --output file: {e}") from None
+        raise UsageError(f"cannot write --output file: {e}") from None
     return 0
 
 
@@ -152,7 +148,7 @@ def _cmd_solve(args) -> int:
         try:  # refused before the solve, as `gen -o` is
             open(trace, "w").close()
         except OSError as e:  # the message names the path
-            raise _UsageError(f"cannot write --trace file: {e}") from None
+            raise UsageError(f"cannot write --trace file: {e}") from None
     try:
         res = solve_instance(game, g, args.algorithm, bound=args.bound,
                              mode=args.mode, root=root,
@@ -177,21 +173,14 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    grid = dict(models=_names(args.models),
-                ns=range(args.n_min, args.n_max + 1),
-                games_per_cell=args.games, base_seed=args.seed,
-                algorithms=_names(args.algorithms) if args.algorithms
-                else None)
-    try:
-        check_grid(**grid)
-    except ValueError as e:
-        raise _UsageError(e) from None
     try:
         report = verify_matrix(
-            **grid,
-            progress=None if args.quiet else lambda line: print(line))
-    except GraphSamplingError:
-        raise  # p too small for some n: a usage error
+            models=_names(args.models), ns=range(args.n_min, args.n_max + 1),
+            games_per_cell=args.games, base_seed=args.seed,
+            algorithms=_names(args.algorithms) if args.algorithms else None,
+            progress=None if args.quiet else print)
+    except (UsageError, GraphSamplingError):
+        raise  # a grid refused, or p too small for some n: exit 2
     except Exception as e:  # the grid was checked: a solver fault
         return _internal_error(e)
     for line in report.failure_lines():
@@ -202,11 +191,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     algorithms = _names(args.algorithms)
-    try:  # rows and trace files are named by stem
-        check_bench([Path(path).stem for path in args.instances],
-                    algorithms, args.repetitions)
-    except ValueError as e:
-        raise _UsageError(e) from None
+    # rows and trace files are named by stem
+    check_bench([Path(path).stem for path in args.instances], algorithms,
+                args.repetitions)
+    check_settings(algorithms)
     loaded = []
     for path in args.instances:
         game, g, root = _load_instance(path)
@@ -215,7 +203,7 @@ def _cmd_bench(args) -> int:
     try:
         Path(args.out).mkdir(parents=True, exist_ok=True)
     except OSError as e:  # the message names the path
-        raise _UsageError(f"cannot create --out directory: {e}") from None
+        raise UsageError(f"cannot create --out directory: {e}") from None
     try:
         rows = run_bench(loaded, algorithms, budget_ms=args.budget,
                          repetitions=args.repetitions, bound=args.bound,
@@ -239,7 +227,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (_UsageError, GraphSamplingError) as e:
+    except (UsageError, GraphSamplingError) as e:
         print(e, file=sys.stderr)
         return 2
     except (InstanceFormatError, OSError, ValueError) as e:

@@ -25,6 +25,8 @@ Value = int | float
 # Tabulated games keep one value per mask: 2^20 entries at most.
 TABLE_MAX_N = 20
 
+BOUND_KINDS = ("none", "supersub")
+
 # Exact split factors scan each unordered disjoint pair, about 3^n / 2;
 # above this size a cheap safe overestimate is used instead.
 _EXACT_SPLIT_MAX_N = 7
@@ -248,9 +250,9 @@ def partition_value(game: Game, p: Partition | Iterable[int]) -> Value:
 def _prunes(game: Game, kind: str | None) -> bool:
     """Whether a bound kind prunes on this game. None and "none" never
     prune; "supersub" prunes when the game carries a split, and otherwise
-    falls back to no pruning rather than failing. Any other kind raises
-    ValueError."""
-    if kind not in (None, "none", "supersub"):
+    falls back to no pruning rather than failing. Any other kind, outside
+    BOUND_KINDS, raises ValueError."""
+    if kind is not None and kind not in BOUND_KINDS:
         raise ValueError(f"unknown bound kind {kind!r}")
     return kind == "supersub" and game.decomposed
 

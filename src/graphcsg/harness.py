@@ -7,13 +7,13 @@ import time
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
-from .games import (Game, Partition, Value, make_cfss_bound, make_tsp_bound,
-                    partition_value)
+from .games import (BOUND_KINDS, Game, Partition, Value, make_cfss_bound,
+                    make_tsp_bound, partition_value)
 from .graph import Graph
 from .instances import MODELS, gen_instance, realize_instance
 from .masks import agents_of, half_sums
 from .pseudotree import build_pseudotree
-from .solvers import (ORACLE_MAX_N, BudgetExceededError,
+from .solvers import (MODES, ORACLE_MAX_N, BudgetExceededError,
                       InternalInvariantError, SolverResult, audit_dp_table,
                       brute_force_best, cfss, d_tsp, dype, dype_star,
                       structure_masks, tsp)
@@ -38,12 +38,16 @@ MATRIX_RUNS = (
 )
 
 
+class UsageError(ValueError):
+    """A setting, bench or grid refused before any solve starts."""
+
+
 def _solve_connected(game: Game, g: Graph, algorithm: str, *, bound=None,
                      mode: str = "interleaved", root: int = 0,
                      deadline: float | None = None,
                      on_event=None) -> SolverResult:
-    """Dispatch one algorithm on a connected graph. The bound factories are
-    looked up at call time, so a rebound module name applies."""
+    """Dispatch a checked algorithm on a connected graph. The bound
+    factories are looked up at call time, so a rebound name applies."""
     if algorithm == "oracle":
         return brute_force_best(game, g, deadline=deadline)
     if algorithm == "cfss":
@@ -56,10 +60,8 @@ def _solve_connected(game: Game, g: Graph, algorithm: str, *, bound=None,
                    deadline=deadline)
     if algorithm == "dype-star":
         return dype_star(game, g, pt, on_event=on_event, deadline=deadline)
-    if algorithm == "d-tsp":
-        return d_tsp(game, g, pt, make_tsp_bound(game, bound), mode=mode,
-                     on_event=on_event, deadline=deadline)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    return d_tsp(game, g, pt, make_tsp_bound(game, bound), mode=mode,
+                 on_event=on_event, deadline=deadline)
 
 
 def _subgame(game: Game, agents: list[int]):
@@ -81,26 +83,30 @@ def _subgame(game: Game, agents: list[int]):
                 tolerance=game.tolerance), expand
 
 
-def check_settings(bound=None, mode: str = "interleaved",
+def check_settings(algorithms=(), bound=None, mode: str = "interleaved",
                    budget_ms: float | None = None) -> None:
-    """ValueError for an unknown bound kind or mode, whatever the
-    algorithm, or a budget that is negative or NaN (which no deadline
-    check would ever pass)."""
-    if bound not in (None, "none", "supersub"):
-        raise ValueError(f"unknown bound kind {bound!r}")
-    if mode not in ("interleaved", "parallel"):
-        raise ValueError(f"unknown mode {mode!r}")
+    """UsageError for a name outside ALGORITHMS, BOUND_KINDS or MODES, even
+    where the algorithm ignores it, or a budget that is negative or NaN
+    (which no deadline check would ever pass)."""
+    bad = set(algorithms).difference(ALGORITHMS)
+    if bad:
+        raise UsageError(f"unknown algorithms: {', '.join(sorted(bad))}")
+    if bound is not None and bound not in BOUND_KINDS:
+        raise UsageError(f"unknown bound kind {bound!r}")
+    if mode not in MODES:
+        raise UsageError(f"unknown mode {mode!r}")
     if budget_ms is not None and not budget_ms >= 0:
-        raise ValueError(f"budget must be 0 ms or more, got {budget_ms}")
+        raise UsageError(f"budget must be 0 ms or more, got {budget_ms}")
 
 
 def check_oracle_cap(g: Graph, algorithms) -> None:
     """ValueError, before any solve starts, when the oracle is among
     `algorithms` and a component of `g` is past its cap."""
-    largest = max(map(int.bit_count, g.connected_components(g.full_mask)))
-    if "oracle" in algorithms and largest > ORACLE_MAX_N:
-        raise ValueError(f"the oracle is capped at components of n <= "
-                         f"{ORACLE_MAX_N}, got n = {largest}")
+    if "oracle" in algorithms:
+        largest = max(map(int.bit_count, g.connected_components(g.full_mask)))
+        if largest > ORACLE_MAX_N:
+            raise ValueError(f"the oracle is capped at components of n <= "
+                             f"{ORACLE_MAX_N}, got n = {largest}")
 
 
 def solve_instance(game: Game, g: Graph, algorithm: str, *, bound=None,
@@ -119,14 +125,15 @@ def solve_instance(game: Game, g: Graph, algorithm: str, *, bound=None,
 
     The result never holds a DP table (`table` is None on every path), so
     a caller that keeps many results keeps no tables; call the solvers
-    directly to inspect one. A game over another agent count than the
-    graph's, a root outside 0..n-1, or a setting `check_settings` refuses
-    is a ValueError."""
-    check_settings(bound, mode, budget_ms)
+    directly to inspect one. Before anything is built, a setting
+    `check_settings` refuses, a game over another agent count than the
+    graph's, a root outside 0..n-1 or `check_oracle_cap` raises."""
+    check_settings((algorithm,), bound, mode, budget_ms)
     if game.n != g.n:
         raise ValueError(f"the game has {game.n} agents, the graph {g.n}")
     if root is not None and not 0 <= root < g.n:
         raise ValueError(f"root {root} out of range for n={g.n}")
+    check_oracle_cap(g, (algorithm,))
     deadline = None if budget_ms is None \
         else time.monotonic() + budget_ms / 1000.0
     comps = g.connected_components(g.full_mask)
@@ -223,26 +230,26 @@ class VerifyReport:
 
 def parse_model(spec: str) -> tuple[str, float | None]:
     """'gnp:0.5' -> ('gnp', 0.5), 'gnp' -> ('gnp', 0.5), 'path' -> ('path',
-    None); ValueError for an unknown model, or a parameter that is not
+    None); UsageError for an unknown model, or a parameter that is not
     gnp's edge probability."""
     name, colon, ptxt = spec.partition(":")
     if name not in MODELS or colon and name != "gnp":
-        raise ValueError(f"bad model spec {spec!r}")
+        raise UsageError(f"bad model spec {spec!r}")
     if name != "gnp":
         return name, None
     try:
         p = float(ptxt) if colon else 0.5
     except ValueError:
-        raise ValueError(f"bad model spec {spec!r}") from None
+        raise UsageError(f"bad model spec {spec!r}") from None
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"gnp edge probability must be in [0, 1], got {p}")
+        raise UsageError(f"gnp edge probability must be in [0, 1], got {p}")
     return name, p
 
 
 def matrix_seed(base_seed: int, model_index: int, n: int, index: int) -> int:
     """A verification cell's seed, one decimal field per coordinate."""
     if not (0 <= model_index < 10 and 0 <= n < 100 and 0 <= index < 1000):
-        raise ValueError("a seeded grid holds at most 10 models, n below "
+        raise UsageError("a seeded grid holds at most 10 models, n below "
                          "100 and 1,000 games per cell")
     return base_seed * 1_000_000 + model_index * 100_000 + n * 1_000 + index
 
@@ -259,22 +266,22 @@ def matrix_instance(model_spec: str, n: int, seed: int) -> tuple[Game, Graph]:
 
 def check_grid(models, ns, games_per_cell: int, base_seed: int,
                algorithms) -> list:
-    """A `verify_matrix` grid's `MATRIX_RUNS` rows. ValueError for an
+    """A `verify_matrix` grid's `MATRIX_RUNS` rows. UsageError for an
     unknown algorithm or model spec, a grid with no solver run, an n
     outside 1..ORACLE_MAX_N (the oracle's cap), gnp:0 with n >= 2 (no
     connected graph), or a cell past `matrix_seed`'s range."""
     bad = set(algorithms or ()) - {alg for alg, _, _ in MATRIX_RUNS}
     if bad:
-        raise ValueError(f"unknown algorithms: {', '.join(sorted(bad))}")
+        raise UsageError(f"unknown algorithms: {', '.join(sorted(bad))}")
     runs = [r for r in MATRIX_RUNS
             if algorithms is None or r[0] in algorithms]
     if not (runs and models and ns and games_per_cell >= 1):
-        raise ValueError("the grid holds no solver run")
+        raise UsageError("the grid holds no solver run")
     specs = [parse_model(spec) for spec in models]
     if not (1 <= min(ns) and max(ns) <= ORACLE_MAX_N):
-        raise ValueError(f"n must lie in 1..{ORACLE_MAX_N}, the oracle's cap")
+        raise UsageError(f"n must lie in 1..{ORACLE_MAX_N}, the oracle's cap")
     if ("gnp", 0.0) in specs and max(ns) >= 2:
-        raise ValueError("gnp:0 has no connected graph on n >= 2")
+        raise UsageError("gnp:0 has no connected graph on n >= 2")
     # The largest cell's seed: no two cells may share one.
     matrix_seed(base_seed, len(models) - 1, max(ns), games_per_cell - 1)
     return runs
@@ -393,16 +400,12 @@ class BenchRow:
 
 
 def check_bench(names, algorithms, repetitions: int = 1) -> None:
-    """ValueError for a repeated instance name, a bench with no run, or an
-    unknown algorithm."""
+    """UsageError for a repeated instance name or a bench with no run."""
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
-        raise ValueError(f"repeated instance stems: {', '.join(repeated)}")
+        raise UsageError(f"repeated instance stems: {', '.join(repeated)}")
     if not (names and algorithms and repetitions >= 1):
-        raise ValueError("the bench holds no run")
-    bad = sorted(set(algorithms) - set(ALGORITHMS))
-    if bad:
-        raise ValueError(f"unknown algorithms: {', '.join(bad)}")
+        raise UsageError("the bench holds no run")
 
 
 def write_trace_csv(path, trace) -> None:
@@ -430,8 +433,8 @@ def run_bench(instances, algorithms, *, budget_ms: float | None = None,
     instance past the oracle's cap, is a ValueError, raised before anything
     is written.
     """
-    check_settings(bound, mode, budget_ms)
     check_bench([name for name, _, _, _ in instances], algorithms, repetitions)
+    check_settings(algorithms, bound, mode, budget_ms)
     for _, _, g, _ in instances:
         check_oracle_cap(g, algorithms)
     out = None

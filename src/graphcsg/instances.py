@@ -33,6 +33,7 @@ _BATCH = 4096
 _SPACE = re.compile(r"\s")
 
 MODELS = ("path", "cycle", "star", "complete", "gnp")
+GAME_KINDS = ("table", "supersub")
 
 
 class InstanceFormatError(ValueError):
@@ -47,12 +48,16 @@ class GraphSamplingError(ValueError):
 class InstanceFile:
     n: int
     edges: tuple[tuple[int, int], ...]
-    game_kind: str                       # "table" | "supersub"
+    game_kind: str                       # one of GAME_KINDS
     table: tuple[int, ...] | None = None
     weights: tuple[int, ...] | None = None
     kappa: int | None = None
     seed: int | None = None
     root: int | None = None
+
+    def __post_init__(self):
+        if self.game_kind not in GAME_KINDS:
+            raise ValueError(f"unknown game kind {self.game_kind!r}")
 
 
 def _error(lineno: int, message: str) -> InstanceFormatError:
@@ -200,14 +205,12 @@ def write_instance(inst: InstanceFile) -> str:
         lines.append("game table " + " ".join(
             " ".join(map(str, t[i:i + _BATCH]))
             for i in range(0, len(t), _BATCH)))
-    elif inst.game_kind == "supersub":
+    else:
         line = ("game supersub w " + " ".join(str(w) for w in inst.weights)
                 + f" k {inst.kappa}")
         if inst.seed is not None:
             line += f" seed {inst.seed}"
         lines.append(line)
-    else:
-        raise ValueError(f"unknown game kind {inst.game_kind!r}")
     if inst.root is not None:
         lines.append(f"root {inst.root}")
     return "\n".join(lines) + "\n"
@@ -222,11 +225,9 @@ def realize_instance(inst: InstanceFile) -> tuple[Game, Graph, int | None]:
     g = Graph(inst.n, inst.edges)
     if inst.game_kind == "table":
         game = Game.from_table(inst.table)
-    elif inst.game_kind == "supersub":
+    else:
         game = make_supersub_game(inst.n, weights=inst.weights,
                                   kappa=inst.kappa)
-    else:
-        raise ValueError(f"unknown game kind {inst.game_kind!r}")
     return game, g, inst.root
 
 
@@ -293,10 +294,7 @@ def gen_instance(model: str, n: int, *, game_kind: str = "table",
         table = tuple(randints(rng, lo, hi, (1 << n) - 1))
         return InstanceFile(n=n, edges=edges, game_kind="table", table=table,
                             root=root)
-    if game_kind == "supersub":
-        weights = tuple(rng.randint(0, 10) for _ in range(n))
-        kappa = rng.randint(0, 5)
-        return InstanceFile(n=n, edges=edges, game_kind="supersub",
-                            weights=weights, kappa=kappa, seed=seed,
-                            root=root)
-    raise ValueError(f"unknown game kind {game_kind!r}")
+    weights = tuple(rng.randint(0, 10) for _ in range(n))
+    kappa = rng.randint(0, 5)
+    return InstanceFile(n=n, edges=edges, game_kind=game_kind,
+                        weights=weights, kappa=kappa, seed=seed, root=root)

@@ -3,7 +3,7 @@
 from .base import (BudgetExceededError, InternalInvariantError, SearchStats,
                    SolverResult, TracePoint)
 from .contraction import cfss
-from .dp import audit_dp_table, dype, dype_star
+from .dp import MODES, audit_dp_table, dype, dype_star
 from .dptable import DpTable, reconstruct_blocks
 from .exhaustive import ORACLE_MAX_N, brute_force_best, structure_masks
 from .hybrid import d_tsp
@@ -27,4 +27,5 @@ __all__ = [
     "brute_force_best",
     "structure_masks",
     "ORACLE_MAX_N",
+    "MODES",
 ]

@@ -202,6 +202,10 @@ class _Sweep:
                 inc.offer([d] + reconstruct_blocks(table, rest, g), total)
 
 
+# The hybrid's schedules: the values of `_drive`'s `search` besides None.
+MODES = ("interleaved", "parallel")
+
+
 def _drive(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
            search: str | None = None, on_event=None,
            deadline: float | None = None) -> SolverResult:

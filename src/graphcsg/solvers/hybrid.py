@@ -36,7 +36,7 @@ from ..graph import Graph
 from ..pseudotree import Pseudotree
 from .base import SolverResult
 # The two workers keep their names here: perfbench/tracing.py times them.
-from .dp import _Sweep, _drive  # noqa: F401
+from .dp import MODES, _Sweep, _drive  # noqa: F401
 from .treesearch import _Search  # noqa: F401
 
 
@@ -51,7 +51,7 @@ def d_tsp(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
     crossing between steps); any other mode is a ValueError. Hitting the
     deadline returns the incumbent with completed=False instead of raising.
     """
-    if mode not in ("interleaved", "parallel"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     return _drive(game, g, pt, bound, search=mode, on_event=on_event,
                   deadline=deadline)

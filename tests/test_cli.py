@@ -272,6 +272,25 @@ def test_bench_solver_faults_exit_4(tmp_path, capsys, monkeypatch):
     assert code == 3
 
 
+def test_bench_value_disagreement_exits_1(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "x.csg"
+    run(capsys, "gen", "--model", "path", "--n", "4", "-o", str(path))
+    real = harness.solve_instance
+
+    def bumped(game, g, alg, **kwargs):
+        res = real(game, g, alg, **kwargs)
+        if alg == "tsp":
+            res.best_value += 1
+        return res
+    monkeypatch.setattr(harness, "solve_instance", bumped)
+    out_dir = tmp_path / "bench"
+    code, out, err = run(capsys, "bench", str(path), "--algorithms",
+                         "dype,tsp", "--out", str(out_dir))
+    assert code == 1
+    assert "value disagreement on: x\n" in err
+    assert (out_dir / "report.csv").exists()
+
+
 def test_bench_out_directory_that_cannot_be_created_exits_2(
         tmp_path, capsys, monkeypatch):
     path = tmp_path / "inst.csg"
@@ -367,8 +386,8 @@ def test_verify_small_grid(capsys):
 def test_verify_usage_errors_exit_2_before_any_solve(capsys, monkeypatch,
                                                      flags):
     solved = []
-    monkeypatch.setattr(cli, "verify_matrix",
-                        lambda **kwargs: solved.append(kwargs))
+    monkeypatch.setattr(harness, "matrix_instance",
+                        lambda *args: solved.append(args))
     code, out, err = run(capsys, "verify", "--n-max", "3", *flags)
     assert code == 2, err
     assert "instance error" not in err and err.strip()

@@ -7,10 +7,10 @@ from dataclasses import fields
 import pytest
 
 from graphcsg import (BudgetExceededError, Game, Graph, InternalInvariantError,
-                      Partition, SearchStats, brute_force_best, gen_instance,
-                      make_supersub_game, model_edges, partition_value,
-                      random_table_game, realize_instance, run_bench,
-                      solve_instance, verify_matrix)
+                      Partition, SearchStats, UsageError, brute_force_best,
+                      gen_instance, make_supersub_game, model_edges,
+                      partition_value, random_table_game, realize_instance,
+                      run_bench, solve_instance, verify_matrix)
 from graphcsg import harness
 from graphcsg.solvers import treesearch
 from graphcsg.harness import (ALGORITHMS, ANYTIME_ALGORITHMS, BenchRow,
@@ -567,3 +567,83 @@ def test_verify_matrix_runs_every_model_over_an_iterator_of_ns():
     report = verify_matrix(models=("path", "cycle"), ns=iter(range(1, 3)),
                            games_per_cell=1, algorithms=("dype",))
     assert report.ok and report.instances == 4
+
+
+@pytest.mark.parametrize("budget", [None, 0])
+@pytest.mark.parametrize("connected", [True, False])
+def test_solve_instance_refuses_an_unknown_algorithm_before_any_build(
+        monkeypatch, budget, connected):
+    # a disconnected graph built every component's subgame first, and a
+    # zero budget then ran out with components left to solve
+    built = []
+    monkeypatch.setattr(harness, "_subgame",
+                        lambda *args: built.append(args))
+    monkeypatch.setattr(harness, "_solve_connected",
+                        lambda *args, **kwargs: built.append(args))
+    with pytest.raises(UsageError, match="unknown algorithms: dyp$"):
+        solve_instance(random_table_game(4, seed=1), four_agents(connected),
+                       "dyp", budget_ms=budget)
+    assert built == []
+
+
+def test_solve_instance_refuses_the_oracle_past_its_cap_before_any_solve(
+        monkeypatch):
+    # the 3-agent component was solved before the 13-agent one was refused
+    solved = []
+    monkeypatch.setattr(harness, "_solve_connected",
+                        lambda *args, **kwargs: solved.append(args))
+    edges = [(0, 1), (1, 2)] + [(i, i + 1) for i in range(3, 15)]
+    with pytest.raises(ValueError) as err:
+        solve_instance(make_supersub_game(16, seed=1), Graph(16, edges),
+                       "oracle")
+    assert str(err.value) == ("the oracle is capped at components of "
+                              "n <= 12, got n = 13")
+    assert type(err.value) is ValueError  # an instance error, not usage
+    assert solved == []
+
+
+def _disconnected_block(res, game):
+    # {0, 2} is no block on the path 0-1-2
+    res.best = Partition([0b101, 0b010])
+    res.best_value = partition_value(game, res.best)
+
+
+def _bump_a_table_entry(res, game):
+    mask = next(iter(res.table.values))
+    res.table.values[mask] += 1
+
+
+def _falling_trace(res, game):
+    t, v = res.trace[0]
+    res.trace.insert(1, (t, v - 1))
+
+
+def _uncrossed(res, game):
+    res.stats.frontier_crossed = False
+
+
+@pytest.mark.parametrize("row,corrupt,failures", [
+    (("dype", None, None), _disconnected_block, "feasibility_failures"),
+    (("dype", None, None), _bump_a_table_entry, "audit_failures"),
+    (("dype-star", None, None), _falling_trace, "trace_violations"),
+    (("d-tsp", None, "parallel"), _uncrossed, "crossing_failures"),
+])
+def test_verify_matrix_reports_each_broken_check_in_its_own_list(
+        monkeypatch, row, corrupt, failures):
+    real = harness._solve_connected
+
+    def corrupting(game, g, alg, *, bound, mode):
+        res = real(game, g, alg, bound=bound, mode=mode)
+        if (alg, bound, mode) == row:
+            corrupt(res, game)
+        return res
+
+    monkeypatch.setattr(harness, "_solve_connected", corrupting)
+    report = verify_matrix(models=("path",), ns=(3,), games_per_cell=1)
+    seed = matrix_seed(0, 0, 3, 0)
+    line, = getattr(report, failures)
+    assert f"(seed {seed}) {row[0]}" in line
+    assert not report.ok
+    for other in ("feasibility_failures", "audit_failures",
+                  "trace_violations", "crossing_failures", "faults"):
+        assert other == failures or getattr(report, other) == [], other

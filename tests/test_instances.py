@@ -177,11 +177,21 @@ def test_gen_draws_the_table_without_a_second_copy():
     ("csg 1\ne 0\nn 2\n", "line 2: edge before n is declared"),
     ("csg 1\nn 2\ngame table 1 1 3\ngame\n", "line 4: duplicate game"),
     ("csg 1\nn 2 x\n", "line 2: n takes one integer"),
+    ("", "line 1: missing 'csg 1' header"),
+    ("\n  \n\t\n", "line 1: missing 'csg 1' header"),
+    ("csg 1\n", "missing n declaration"),
 ])
 def test_parse_errors_carry_position(text, fragment):
     with pytest.raises(InstanceFormatError) as err:
         parse_instance_text(text)
     assert fragment in str(err.value), str(err.value)
+
+
+def test_blank_lines_between_directives_are_ignored():
+    text = "csg 1\nn 3\ne 0 1\ne 1 2\ngame table 1 2 3 4 5 6 7\nroot 1\n"
+    spaced = "\n  \ncsg 1\n\nn 3\n\t\ne 0 1\n \t \ne 1 2\n\n" \
+        "game table 1 2 3 4 5 6 7\n   \nroot 1\n\n"
+    assert parse_instance_text(spaced) == parse_instance_text(text)
 
 
 def test_model_edges_shapes():
