@@ -114,8 +114,6 @@ def _load_instance(path: str):
 
 
 def _cmd_gen(args) -> int:
-    if args.lo > args.hi:
-        raise UsageError(f"--lo {args.lo} exceeds --hi {args.hi}")
     try:  # no instance is read, so every refusal is of a flag value
         inst = gen_instance(args.model, args.n, game_kind=args.game,
                             seed=args.seed, p=args.p, lo=args.lo,

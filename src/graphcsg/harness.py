@@ -118,7 +118,10 @@ def solve_instance(game: Game, g: Graph, algorithm: str, *, bound=None,
     sum, and for anytime algorithms a single stitched trace whose baseline
     counts unfinished components at their one-block value. Each component
     keeps its own incumbent, so the answer may sit up to `game.tolerance`
-    below the optimum per component.
+    below the optimum per component. Every component goes to its solver,
+    which checks the deadline at its first unit of work: past it, an
+    exact solver raises BudgetExceededError and an anytime one returns
+    the component as one block, with completed=False.
 
     `on_event` observes `dype-star` and `d-tsp` in the whole graph's terms:
     stitched times and values, global masks and full partitions.
@@ -144,7 +147,6 @@ def solve_instance(game: Game, g: Graph, algorithm: str, *, bound=None,
         res.table = None
         return res
 
-    anytime = algorithm in ANYTIME_ALGORITHMS
     # Every component's graph and subgame is built before the clock starts,
     # so the stitched trace times the solves alone.
     parts = []
@@ -155,24 +157,16 @@ def solve_instance(game: Game, g: Graph, algorithm: str, *, bound=None,
                                  if (comp >> u) & 1 and (comp >> w) & 1])
         lroot = index[root] if root is not None and (comp >> root) & 1 else 0
         lgame, expand = _subgame(game, agents)
-        parts.append((comp, lg, lroot, lgame, expand))
+        parts.append((lg, lroot, lgame, expand))
     inits = list(map(game.value, comps))  # each one-block value
 
     t0 = time.monotonic()
-    trace = [(0, sum(inits))] if anytime else []
+    trace = [(0, sum(inits))] if algorithm in ANYTIME_ALGORITHMS else []
     blocks: list[int] = []
     total = 0
     stats = SearchStats()
     completed = True
-    for k, (comp, lg, lroot, lgame, expand) in enumerate(parts):
-        if deadline is not None and time.monotonic() >= deadline:
-            if not anytime:
-                raise BudgetExceededError(
-                    "budget exhausted with components left to solve")
-            completed = False
-            blocks.append(comp)
-            total += inits[k]
-            continue
+    for k, (lg, lroot, lgame, expand) in enumerate(parts):
         baseline = total + sum(inits[k + 1:])
         offset = elapsed_us(t0)
         relay = None

@@ -277,18 +277,22 @@ def gen_instance(model: str, n: int, *, game_kind: str = "table",
                  lo: int = 0, hi: int = 100,
                  root: int | None = None) -> InstanceFile:
     """Deterministic random instance for (model, n, seed). Table values
-    are the values `rng.randint(lo, hi)` would draw (`randints`)."""
+    are the values `rng.randint(lo, hi)` would draw (`randints`). Every
+    argument is checked before the graph is sampled."""
     if not 1 <= n <= MAX_N:
         raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
     if root is not None and not 0 <= root < n:
         raise ValueError(f"root {root} out of range for n={n}")
+    if game_kind not in GAME_KINDS:
+        raise ValueError(f"unknown game kind {game_kind!r}")
+    if game_kind == "table" and n > TABLE_MAX_N:
+        raise ValueError(f"table games are capped at n <= {TABLE_MAX_N}; "
+                         f"use game_kind='supersub' for larger n")
+    if lo > hi:
+        raise ValueError(f"lo {lo} exceeds hi {hi}")
     rng = random.Random(seed)
     edges = model_edges(model, n, p=p, rng=rng)
     if game_kind == "table":
-        if n > TABLE_MAX_N:
-            raise ValueError(
-                f"table games are capped at n <= {TABLE_MAX_N}; use "
-                f"game_kind='supersub' for larger n")
         # The file format only records seeds for supersub games; the table
         # itself is the reproducible artifact here.
         table = tuple(randints(rng, lo, hi, (1 << n) - 1))

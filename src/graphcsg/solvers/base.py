@@ -1,5 +1,10 @@
-"""Shared solver types: run statistics, results, control errors, and the
-incumbent every solver but the oracle keeps."""
+"""Shared solver types: run statistics, results, control errors, the
+incumbent every solver but the oracle keeps, and the one budget rule.
+
+The budget rule: every solver loop that can run long counts its units of
+work (subsets, search ticks, states or structures) and checks its deadline
+at its first unit, then once per `DEADLINE_STRIDE` units, through
+`next_check`, the only code that reads the clock against a deadline."""
 
 from __future__ import annotations
 
@@ -15,9 +20,9 @@ if TYPE_CHECKING:
     from .dptable import DpTable
 
 
-# Every solver loop that can run long checks its deadline once per this
-# many units of work (subsets, search ticks, states or structures).
 DEADLINE_STRIDE = 256
+# A unit count no loop reaches: with no deadline, no check comes due.
+_NEVER = 1 << 62
 
 
 class BudgetExceededError(RuntimeError):
@@ -75,8 +80,16 @@ def elapsed_us(t0: float) -> int:
     return int((time.monotonic() - t0) * 1_000_000)
 
 
-def deadline_passed(deadline: float | None) -> bool:
-    return deadline is not None and time.monotonic() >= deadline
+def next_check(deadline: float | None, units: int, doing: str) -> int:
+    """The unit count at which a loop that has done `units` units of work
+    next checks `deadline`; BudgetExceededError("deadline hit <doing>")
+    once it has passed. A loop keeps the int it returns and calls again
+    when its count reaches it, starting from 0."""
+    if deadline is None:
+        return _NEVER
+    if time.monotonic() >= deadline:
+        raise BudgetExceededError(f"deadline hit {doing}")
+    return units + DEADLINE_STRIDE
 
 
 class _Incumbent:

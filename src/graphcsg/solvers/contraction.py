@@ -28,12 +28,10 @@ masks change.
 
 from __future__ import annotations
 
-import time
-
 from ..games import Game, Partition
 from ..graph import Graph
-from .base import (DEADLINE_STRIDE, BudgetExceededError, SearchStats,
-                   SolverResult, _Incumbent, require_connected)
+from .base import (SearchStats, SolverResult, _Incumbent, next_check,
+                   require_connected)
 
 
 def cfss(game: Game, g: Graph, bound=None, *, deadline: float | None = None,
@@ -57,11 +55,11 @@ def cfss(game: Game, g: Graph, bound=None, *, deadline: float | None = None,
     inc = _Incumbent(blk, sum(val), tol, on_event)
 
     def visit(value, reps):
-        nonlocal count, pruned
+        nonlocal count, pruned, check_at
+        if count >= check_at:
+            check_at = next_check(deadline, count,
+                                  "during contraction search")
         count += 1
-        if deadline is not None and count % DEADLINE_STRIDE == 1 \
-                and time.monotonic() >= deadline:
-            raise BudgetExceededError("deadline hit during contraction search")
         if on_event is not None:
             on_event("structure", tuple(filter(None, blk)))
         if value > inc.value + tol:
@@ -138,7 +136,7 @@ def cfss(game: Game, g: Graph, bound=None, *, deadline: float | None = None,
         if keep is not None:
             dn[:] = keep
 
-    count = pruned = 0
+    count = pruned = check_at = 0
     visit(inc.value, g.full_mask)
     stats = SearchStats(nodes_expanded=count, nodes_pruned=pruned,
                         structures_visited=count)

@@ -22,13 +22,13 @@ sweep's thread touches its memo.
 
 `_drive` steps a `_Sweep`, alone (`dype_star`) or with the tree search
 (hybrid.py). The exact `dype` is the same sweep run to the end: it raises
-instead of returning an unfinished incumbent, and keeps no trace.
+instead of returning an unfinished incumbent, and keeps no trace. Each
+loop keeps base.py's budget rule, so a step checks at its first seed.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 
 from ..games import Game, Partition
 from ..graph import Graph
@@ -36,13 +36,13 @@ from ..masks import agents_of
 from ..pseudotree import Pseudotree
 from .base import (DEADLINE_STRIDE, BudgetExceededError,
                    InternalInvariantError, SearchStats, SolverResult,
-                   _Incumbent, deadline_passed, require_connected)
+                   _Incumbent, next_check, require_connected)
 from .dptable import DpTable, reconstruct_blocks
 from .treesearch import _Search, _stage_seeds
 
 # The parallel search runs in steps of this many ticks; between steps its
-# thread checks the stop flag, the crossing and the deadline.
-_PARALLEL_STEP_TICKS = 1024
+# thread checks the stop flag and the crossing.
+_PARALLEL_STEP_TICKS = 4 * DEADLINE_STRIDE
 
 
 def _remainder_value(g: Graph, table_values, memo: dict, rest: int,
@@ -78,9 +78,9 @@ def _solve_level(v, g: Graph, pt: Pseudotree, table: DpTable, level: int,
     do. Restricted to an entry c the walk is `connected_subsets(c,
     required=anchor)`: in c the frontiers and bans coincide, and no child
     outside c has a subset of c below it. So c keeps that stream's first
-    strict best. A tick is a seed or a priced (block, entry) pair; the
-    walk checks the deadline after its first block, then after each block
-    that ends a stride of ticks since the last check.
+    strict best. A tick is a seed or a priced (block, entry) pair. The
+    seed pass checks the deadline at its first seed, the walk after its
+    first block, and each then once per stride of ticks.
 
     memo[c - S] is always there: S holds the anchor, whose tree parent lies
     before position `level`, in the seed D = full - c. So D | S is
@@ -97,11 +97,10 @@ def _solve_level(v, g: Graph, pt: Pseudotree, table: DpTable, level: int,
     ground = ticks = check_at = 0
     try:
         for d in _stage_seeds(g, pt, level):
+            if ticks >= check_at:
+                check_at = next_check(deadline, ticks,
+                                      "while filling the table")
             ticks += 1
-            if deadline is not None and ticks % DEADLINE_STRIDE == 1 \
-                    and time.monotonic() >= deadline:
-                raise BudgetExceededError(
-                    "deadline hit while filling the table")
             c = full & ~d
             comp = component_of(c)
             seeds.append((d, comp))
@@ -112,6 +111,7 @@ def _solve_level(v, g: Graph, pt: Pseudotree, table: DpTable, level: int,
         best_sub = {}
         stack = [(1 << anchor, adj[anchor] & ground, 0, entries)] \
             if entries else []
+        check_at = 0
         pop = stack.pop
         push = stack.append
         while stack:
@@ -123,11 +123,9 @@ def _solve_level(v, g: Graph, pt: Pseudotree, table: DpTable, level: int,
                     best_val[c] = val
                     best_sub[c] = sub
             ticks += len(held)
-            if deadline is not None and ticks >= check_at:
-                if time.monotonic() >= deadline:
-                    raise BudgetExceededError(
-                        "deadline hit while splitting the level's entries")
-                check_at = ticks + DEADLINE_STRIDE
+            if ticks >= check_at:
+                check_at = next_check(deadline, ticks,
+                                      "while splitting the level's entries")
             ext = nbr & ~sub & ~ban
             while ext:
                 u = ext & -ext
@@ -186,13 +184,12 @@ class _Sweep:
         memo = self._memo
         inc = self.inc
         deadline = self.deadline
-        count = 0
+        count = check_at = 0
         for d, comp in seeds:
+            if count >= check_at:
+                check_at = next_check(deadline, count,
+                                      f"while scanning level {level}")
             count += 1
-            if deadline is not None and count % DEADLINE_STRIDE == 1 \
-                    and time.monotonic() >= deadline:
-                raise BudgetExceededError(
-                    f"deadline hit while scanning level {level}")
             rest = g.full_mask & ~d
             r = memo.get(rest)
             if r is None:
@@ -214,8 +211,10 @@ def _drive(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
     None (the sweep alone), "interleaved" or "parallel" (`d_tsp` describes
     both). Every worker runs the same loop over its own step: the main
     thread takes the sweep's turns, and in parallel mode a second thread
-    takes the search's steps. Hitting the deadline returns the incumbent
-    with completed=False instead of raising. `on_event` observes the run."""
+    takes the search's steps. The loop reads no clock: each step checks
+    the deadline at its first unit of work, and a step that hits it stops
+    the run, which returns the incumbent with completed=False instead of
+    raising. `on_event` observes the run."""
     require_connected(g)
     full = g.full_mask
     table = DpTable(g.n)
@@ -242,8 +241,6 @@ def _drive(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
         nonlocal completed
         try:
             while not stop.is_set() and not crossed():
-                if deadline_passed(deadline):
-                    raise BudgetExceededError("deadline hit")
                 step()
         except BudgetExceededError:
             # Not stored: its traceback holds this frame, which refers to

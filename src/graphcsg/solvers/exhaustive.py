@@ -4,12 +4,9 @@ checked against, so it stays as plain as possible."""
 
 from __future__ import annotations
 
-import time
-
 from ..games import Game, Partition
 from ..graph import Graph
-from .base import (DEADLINE_STRIDE, BudgetExceededError, SearchStats,
-                   SolverResult)
+from .base import SearchStats, SolverResult, next_check
 
 # Bell(12) is ~4.2M; anything past that is not a desk-scale oracle run.
 ORACLE_MAX_N = 12
@@ -48,20 +45,16 @@ def brute_force_best(game: Game, g: Graph, *,
         raise ValueError(
             f"brute force capped at n <= {ORACLE_MAX_N}, got n = {g.n}")
     v = game.value
-    stats = SearchStats()
     best_masks = None
     best_val = 0
-    count = 0
+    count = check_at = 0
     for masks in structure_masks(g):
+        if count >= check_at:
+            check_at = next_check(deadline, count, "during exhaustive scan")
         count += 1
-        if deadline is not None and count % DEADLINE_STRIDE == 1 \
-                and time.monotonic() >= deadline:
-            stats.structures_visited = count
-            raise BudgetExceededError("deadline hit during exhaustive scan")
         val = sum(map(v, masks))
         if best_masks is None or val > best_val:
             best_val = val
             best_masks = masks
-    stats.structures_visited = count
     return SolverResult(best=Partition(best_masks), best_value=best_val,
-                        stats=stats)
+                        stats=SearchStats(structures_visited=count))

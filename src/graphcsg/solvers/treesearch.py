@@ -25,8 +25,7 @@ import math
 from ..games import Game, Partition, Value
 from ..graph import Graph
 from ..pseudotree import Pseudotree
-from .base import (DEADLINE_STRIDE, BudgetExceededError, SearchStats,
-                   SolverResult, _Incumbent, deadline_passed,
+from .base import (SearchStats, SolverResult, _Incumbent, next_check,
                    require_connected)
 from .dptable import DpTable, reconstruct_blocks
 
@@ -94,15 +93,14 @@ class _Search:
         seeded = 0
         pruned = 0
         # The next tick count at which to stop or to check the deadline.
-        limit = min(budget, DEADLINE_STRIDE)
+        limit = 0
         try:
             while True:
                 if ticks >= limit:
                     if ticks >= budget:
                         return True
-                    if deadline_passed(self.deadline):
-                        raise BudgetExceededError("deadline hit during search")
-                    limit = min(budget, ticks + DEADLINE_STRIDE)
+                    limit = min(budget, next_check(self.deadline, ticks,
+                                                   "during search"))
                 if not stack:
                     stage = self.next_stage
                     if stage >= table.published_level:

@@ -191,7 +191,7 @@ def test_a_nan_or_negative_budget_exits_2_before_any_read(capsys, budget):
 def test_hopeless_generator_flags_exit_2(capsys):
     code, out, err = run(capsys, "gen", "--model", "path", "--n", "3",
                          "--lo", "5", "--hi", "3")
-    assert code == 2 and "--lo" in err and out == ""
+    assert code == 2 and "lo 5 exceeds hi 3" in err and out == ""
     code, out, err = run(capsys, "gen", "--model", "gnp", "--n", "4",
                          "--p", "0")
     assert code == 2 and "n=4, p=0.0" in err

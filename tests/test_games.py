@@ -198,6 +198,22 @@ def test_randints_refuses_an_empty_range():
     assert raised
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(weights=[1, 2]), "need 3 weights, got 2"),
+    (dict(weights=[1, -2, 3]), "weights must be nonnegative"),
+    (dict(weights=[1, 2, 3], kappa=-1), "kappa must be nonnegative"),
+])
+def test_supersub_game_refuses_bad_parameters(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        make_supersub_game(3, **kwargs)
+
+
+@pytest.mark.parametrize("n", [0, 21])
+def test_random_table_game_refuses_n_outside_the_table_cap(n):
+    with pytest.raises(ValueError, match=f"n in 1..20, got {n}$"):
+        random_table_game(n)
+
+
 def test_random_table_game_values_are_pinned():
     # Recorded before the table draw was inlined; the rng is left where
     # `randint` would leave it, which callers that keep drawing rely on.

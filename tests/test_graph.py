@@ -109,6 +109,11 @@ def test_component_of_contains_lowest_agent(four_cycle):
     assert g.component_of(0b0111) == 0b0111
 
 
+def test_component_of_refuses_the_empty_set(four_cycle):
+    with pytest.raises(ValueError, match="empty agent set"):
+        four_cycle.component_of(0)
+
+
 def test_streaming_enumerator_equals_reference_exhaustively():
     rng = random.Random(33)
     for _ in range(30):

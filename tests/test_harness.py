@@ -1,6 +1,7 @@
 import csv
 import random
 import re
+import threading
 import time
 from dataclasses import fields
 
@@ -184,6 +185,36 @@ def test_every_budgeted_configuration_returns_near_its_budget(kind):
             assert alg not in ANYTIME_ALGORITHMS
         spent_ms = (time.monotonic() - start) * 1000
         assert spent_ms <= 1 + BUDGET_SLACK_MS, (alg, bound, mode, spent_ms)
+
+
+def test_every_budgeted_configuration_stops_in_each_component():
+    # Each solver honours a passed deadline itself, from its first unit of
+    # work: at 0 ms every component is left unsolved, and at 1 ms the
+    # second is, since the first takes longer (`dype`, the fastest here,
+    # takes about 18 ms on one K12 unbudgeted).
+    k12 = [(i, j) for i in range(12) for j in range(i + 1, 12)]
+    g = Graph(24, k12 + [(u + 12, w + 12) for u, w in k12])
+    game = make_supersub_game(24, seed=0)
+    comps = g.connected_components(g.full_mask)
+    start = sum(map(game.value, comps))
+    threads = set(threading.enumerate())
+    for budget, unsolved in ((0, comps), (1, comps[1:])):
+        for alg, bound, mode in budget_configurations():
+            t0 = time.monotonic()
+            try:
+                res = solve_instance(game, g, alg, bound=bound, mode=mode,
+                                     budget_ms=budget)
+            except BudgetExceededError:
+                assert alg not in ANYTIME_ALGORITHMS, (alg, budget)
+            else:
+                assert alg in ANYTIME_ALGORITHMS, (alg, budget)
+                assert not res.completed, (alg, mode, budget)
+                assert res.trace[0] == (0, start), (alg, mode, budget)
+                assert set(unsolved) <= set(res.best.blocks), (alg, mode)
+            spent_ms = (time.monotonic() - t0) * 1000
+            assert spent_ms <= budget + BUDGET_SLACK_MS, \
+                (alg, bound, mode, budget, spent_ms)
+            assert set(threading.enumerate()) == threads, (alg, mode)
 
 
 def test_budgeted_oracle_returns_near_its_budget():
@@ -622,11 +653,23 @@ def _uncrossed(res, game):
     res.stats.frontier_crossed = False
 
 
+def _low_start(res, game):
+    t, v = res.trace[0]
+    res.trace[0] = (t, v - 1)
+
+
+def _overshooting_end(res, game):
+    t, v = res.trace[-1]
+    res.trace.append((t, v + 1))
+
+
 @pytest.mark.parametrize("row,corrupt,failures", [
     (("dype", None, None), _disconnected_block, "feasibility_failures"),
     (("dype", None, None), _bump_a_table_entry, "audit_failures"),
     (("dype-star", None, None), _falling_trace, "trace_violations"),
     (("d-tsp", None, "parallel"), _uncrossed, "crossing_failures"),
+    (("dype-star", None, None), _low_start, "trace_violations"),
+    (("d-tsp", None, "interleaved"), _overshooting_end, "trace_violations"),
 ])
 def test_verify_matrix_reports_each_broken_check_in_its_own_list(
         monkeypatch, row, corrupt, failures):

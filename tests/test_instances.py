@@ -7,6 +7,7 @@ import pytest
 from graphcsg import (Graph, InstanceFile, InstanceFormatError, gen_instance,
                       model_edges, parse_instance_text, realize_instance,
                       write_instance)
+from graphcsg import instances
 from graphcsg.instances import MODELS
 
 
@@ -283,3 +284,22 @@ def test_gen_refuses_a_root_outside_the_agents(root):
     with pytest.raises(ValueError, match=f"root {root} out of range"):
         gen_instance("path", 5, root=root)
     assert gen_instance("path", 5, root=4).root == 4
+
+
+@pytest.mark.parametrize("args,kwargs,message", [
+    (("gnp", 5), dict(game_kind="foo", p=0.0), "unknown game kind 'foo'"),
+    (("gnp", 22), dict(p=0.0), "table games are capped at n <= 20"),
+    (("gnp", 5), dict(lo=5, hi=4, p=0.0), "lo 5 exceeds hi 4"),
+    (("path", 5), dict(game_kind="supersub", lo=5, hi=4),
+     "lo 5 exceeds hi 4"),
+], ids=["unknown-kind", "table-past-cap", "empty-range", "supersub-range"])
+def test_gen_refuses_its_arguments_before_sampling_a_graph(
+        monkeypatch, args, kwargs, message):
+    # gnp at p = 0 spent 1,000 draws and raised `raise p` instead
+    sampled = []
+    real = instances.model_edges
+    monkeypatch.setattr(instances, "model_edges",
+                        lambda *a, **k: sampled.append(a) or real(*a, **k))
+    with pytest.raises(ValueError, match=message):
+        gen_instance(*args, **kwargs)
+    assert sampled == []

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from graphcsg import Graph, build_pseudotree
+from graphcsg import DisconnectedGraphError, Graph, build_pseudotree
 
 from conftest import is_ancestor, random_connected_edges
 
@@ -99,3 +99,15 @@ def test_root_out_of_range():
     g = Graph(2, [(0, 1)])
     with pytest.raises(ValueError):
         build_pseudotree(g, 2)
+
+
+@pytest.mark.parametrize("agent", [-1, 3])
+def test_position_refuses_an_agent_outside_the_tree(agent):
+    pt = build_pseudotree(Graph(3, [(0, 1), (1, 2)]), 0)
+    with pytest.raises(ValueError, match=f"agent {agent} out of range"):
+        pt.position(agent)
+
+
+def test_build_refuses_a_disconnected_graph():
+    with pytest.raises(DisconnectedGraphError):
+        build_pseudotree(Graph(3, [(0, 1)]), 0)

@@ -8,6 +8,7 @@ from graphcsg import (BudgetExceededError, Game, Graph, InternalInvariantError,
                       brute_force_best, build_pseudotree, cfss, dype,
                       make_supersub_game, make_tsp_bound, partition_value,
                       random_table_game, structure_masks, tsp, tsp_star_step)
+from graphcsg.solvers.base import DEADLINE_STRIDE
 
 from conftest import (FOUR_CYCLE_EDGES, canon, observer,
                       random_connected_edges)
@@ -203,8 +204,8 @@ def test_tsp_deadline():
 
 def test_tsp_stops_soon_after_the_deadline():
     # A deadline that passes at the K-th value call stops the search within
-    # one stride of 1,024 ticks (one value call each), past the n + 1 calls
-    # that price the two starting incumbents.
+    # one stride of DEADLINE_STRIDE ticks (one value call each), past the
+    # n + 1 calls that price the two starting incumbents.
     n, K = 10, 2000
     g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     base = random_table_game(n, seed=4)
@@ -224,4 +225,4 @@ def test_tsp_stops_soon_after_the_deadline():
     deadline = time.monotonic() + 0.05
     with pytest.raises(BudgetExceededError):
         tsp(gm, g, pt, deadline=deadline)
-    assert K <= calls <= K + 1024 + n
+    assert K <= calls <= K + DEADLINE_STRIDE + n
