@@ -15,16 +15,14 @@ from pathlib import Path
 
 from .games import BOUND_KINDS
 from .harness import (ALGORITHMS, ANYTIME_ALGORITHMS, DEFAULT_MODELS,
-                      MATRIX_RUNS, UsageError, check_bench, check_oracle_cap,
-                      check_settings, inconsistent_instances, run_bench,
-                      solve_instance, verify_matrix, write_trace_csv)
+                      VERIFY_ALGORITHMS, UsageError, check_bench,
+                      check_oracle_cap, check_settings,
+                      inconsistent_instances, run_bench, solve_instance,
+                      verify_matrix, write_trace_csv)
 from .instances import (GAME_KINDS, MODELS, GraphSamplingError,
                         InstanceFormatError, gen_instance,
                         parse_instance_text, realize_instance, write_instance)
 from .solvers import MODES, BudgetExceededError
-
-# The algorithms that `verify` compares against the oracle, in table order.
-_VERIFY_ALGORITHMS = tuple(dict.fromkeys(alg for alg, _, _ in MATRIX_RUNS))
 
 
 def _names(text: str) -> tuple[str, ...]:
@@ -89,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="games per (model, n) cell")
     verify.add_argument("--algorithms", default=None,
                         help="comma-separated subset of: "
-                             + ", ".join(_VERIFY_ALGORITHMS))
+                             + ", ".join(VERIFY_ALGORITHMS))
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--quiet", action="store_true",
                         help="suppress per-cell progress lines")

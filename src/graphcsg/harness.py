@@ -36,6 +36,8 @@ MATRIX_RUNS = (
     ("d-tsp", None, "parallel"),
     ("cfss", "none", None),
 )
+# The algorithms `verify_matrix` checks against the oracle, in row order.
+VERIFY_ALGORITHMS = tuple(dict.fromkeys(alg for alg, _, _ in MATRIX_RUNS))
 
 
 class UsageError(ValueError):
@@ -264,7 +266,7 @@ def check_grid(models, ns, games_per_cell: int, base_seed: int,
     unknown algorithm or model spec, a grid with no solver run, an n
     outside 1..ORACLE_MAX_N (the oracle's cap), gnp:0 with n >= 2 (no
     connected graph), or a cell past `matrix_seed`'s range."""
-    bad = set(algorithms or ()) - {alg for alg, _, _ in MATRIX_RUNS}
+    bad = set(algorithms or ()) - set(VERIFY_ALGORITHMS)
     if bad:
         raise UsageError(f"unknown algorithms: {', '.join(sorted(bad))}")
     runs = [r for r in MATRIX_RUNS
@@ -356,7 +358,7 @@ def verify_matrix(*, models=DEFAULT_MODELS, ns=range(1, 10),
                         report.feasibility_failures.append(
                             f"{where}: returned structure is not a feasible "
                             f"partition pricing at its reported value")
-                    if alg in ("dype", "dype-star"):
+                    if res.table is not None:
                         try:
                             audit_dp_table(res.table, game, g,
                                            build_pseudotree(g, 0))

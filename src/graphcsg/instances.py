@@ -253,23 +253,12 @@ def model_edges(model: str, n: int, *, p: float = 0.5,
         for _ in range(_GNP_RETRIES):
             edges = tuple((i, j) for i in range(n) for j in range(i + 1, n)
                           if rng.random() < p)
-            if _connects_all(n, edges):
+            if Graph(n, edges).is_connected((1 << n) - 1):
                 return edges
         raise GraphSamplingError(
             f"no connected gnp graph sampled in {_GNP_RETRIES} tries for "
             f"n={n}, p={p}; raise p")
     raise ValueError(f"unknown model {model!r}")
-
-
-def _connects_all(n: int, edges: tuple[tuple[int, int], ...]) -> bool:
-    """True when `edges` connect all n agents; edge passes, no Graph."""
-    reached, before = 1, 0
-    while reached != before:
-        before = reached
-        for i, j in edges:
-            if (reached >> i | reached >> j) & 1:
-                reached |= 1 << i | 1 << j
-    return reached == (1 << n) - 1
 
 
 def gen_instance(model: str, n: int, *, game_kind: str = "table",

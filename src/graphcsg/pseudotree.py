@@ -9,6 +9,7 @@ order of that tree's nodes.
 from __future__ import annotations
 
 from .graph import DisconnectedGraphError, Graph
+from .masks import agents_of
 
 
 class Pseudotree:
@@ -52,7 +53,8 @@ class Pseudotree:
 
 def build_pseudotree(g: Graph, root: int = 0) -> Pseudotree:
     """Depth-first spanning tree from `root`, neighbors visited in
-    ascending index order; requires a connected graph."""
+    ascending index order; requires a connected graph. The recursion
+    nests at most n <= 63 calls."""
     n = g.n
     if not 0 <= root < n:
         raise ValueError(f"root {root} out of range for n={n}")
@@ -61,25 +63,17 @@ def build_pseudotree(g: Graph, root: int = 0) -> Pseudotree:
     adj = g.adj
     parent = [-1] * n
     depth = [0] * n
-    disc = [-1] * n
-    disc[root] = 0
-    t = 1
-    stack = [[root, adj[root]]]
-    while stack:
-        frame = stack[-1]
-        rem = frame[1]
-        if rem:
-            u_bit = rem & -rem
-            frame[1] = rem ^ u_bit
-            u = u_bit.bit_length() - 1
-            if disc[u] < 0:
-                node = frame[0]
-                disc[u] = t
-                t += 1
+    discovered = [root]
+
+    def visit(node: int) -> None:
+        for u in agents_of(adj[node]):
+            if u != root and parent[u] < 0:
                 parent[u] = node
                 depth[u] = depth[node] + 1
-                stack.append([u, adj[u]])
-        else:
-            stack.pop()
-    order = sorted(range(n), key=lambda a: (depth[a], disc[a]))
+                discovered.append(u)
+                visit(u)
+
+    visit(root)
+    # A stable sort: agents of one depth keep their discovery order.
+    order = sorted(discovered, key=depth.__getitem__)
     return Pseudotree(root, tuple(parent), tuple(depth), tuple(order))

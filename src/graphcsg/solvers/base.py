@@ -101,14 +101,16 @@ class _Incumbent:
     everywhere: the value only rises, and a stale read merely delays pruning.
     `blocks` and `trace` are read directly once every worker has stopped.
 
-    `on_event(kind, *fields)`, when given, observes the run. The kinds are:
+    `on_event(kind, *fields)`, when given, observes the run; the run's
+    workers read it from here. The kinds are:
     - "incumbent", t_us, value, partition: from `offer`, under the lock,
       once per trace point after the first;
     - "structure", blocks: a full structure that `tsp`, `d_tsp`'s search or
       `cfss` visits, as a tuple of masks.
     """
 
-    __slots__ = ("value", "blocks", "trace", "_lock", "_t0", "_tol", "_emit")
+    __slots__ = ("value", "blocks", "trace", "on_event", "_lock", "_t0",
+                 "_tol")
 
     def __init__(self, blocks, value, tolerance, on_event=None):
         self.blocks = list(blocks)
@@ -117,7 +119,7 @@ class _Incumbent:
         self._lock = threading.Lock()
         self._t0 = time.monotonic()
         self._tol = tolerance
-        self._emit = on_event
+        self.on_event = on_event
 
     def offer(self, blocks, value) -> None:
         with self._lock:
@@ -127,5 +129,5 @@ class _Incumbent:
             self.value = value
             t = elapsed_us(self._t0)
             self.trace.append((t, value))
-            if self._emit is not None:
-                self._emit("incumbent", t, value, Partition(self.blocks))
+            if self.on_event is not None:
+                self.on_event("incumbent", t, value, Partition(self.blocks))

@@ -4,7 +4,7 @@ The sweep walks the breadth-first order backwards. At each position it
 tabulates, for every connected set anchored there whose complement stays
 connected, the DyPE split (Vinyals et al., 2013): the best connected block
 around the anchor plus the rest, priced from the table (`_solve_level`;
-`audit_dp_table` re-derives it with its own loop). The sets are found from
+`audit_dp_table` re-derives it, sharing no code). The sets are found from
 the complement side, as DPccp pairs a block with its complement (Moerkotte
 and Neumann, VLDB 2006): the connected remainders of stage L's seeds, the
 connected first blocks that hold every agent before position L and leave
@@ -221,7 +221,7 @@ def _drive(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
     inc = _Incumbent([full], game.value(full), game.tolerance, on_event)
     sweep = _Sweep(game, g, pt, table, inc, SearchStats(), deadline)
     searcher = _Search(game, g, pt, table, inc, SearchStats(), bound,
-                       deadline, on_event)
+                       deadline)
     stop = threading.Event()
     faults = []  # read after the join; the first is re-raised
     completed = True
@@ -289,18 +289,20 @@ def dype_star(game: Game, g: Graph, pt: Pseudotree, *, on_event=None,
 def audit_dp_table(table: DpTable, game: Game, g: Graph,
                    pt: Pseudotree) -> None:
     """Recompute every table entry from scratch and re-check its stored
-    witness block. Raises InternalInvariantError on the first discrepancy."""
+    witness block. A split of entry c is priced as v(block) plus the
+    entries of `g.connected_components(c - block)`, summed last to first
+    as the sweep's right fold sums them, so float games round alike. No
+    memo and no code is shared with the sweep, so a fault in its sums
+    cannot pass. Raises InternalInvariantError on the first discrepancy."""
     v = game.value
     tv = table.values
     pos = pt.position
-    memo = {0: 0}
 
     def price(block: int, c: int):
-        """v(block) plus the rest of c's summed entries (the audit's memo)."""
-        rest = c & ~block
-        if rest not in memo:
-            _remainder_value(g, tv, memo, rest)
-        return v(block) + memo[rest]
+        rest = 0
+        for comp in reversed(g.connected_components(c & ~block)):
+            rest = tv[comp] + rest
+        return v(block) + rest
 
     for c, stored in tv.items():
         anchor = min(agents_of(c), key=pos)

@@ -48,14 +48,14 @@ class _Search:
     chosen to reach it (the seed frame covers nothing). `next_stage` is the
     frontier (the stage whose seeds are pending); it advances only once a
     stage's whole seed frame is exhausted, and stops at the table's
-    `published_level`. `on_event` observes every full structure reached.
+    `published_level`. The incumbent's `on_event` observes every full
+    structure reached.
     """
 
     __slots__ = ("game", "g", "pt", "table", "inc", "stats", "bound",
-                 "deadline", "on_event", "next_stage", "_stack")
+                 "deadline", "next_stage", "_stack")
 
-    def __init__(self, game, g, pt, table, inc, stats, bound, deadline,
-                 on_event=None):
+    def __init__(self, game, g, pt, table, inc, stats, bound, deadline):
         self.game = game
         self.g = g
         self.pt = pt
@@ -64,7 +64,6 @@ class _Search:
         self.stats = stats
         self.bound = bound
         self.deadline = deadline
-        self.on_event = on_event
         self.next_stage = 2
         self._stack = []
 
@@ -86,7 +85,7 @@ class _Search:
         inc = self.inc
         stats = self.stats
         bound = self.bound
-        emit = self.on_event
+        emit = inc.on_event
         stack = self._stack
         ticks = 0
         looked_up = 0
@@ -183,8 +182,8 @@ def tsp(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
     stats = SearchStats()
     # An empty table publishes level n + 1: stages 2..n all run, and no
     # node is ever shortcut.
-    _Search(game, g, pt, DpTable(g.n), inc, stats, bound, deadline,
-            on_event).step(math.inf)
+    _Search(game, g, pt, DpTable(g.n), inc, stats, bound,
+            deadline).step(math.inf)
     return SolverResult(best=Partition(inc.blocks), best_value=inc.value,
                         stats=stats)
 

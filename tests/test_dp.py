@@ -85,6 +85,34 @@ def test_audit_rejects_corrupted_witness():
         audit_dp_table(table, gm, g, pt)
 
 
+@pytest.mark.parametrize("edges,root", [
+    ([(0, 1), (1, 2), (2, 3), (1, 4), (4, 5)], 0),
+    ([(0, 1), (0, 2), (0, 3), (0, 4)], 1),
+], ids=["tree", "star-from-a-leaf"])
+def test_audit_rejects_a_sweep_whose_remainder_sums_are_off(
+        monkeypatch, edges, root):
+    # Some split of an entry leaves a remainder of two or more components,
+    # whose summed entries the mutant sweep stores 1 too high; singletons
+    # are the best split of every set, so such a split wins. The audit
+    # prices splits itself, so it sees the fault.
+    def off_by_one(g, table_values, memo, rest, comp=0):
+        comp = comp or g.component_of(rest)
+        tail = rest & ~comp
+        if tail not in memo:
+            off_by_one(g, table_values, memo, tail)
+        memo[rest] = val = table_values[comp] + memo[tail] + (tail != 0)
+        return val
+
+    monkeypatch.setattr(dp, "_remainder_value", off_by_one)
+    n = max(map(max, edges)) + 1
+    g = Graph(n, edges)
+    pt = build_pseudotree(g, root)
+    gm = Game(n, lambda m: -m.bit_count() ** 2)
+    table = dype(gm, g, pt).table
+    with pytest.raises(InternalInvariantError, match="recurrence gives"):
+        audit_dp_table(table, gm, g, pt)
+
+
 def test_table_entries_are_write_once():
     t = DpTable(3)
     t.put(0b011, 7, 0b001)

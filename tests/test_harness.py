@@ -670,6 +670,7 @@ def _overshooting_end(res, game):
     (("d-tsp", None, "parallel"), _uncrossed, "crossing_failures"),
     (("dype-star", None, None), _low_start, "trace_violations"),
     (("d-tsp", None, "interleaved"), _overshooting_end, "trace_violations"),
+    (("d-tsp", None, "interleaved"), _bump_a_table_entry, "audit_failures"),
 ])
 def test_verify_matrix_reports_each_broken_check_in_its_own_list(
         monkeypatch, row, corrupt, failures):

@@ -241,12 +241,12 @@ def test_search_steps_walk_the_tsp_tree_at_any_budget():
         gm = Game(n, value)
         runs = {}
         for budget in (math.inf, 1, 7):
-            inc = _Incumbent([g.full_mask], base.value(g.full_mask), 0)
+            structures = []
+            inc = _Incumbent([g.full_mask], base.value(g.full_mask), 0,
+                             observer("structure", structures.append))
             del seen[:]
             stats = SearchStats()
-            structures = []
-            search = _Search(gm, g, pt, DpTable(n), inc, stats, None, None,
-                             observer("structure", structures.append))
+            search = _Search(gm, g, pt, DpTable(n), inc, stats, None, None)
             steps = 0
             while search.step(budget):
                 steps += 1

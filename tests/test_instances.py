@@ -213,18 +213,9 @@ def test_gnp_edges_are_connected_and_seeded():
         edges = model_edges("gnp", n, p=0.3, rng=random.Random(rng.random()))
         g = Graph(n, edges)
         assert g.is_connected(g.full_mask)
-
-
-def test_gnp_connectivity_test_agrees_with_the_graph():
-    from graphcsg.instances import _connects_all
-    rng = random.Random(23)
-    for n in range(1, 11):
-        for _ in range(30):
-            p = rng.random()
-            edges = tuple((i, j) for i in range(n) for j in range(i + 1, n)
-                          if rng.random() < p)
-            g = Graph(n, edges)
-            assert _connects_all(n, edges) == g.is_connected(g.full_mask)
+        # a sparse draw, which is most often disconnected, is redrawn
+        g = Graph(n, model_edges("gnp", n, p=0.15, rng=random.Random(n)))
+        assert g.is_connected(g.full_mask)
 
 
 def test_gnp_gives_up_when_density_is_hopeless():

@@ -78,6 +78,19 @@ def test_path_rooted_at_end_is_the_path_order():
     assert pt.depth == (0, 1, 2, 3)
 
 
+def test_63_agent_path_from_either_end():
+    # the depth-first construction nests 62 levels below the root
+    g = Graph(63, [(i, i + 1) for i in range(62)])
+    pt = build_pseudotree(g, 0)
+    assert pt.parent == (-1,) + tuple(range(62))
+    assert pt.depth == tuple(range(63))
+    assert pt.order == tuple(range(63))
+    pt = build_pseudotree(g, 62)
+    assert pt.parent == tuple(range(1, 63)) + (-1,)
+    assert pt.depth == tuple(range(62, -1, -1))
+    assert pt.order == tuple(range(62, -1, -1))
+
+
 def test_star_center_root_puts_leaves_one_level_down():
     g = Graph(5, [(0, i) for i in range(1, 5)])
     pt = build_pseudotree(g, 0)
