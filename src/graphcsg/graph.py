@@ -1,5 +1,10 @@
 """Undirected graphs over agents 0..n-1 with bitmask adjacency.
 
+A Graph's agents are the bits of its `full_mask`, and `n` bounds their
+indices. A component view (`Graph.component`) shares its graph's `adj`
+and tables, so a view of a graph past `_CACHE_MAX_N` agents walks
+adjacency, however small its component.
+
 The solvers spend nearly all their time finding components and
 enumerating connected subsets, so a Graph precomputes adjacency masks and,
 up to `_CACHE_MAX_N` agents, two half-width neighborhood tables: `_lo`
@@ -16,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from .masks import HALF_TABLE_MAX_N
+from .masks import HALF_TABLE_MAX_N, agents_of
 
 # Up to this size the two half-width neighborhood tables hold at most
 # 2 * 2^12 entries: a Graph keeps 21 KiB at n = 16 and 322 KiB at n = 24.
@@ -59,15 +64,32 @@ class Graph:
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(norm))
         self.adj: tuple[int, ...] = tuple(adj)
         self.full_mask = (1 << n) - 1
+        h = self._h = (n + 1) // 2
+        self._lo_mask = (1 << h) - 1
         self._lo = self._hi = None
         if n <= _CACHE_MAX_N:
-            h = self._h = (n + 1) // 2
-            self._lo_mask = (1 << h) - 1
             self._lo = _neighborhoods(adj[:h])
             self._hi = _neighborhoods(adj[h:])
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={list(self.edges)})"
+
+    def component(self, comp: int) -> Graph:
+        """This graph on its component `comp`: the same `n`, `adj` and
+        tables, `full_mask` comp and only comp's `edges` (the graph itself
+        when comp is all of it). Any other mask is a ValueError."""
+        if not comp or comp & ~self.full_mask \
+                or any(self.adj[a] & ~comp for a in agents_of(comp)) \
+                or self.component_of(comp) != comp:
+            raise ValueError(f"mask {comp} is not a component of the graph")
+        if comp == self.full_mask:
+            return self
+        view = Graph.__new__(Graph)
+        for name in Graph.__slots__:
+            setattr(view, name, getattr(self, name))
+        view.full_mask = comp
+        view.edges = tuple(e for e in self.edges if comp >> e[0] & 1)
+        return view
 
     def component_of(self, s: int) -> int:
         """Connected component of s that contains its lowest-index agent."""

@@ -11,7 +11,6 @@ from .games import (BOUND_KINDS, Game, Partition, Value, make_cfss_bound,
                     make_tsp_bound, partition_value)
 from .graph import Graph
 from .instances import MODELS, gen_instance, realize_instance
-from .masks import agents_of, half_sums
 from .pseudotree import build_pseudotree
 from .solvers import (MODES, ORACLE_MAX_N, BudgetExceededError,
                       InternalInvariantError, SolverResult, audit_dp_table,
@@ -66,25 +65,6 @@ def _solve_connected(game: Game, g: Graph, algorithm: str, *, bound=None,
                  on_event=on_event, deadline=deadline)
 
 
-def _subgame(game: Game, agents: list[int]):
-    """Restriction of a game to one connected component, with agents
-    renumbered 0..k-1. Returns (game, expand) where expand maps local
-    masks back to global ones: two `half_sums` lookups over the agents'
-    global bits, whose sum is their union."""
-    lo, hi, mask, h = half_sums([1 << a for a in agents])
-
-    def expand(m: int) -> int:
-        return lo[m & mask] | hi[m >> h]
-
-    def local(f):  # f read at the global mask; an absent part stays None
-        return None if f is None else lambda m: f(expand(m))
-
-    return Game(len(agents), local(game.value),
-                sup_value=local(game.sup_value),
-                sub_value=local(game.sub_value),
-                tolerance=game.tolerance), expand
-
-
 def check_settings(algorithms=(), bound=None, mode: str = "interleaved",
                    budget_ms: float | None = None) -> None:
     """UsageError for a name outside ALGORITHMS, BOUND_KINDS or MODES, even
@@ -115,18 +95,19 @@ def solve_instance(game: Game, g: Graph, algorithm: str, *, bound=None,
                    mode: str = "interleaved", root: int | None = None,
                    budget_ms: float | None = None,
                    on_event=None) -> SolverResult:
-    """Run one algorithm on one instance. Disconnected graphs are split
-    into components, solved independently, and merged: block union, value
-    sum, and for anytime algorithms a single stitched trace whose baseline
-    counts unfinished components at their one-block value. Each component
-    keeps its own incumbent, so the answer may sit up to `game.tolerance`
-    below the optimum per component. Every component goes to its solver,
-    which checks the deadline at its first unit of work: past it, an
-    exact solver raises BudgetExceededError and an anytime one returns
-    the component as one block, with completed=False.
+    """Run one algorithm on one instance. A disconnected graph is solved a
+    component at a time, on its view (`Graph.component`) with the caller's
+    game, from `root` in its component and the lowest agent elsewhere, and
+    merged: block union, value sum, and for anytime algorithms one trace
+    whose baseline counts unsolved components at their one-block value.
+    Each component keeps its own incumbent, so the answer may sit up to
+    `game.tolerance` below the optimum per component. Each solver checks
+    the deadline at its first unit of work: past it, an exact solver
+    raises BudgetExceededError and an anytime one returns its component
+    as one block, with completed=False.
 
     `on_event` observes `dype-star` and `d-tsp` in the whole graph's terms:
-    stitched times and values, global masks and full partitions.
+    stitched times and values, and full partitions.
 
     The result never holds a DP table (`table` is None on every path), so
     a caller that keeps many results keeps no tables; call the solvers
@@ -149,17 +130,7 @@ def solve_instance(game: Game, g: Graph, algorithm: str, *, bound=None,
         res.table = None
         return res
 
-    # Every component's graph and subgame is built before the clock starts,
-    # so the stitched trace times the solves alone.
-    parts = []
-    for comp in comps:
-        agents = agents_of(comp)
-        index = {a: i for i, a in enumerate(agents)}
-        lg = Graph(len(agents), [(index[u], index[w]) for u, w in g.edges
-                                 if (comp >> u) & 1 and (comp >> w) & 1])
-        lroot = index[root] if root is not None and (comp >> root) & 1 else 0
-        lgame, expand = _subgame(game, agents)
-        parts.append((lg, lroot, lgame, expand))
+    views = list(map(g.component, comps))  # built before the clock starts
     inits = list(map(game.value, comps))  # each one-block value
 
     t0 = time.monotonic()
@@ -168,7 +139,7 @@ def solve_instance(game: Game, g: Graph, algorithm: str, *, bound=None,
     total = 0
     stats = SearchStats()
     completed = True
-    for k, (lg, lroot, lgame, expand) in enumerate(parts):
+    for k, (comp, view) in enumerate(zip(comps, views)):
         baseline = total + sum(inits[k + 1:])
         offset = elapsed_us(t0)
         relay = None
@@ -178,16 +149,18 @@ def solve_instance(game: Game, g: Graph, algorithm: str, *, bound=None,
             def relay(kind, *f):
                 if kind == "incumbent":
                     on_event(kind, offset + f[0], baseline + f[1], Partition(
-                        blocks + comps[k + 1:] + list(map(expand, f[2]))))
+                        blocks + comps[k + 1:] + list(f[2])))
                 else:  # "structure"
-                    on_event(kind, tuple(map(expand, f[0])))
+                    on_event(kind, *f)
 
-        res = _solve_connected(lgame, lg, algorithm, bound=bound, mode=mode,
-                               root=lroot, deadline=deadline, on_event=relay)
+        croot = root if root is not None and comp >> root & 1 \
+            else (comp & -comp).bit_length() - 1
+        res = _solve_connected(game, view, algorithm, bound=bound, mode=mode,
+                               root=croot, deadline=deadline, on_event=relay)
         # Each point after the first also raises the stitched trace.
         trace.extend((offset + t, baseline + v) for t, v in res.trace[1:])
         completed = completed and res.completed
-        blocks.extend(expand(b) for b in res.best.blocks)
+        blocks.extend(res.best.blocks)
         total += res.best_value
         stats = stats.merged_with(res.stats)
     return SolverResult(best=Partition(blocks), best_value=total,

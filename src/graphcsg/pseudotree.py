@@ -15,9 +15,10 @@ from .masks import agents_of
 class Pseudotree:
     """Rooted tree over the agents plus the breadth-first visit order.
 
-    `order[i-1]` is the agent at (1-based) position i; `position(a)` is the
-    inverse. Positions are layered by depth, ties broken by discovery time
-    of the depth-first construction.
+    `n` counts the tree's agents; `parent` and `depth` are indexed up to
+    the graph's `n`. `order[i-1]` is the agent at (1-based) position i;
+    `position(a)` is the inverse. Positions are layered by depth, ties
+    broken by discovery time of the depth-first construction.
     """
 
     __slots__ = ("n", "root", "parent", "depth", "order", "_pos",
@@ -31,7 +32,7 @@ class Pseudotree:
         self.parent = parent
         self.depth = depth
         self.order = order
-        pos = [0] * n
+        pos = [0] * len(parent)
         for i, a in enumerate(order):
             pos[a] = i + 1
         self._pos = tuple(pos)
@@ -43,8 +44,8 @@ class Pseudotree:
 
     def position(self, a: int) -> int:
         """1-based breadth-first position of agent a."""
-        if not 0 <= a < self.n:
-            raise ValueError(f"agent {a} out of range for n={self.n}")
+        if not (0 <= a < len(self._pos) and self._pos[a]):
+            raise ValueError(f"agent {a} out of range: not in the tree")
         return self._pos[a]
 
     def __repr__(self) -> str:
@@ -53,11 +54,11 @@ class Pseudotree:
 
 def build_pseudotree(g: Graph, root: int = 0) -> Pseudotree:
     """Depth-first spanning tree from `root`, neighbors visited in
-    ascending index order; requires a connected graph. The recursion
-    nests at most n <= 63 calls."""
+    ascending index order; requires a connected graph and a root among its
+    agents. The recursion nests at most n <= 63 calls."""
     n = g.n
-    if not 0 <= root < n:
-        raise ValueError(f"root {root} out of range for n={n}")
+    if not (0 <= root < n and g.full_mask >> root & 1):
+        raise ValueError(f"root {root} is not an agent of the graph")
     if not g.is_connected(g.full_mask):
         raise DisconnectedGraphError("pseudotree requires a connected graph")
     adj = g.adj

@@ -47,12 +47,12 @@ def cfss(game: Game, g: Graph, bound=None, *, deadline: float | None = None,
     require_connected(g)
     v = game.value
     tol = game.tolerance
-    blk = [1 << a for a in range(g.n)]
-    val = list(map(v, blk))
+    blk = [1 << a & g.full_mask for a in range(g.n)]
+    val = [b and v(b) for b in blk]
     nbr = list(g.adj)
     dn = [0] * g.n
     own = list(range(g.n))
-    inc = _Incumbent(blk, sum(val), tol, on_event)
+    inc = _Incumbent(filter(None, blk), sum(val), tol, on_event)
 
     def visit(value, reps):
         nonlocal count, pruned, check_at

@@ -217,7 +217,7 @@ def _drive(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
     raising. `on_event` observes the run."""
     require_connected(g)
     full = g.full_mask
-    table = DpTable(g.n)
+    table = DpTable(pt.n)
     inc = _Incumbent([full], game.value(full), game.tolerance, on_event)
     sweep = _Sweep(game, g, pt, table, inc, SearchStats(), deadline)
     searcher = _Search(game, g, pt, table, inc, SearchStats(), bound,

@@ -24,6 +24,7 @@ import math
 
 from ..games import Game, Partition, Value
 from ..graph import Graph
+from ..masks import agents_of
 from ..pseudotree import Pseudotree
 from .base import (SearchStats, SolverResult, _Incumbent, next_check,
                    require_connected)
@@ -175,14 +176,14 @@ def tsp(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
     visits; the search never visits the one-block partition.
     """
     require_connected(g)
-    singles = [1 << a for a in range(g.n)]
+    singles = [1 << a for a in agents_of(g.full_mask)]
     inc = _Incumbent(singles, sum(map(game.value, singles)), game.tolerance,
                      on_event)
     inc.offer([g.full_mask], game.value(g.full_mask))
     stats = SearchStats()
-    # An empty table publishes level n + 1: stages 2..n all run, and no
-    # node is ever shortcut.
-    _Search(game, g, pt, DpTable(g.n), inc, stats, bound,
+    # An empty table publishes level pt.n + 1: stages 2..pt.n all run, and
+    # no node is ever shortcut.
+    _Search(game, g, pt, DpTable(pt.n), inc, stats, bound,
             deadline).step(math.inf)
     return SolverResult(best=Partition(inc.blocks), best_value=inc.value,
                         stats=stats)

@@ -1,7 +1,11 @@
+import ast
 import importlib
+import sys
+from pathlib import Path
 
 import pytest
 
+import graphcsg
 from graphcsg import (Graph, InstanceFile, UsageError, brute_force_best,
                       build_pseudotree, d_tsp, gen_instance, harness,
                       make_cfss_bound, make_tsp_bound, parse_instance_text,
@@ -21,6 +25,22 @@ def test_star_import_resolves_every_export(module):
     assert len(set(exported)) == len(exported)
     for name in exported:
         assert name in namespace, name
+
+
+def test_the_package_imports_only_the_standard_library_and_itself():
+    # the package has no runtime dependencies (pyproject's `dependencies`)
+    seen = set()
+    for path in Path(graphcsg.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                seen.update((path.name, a.name) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                seen.add((path.name, node.module))
+    assert ("harness.py", "csv") in seen
+    for where, name in seen:
+        top = name.partition(".")[0]
+        assert top == "graphcsg" or top in sys.stdlib_module_names, \
+            (where, name)
 
 
 def _cli(*argv):

@@ -171,3 +171,30 @@ def test_require_connected():
     with pytest.raises(DisconnectedGraphError):
         require_connected(g)
     require_connected(Graph(1))
+
+
+def test_a_component_view_keeps_the_graph_and_narrows_its_agents():
+    # two triangles on interleaved labels, and an isolated agent
+    g = Graph(7, [(0, 2), (2, 4), (0, 4), (1, 3), (3, 5), (1, 5)])
+    for comp in g.connected_components(g.full_mask):
+        view = g.component(comp)
+        assert (view.n, view.full_mask) == (7, comp)
+        assert view.adj is g.adj and view._lo is g._lo
+        assert view.edges == tuple(e for e in g.edges if comp >> e[0] & 1)
+        assert view.is_connected(view.full_mask)
+        assert set(view.connected_subsets(g.full_mask)) \
+            == set(g.connected_subsets(comp))
+    connected = Graph(3, [(0, 1), (1, 2)])
+    assert connected.component(0b111) is connected
+
+
+@pytest.mark.parametrize("mask", [0, 0b000101, 0b001111, 0b1111111, 1 << 7],
+                         ids=["empty", "part-of-one", "union-of-two", "all",
+                              "past-n"])
+def test_component_refuses_a_mask_that_is_not_a_component(mask):
+    g = Graph(7, [(0, 2), (2, 4), (0, 4), (1, 3), (3, 5), (1, 5)])
+    with pytest.raises(ValueError, match="is not a component"):
+        g.component(mask)
+    view = g.component(0b010101)
+    with pytest.raises(ValueError, match="is not a component"):
+        view.component(0b101010)

@@ -1,9 +1,10 @@
 import csv
+import itertools
 import random
 import re
 import threading
 import time
-from dataclasses import fields
+from dataclasses import astuple, fields
 
 import pytest
 
@@ -103,24 +104,74 @@ def test_disconnected_anytime_trace_is_stitched():
                 assert bool(structures) == (alg == "d-tsp")
 
 
-def test_subgame_expand_matches_the_bit_loop():
-    """expand reads two half-width tables over the agents' global bits; it
-    must map each local mask as a walk over its bits does, for lists of
-    1-30 agents drawn from 0..62 (past 24 agents the high table walks
-    bytes)."""
-    rng = random.Random(5)
-    for k in range(1, 31):
-        agents = sorted(rng.sample(range(63), k))
-        game = make_supersub_game(63, seed=k)
-        local, expand = harness._subgame(game, agents)
-        for m in [0, (1 << k) - 1] + [rng.getrandbits(k) for _ in range(200)]:
-            want = 0
-            for i, a in enumerate(agents):
-                if m >> i & 1:
-                    want |= 1 << a
-            assert expand(m) == want, (agents, m)
-            assert local.value(m) == game.value(want)
-            assert local.sup_value(m) == game.sup_value(want)
+def _relabelled(game, g, comp):
+    """A component's own Graph over agents 0..k-1 and its wrapper game,
+    which reads `game` at the global mask, with the map `expand` from local
+    masks back to global ones."""
+    agents = [a for a in range(g.n) if comp >> a & 1]
+    index = {a: i for i, a in enumerate(agents)}
+    lg = Graph(len(agents), [(index[u], index[w]) for u, w in g.edges
+                             if comp >> u & 1])
+
+    def expand(m):
+        return sum(1 << a for i, a in enumerate(agents) if m >> i & 1)
+
+    def local(f):  # an absent part of the split stays None
+        return None if f is None else lambda m: f(expand(m))
+
+    lgame = Game(len(agents), local(game.value),
+                 sup_value=local(game.sup_value),
+                 sub_value=local(game.sub_value), tolerance=game.tolerance)
+    return lgame, lg, index, expand
+
+
+def _solve_relabelled(game, g, alg, bound, root):
+    """solve_instance's value, blocks, stats and trace values, computed by
+    solving each component relabelled into its own graph and game."""
+    comps = g.connected_components(g.full_mask)
+    inits = list(map(game.value, comps))
+    values = [sum(inits)] if alg in ANYTIME_ALGORITHMS else []
+    blocks, total, stats = [], 0, SearchStats()
+    for k, comp in enumerate(comps):
+        lgame, lg, index, expand = _relabelled(game, g, comp)
+        res = harness._solve_connected(lgame, lg, alg, bound=bound,
+                                       root=index.get(root, 0))
+        baseline = total + sum(inits[k + 1:])
+        values += [baseline + v for _, v in res.trace[1:]]
+        blocks += map(expand, res.best.blocks)
+        total += res.best_value
+        stats = stats.merged_with(res.stats)
+    return total, Partition(blocks), astuple(stats), values
+
+
+def test_component_views_solve_as_relabelled_components():
+    # random forests of 2-3 components with interleaved agent labels, so a
+    # view's agents are not a prefix of the graph's
+    rng = random.Random(126)
+    for case in range(16):
+        k = rng.choice((2, 3))
+        sizes = [rng.randint(1, 12 // k) for _ in range(k)]
+        n = sum(sizes)
+        labels = rng.sample(range(n), n)
+        edges = []
+        for size in sizes:
+            part, labels = labels[:size], labels[size:]
+            edges += [(part[u], part[w])
+                      for u, w in random_connected_edges(rng, size)]
+        g = Graph(n, edges)
+        assert len(g.connected_components(g.full_mask)) == k
+        root = rng.choice([None, *range(n)])
+        for game in (random_table_game(n, seed=case),
+                     make_supersub_game(n, seed=case)):
+            for alg, bound, mode in budget_configurations():
+                if mode == "parallel":
+                    continue
+                res = solve_instance(game, g, alg, bound=bound, root=root)
+                got = (res.best_value, res.best, astuple(res.stats),
+                       [v for _, v in res.trace])
+                assert got == _solve_relabelled(game, g, alg, bound, root), \
+                    (case, alg, bound, root)
+                assert res.completed
 
 
 @pytest.mark.parametrize("budget", [float("nan"), -1, -0.5])
@@ -215,6 +266,25 @@ def test_every_budgeted_configuration_stops_in_each_component():
             assert spent_ms <= budget + BUDGET_SLACK_MS, \
                 (alg, bound, mode, budget, spent_ms)
             assert set(threading.enumerate()) == threads, (alg, mode)
+
+
+def test_a_dense_twenty_agent_sweep_stops_near_a_short_budget():
+    # DpTable has no size guard: a complete graph's table grows as about
+    # 2^n entries, its fill time as about 3^n, so a budget binds before
+    # memory does (README)
+    n = 20
+    game = random_table_game(n, seed=0)
+    g = Graph(n, itertools.combinations(range(n), 2))
+    for alg, mode in (("dype", "interleaved"), ("dype-star", "interleaved"),
+                      ("d-tsp", "interleaved"), ("d-tsp", "parallel")):
+        start = time.monotonic()
+        try:
+            res = solve_instance(game, g, alg, mode=mode, budget_ms=50)
+            assert not res.completed, (alg, mode)
+        except BudgetExceededError:
+            assert alg == "dype"
+        spent_ms = (time.monotonic() - start) * 1000
+        assert spent_ms <= 50 + BUDGET_SLACK_MS, (alg, mode, spent_ms)
 
 
 def test_budgeted_oracle_returns_near_its_budget():
@@ -604,10 +674,10 @@ def test_verify_matrix_runs_every_model_over_an_iterator_of_ns():
 @pytest.mark.parametrize("connected", [True, False])
 def test_solve_instance_refuses_an_unknown_algorithm_before_any_build(
         monkeypatch, budget, connected):
-    # a disconnected graph built every component's subgame first, and a
+    # a disconnected graph built every component's view first, and a
     # zero budget then ran out with components left to solve
     built = []
-    monkeypatch.setattr(harness, "_subgame",
+    monkeypatch.setattr(Graph, "component",
                         lambda *args: built.append(args))
     monkeypatch.setattr(harness, "_solve_connected",
                         lambda *args, **kwargs: built.append(args))

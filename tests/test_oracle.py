@@ -90,3 +90,16 @@ def test_brute_force_deadline():
     gm = random_table_game(10, seed=1)
     with pytest.raises(BudgetExceededError):
         brute_force_best(gm, g, deadline=time.monotonic())
+
+
+def test_oracle_cap_counts_a_views_agents():
+    # a 3-agent path and a 13-agent path in one 16-agent graph
+    g = Graph(16, [(0, 1), (1, 2)] + [(i, i + 1) for i in range(3, 15)])
+    game = random_table_game(16, seed=3)
+    small, large = g.connected_components(g.full_mask)
+    with pytest.raises(ValueError, match="got n = 13$"):
+        brute_force_best(game, g.component(large))
+    res = brute_force_best(game, g.component(small))
+    assert res.best.covered == small
+    assert res.best_value == max(partition_value(game, p)
+                                 for p in structure_masks(g, ground=small))

@@ -124,3 +124,16 @@ def test_position_refuses_an_agent_outside_the_tree(agent):
 def test_build_refuses_a_disconnected_graph():
     with pytest.raises(DisconnectedGraphError):
         build_pseudotree(Graph(3, [(0, 1)]), 0)
+
+
+def test_a_view_tree_holds_the_component_and_refuses_an_outside_root():
+    g = Graph(6, [(0, 2), (2, 4), (1, 3), (3, 5)])
+    view = g.component(0b010101)
+    pt = build_pseudotree(view, 2)
+    assert (pt.n, pt.order) == (3, (2, 0, 4))
+    assert [pt.position(a) for a in (2, 0, 4)] == [1, 2, 3]
+    for agent in (1, 3, 5):
+        with pytest.raises(ValueError, match="not an agent of the graph"):
+            build_pseudotree(view, agent)
+        with pytest.raises(ValueError, match=f"agent {agent} out of range"):
+            pt.position(agent)
