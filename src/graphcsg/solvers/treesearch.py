@@ -8,6 +8,19 @@ exactly once. A bound hook may prune any node whose optimistic value
 cannot beat the incumbent, stage seeds included: a pruned seed counts as
 seeded and as pruned, and opens nothing.
 
+While a bound is in use the search also prunes by dominance (Ibaraki, J.
+ACM 1977): it keeps, per covered set, the highest partial value it has
+let through (opened or completed from the table), and skips a node whose
+covered set it holds at a value at least as high, before asking the
+bound. This is exact: the search is depth-first and a descendant covers
+strictly more than its node, so the earlier node's subtree was finished
+before the later node was reached. Each completion of the later node is
+worth no more than the same completion of the earlier one, which was
+offered, pruned or beaten against an incumbent no higher than today's,
+so no improvement beyond the tolerance is lost, and `tsp` keeps the
+same incumbents in the same order. The memo holds at most one entry per
+node let through. With no bound the search stays an exhaustive walk.
+
 `_Search` keeps its open nodes on an explicit stack, so it can pause
 between any two nodes. It starts no stage at or past the table's
 `published_level` (hybrid.py), and finishes a node whose remainder lies
@@ -50,11 +63,13 @@ class _Search:
     frontier (the stage whose seeds are pending); it advances only once a
     stage's whole seed frame is exhausted, and stops at the table's
     `published_level`. The incumbent's `on_event` observes every full
-    structure reached.
+    structure reached. `_seen` is the dominance memo (module docstring),
+    covered mask -> highest partial value let through; it stays empty
+    with no bound.
     """
 
     __slots__ = ("game", "g", "pt", "table", "inc", "stats", "bound",
-                 "deadline", "next_stage", "_stack")
+                 "deadline", "next_stage", "_stack", "_seen")
 
     def __init__(self, game, g, pt, table, inc, stats, bound, deadline):
         self.game = game
@@ -67,6 +82,7 @@ class _Search:
         self.deadline = deadline
         self.next_stage = 2
         self._stack = []
+        self._seen = {}
 
     def step(self, budget) -> bool:
         """Advance the search by about `budget` ticks, where a tick is one
@@ -87,6 +103,7 @@ class _Search:
         stats = self.stats
         bound = self.bound
         emit = inc.on_event
+        seen = self._seen
         stack = self._stack
         ticks = 0
         looked_up = 0
@@ -125,10 +142,14 @@ class _Search:
                             emit("structure", tuple(self._partial()) + (c,))
                         if nval > inc.value + tol:
                             inc.offer(self._partial() + [c], nval)
-                    elif bound is not None \
-                            and not inc.value < bound(nval, full & ~ncov):
+                    elif bound is not None and (
+                            ncov in seen and seen[ncov] >= nval
+                            or not inc.value < bound(nval, full & ~ncov)):
+                        # Dominated (module docstring) or bounded.
                         pruned += 1
                     else:
+                        if bound is not None:
+                            seen[ncov] = nval  # the highest so far
                         # Open the node: its children hold its first
                         # uncovered agent, unless the table can finish it.
                         npos = pos + 1
@@ -171,9 +192,12 @@ def tsp(game: Game, g: Graph, pt: Pseudotree, bound=None, *,
 
     `bound`, when given, maps (partial_value, remainder_mask) to an upper
     bound on any completion; a stage seed or a node below it is skipped,
-    with its subtree, unless its bound strictly beats the incumbent.
-    `on_event` observes the incumbents and every full structure the search
-    visits; the search never visits the one-block partition.
+    with its subtree, unless its bound strictly beats the incumbent; so
+    is a node dominated by an earlier one that covered the same agents
+    at a partial value no lower (the module docstring proves this exact).
+    The dominance memo lasts one run and holds at most one entry per node
+    opened. `on_event` observes the incumbents and every full structure
+    the search visits; the search never visits the one-block partition.
     """
     require_connected(g)
     singles = [1 << a for a in agents_of(g.full_mask)]

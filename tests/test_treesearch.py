@@ -72,6 +72,46 @@ def test_bound_prunes_stage_seeds():
     assert res.stats.structures_visited == 0
 
 
+def test_dominance_keeps_a_later_better_node():
+    # On the path 0-1-2-3 the stage-2 node {0}, {1} covers {0, 1} at value
+    # 0 before the stage-3 seed {0, 1} covers it at 10, and only the seed
+    # leads to the optimum {0, 1}, {2, 3}. With a bound that never prunes,
+    # dominance is the only rule: it keeps that seed, and skips {0}, {1, 2}
+    # and the stage-4 seed {0, 1, 2}, since {0}, {1}, {2} (value 0) and
+    # {0, 1}, {2} (value 10) covered the same agents first.
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    gm = Game(4, lambda c: 10 if c in (0b0011, 0b1100) else 0)
+    seen = []
+    res = tsp(gm, g, build_pseudotree(g, 0),
+              bound=lambda partial, rest: float("inf"),
+              on_event=observer("structure", seen.append))
+    assert (res.best.blocks, res.best_value) == ((0b0011, 0b1100), 20)
+    assert seen == [(1, 2, 4, 8), (1, 2, 12), (1, 14), (3, 4, 8), (3, 12)]
+    assert res.stats.nodes_pruned == 2
+
+
+def test_dominance_keeps_tsp_exact_past_the_oracle():
+    # Cycles with n = 16-24 and random trees with n = 16-22, priced by a
+    # merge cost (kappa = 5) that keeps the search deep. Dominance lets
+    # the whole set finish in about a second; without it, it takes over
+    # 15 s and the deadline stops it.
+    deadline = time.monotonic() + 10
+    for n in range(16, 25):
+        rng = random.Random(n)
+        graphs = [Graph(n, [(i, (i + 1) % n) for i in range(n)])]
+        if n <= 22:
+            graphs.append(Graph(n, [(rng.randrange(i), i)
+                                    for i in range(1, n)]))
+        for g in graphs:
+            gm = make_supersub_game(n, kappa=5, seed=n)
+            pt = build_pseudotree(g, rng.randrange(n))
+            res = tsp(gm, g, pt, make_tsp_bound(gm, "supersub"),
+                      deadline=deadline)
+            assert res.best_value == dype(gm, g, pt).best_value
+            assert partition_value(gm, res.best) == res.best_value
+            assert all(g.is_connected(b) for b in res.best)
+
+
 def visited_structures(gm, g, pt):
     seen = []
     tsp(gm, g, pt,
