@@ -43,17 +43,13 @@ def digest(records) -> str:
     return hashlib.sha256(json.dumps(records).encode()).hexdigest()
 
 
-def two_part_instance():
-    """A table game on two components: a 4-path and a 5-cycle."""
-    return dataclasses.replace(
+def golden_instances():
+    """Table and supersub games with n <= 10: one rooted, one made of two
+    components (a 4-path and a 5-cycle)."""
+    two_parts = dataclasses.replace(
         gen_instance("path", 9, game_kind="table", seed=6),
         edges=((0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (4, 8),
                (7, 8)))
-
-
-def golden_instances():
-    """Table and supersub games with n <= 10: one rooted, one made of two
-    components."""
     return [
         gen_instance("gnp", 8, game_kind="table", seed=1, p=0.4),
         gen_instance("cycle", 9, game_kind="supersub", seed=2),
@@ -62,7 +58,7 @@ def golden_instances():
         gen_instance("star", 7, game_kind="table", seed=4),
         gen_instance("complete", 6, game_kind="table", seed=5),
         gen_instance("gnp", 10, game_kind="table", seed=7, p=0.5),
-        two_part_instance(),
+        two_parts,
     ]
 
 
@@ -121,10 +117,10 @@ def test_tsp_supersub_keeps_its_incumbent_sequence():
     for game, g, root in incumbent_runs():
         for comp in g.connected_components(g.full_mask):
             view = g.component(comp)
-            if root is None or not comp >> root & 1:
-                root = (comp & -comp).bit_length() - 1
+            start = root if root is not None and comp >> root & 1 \
+                else (comp & -comp).bit_length() - 1
             run = []
-            tsp(game, view, build_pseudotree(view, root),
+            tsp(game, view, build_pseudotree(view, start),
                 make_tsp_bound(game, "supersub"),
                 on_event=observer("incumbent", lambda t, v, p: run.append(
                     [v, list(p.blocks)])))
