@@ -47,22 +47,21 @@ def _solve_connected(game: Game, g: Graph, algorithm: str, *, bound=None,
                      mode: str = "interleaved", root: int = 0,
                      deadline: float | None = None,
                      on_event=None) -> SolverResult:
-    """Dispatch a checked algorithm on a connected graph. The bound
-    factories are looked up at call time, so a rebound name applies."""
+    """Dispatch a checked algorithm on a connected graph with every run
+    setting its solver takes; bound factories are read at call time."""
+    run = {"deadline": deadline, "on_event": on_event}
     if algorithm == "oracle":
         return brute_force_best(game, g, deadline=deadline)
     if algorithm == "cfss":
-        return cfss(game, g, make_cfss_bound(game, bound), deadline=deadline)
+        return cfss(game, g, make_cfss_bound(game, bound), **run)
     pt = build_pseudotree(g, root)
     if algorithm == "dype":
         return dype(game, g, pt, deadline=deadline)
     if algorithm == "tsp":
-        return tsp(game, g, pt, make_tsp_bound(game, bound),
-                   deadline=deadline)
+        return tsp(game, g, pt, make_tsp_bound(game, bound), **run)
     if algorithm == "dype-star":
-        return dype_star(game, g, pt, on_event=on_event, deadline=deadline)
-    return d_tsp(game, g, pt, make_tsp_bound(game, bound), mode=mode,
-                 on_event=on_event, deadline=deadline)
+        return dype_star(game, g, pt, **run)
+    return d_tsp(game, g, pt, make_tsp_bound(game, bound), mode=mode, **run)
 
 
 def check_settings(algorithms=(), bound=None, mode: str = "interleaved",
@@ -106,8 +105,8 @@ def solve_instance(game: Game, g: Graph, algorithm: str, *, bound=None,
     raises BudgetExceededError and an anytime one returns its component
     as one block, with completed=False.
 
-    `on_event` observes `dype-star` and `d-tsp` in the whole graph's terms:
-    stitched times and values, and full partitions.
+    `on_event` observes every solver that takes one, in the whole graph's
+    terms: stitched times and values, and full partitions.
 
     The result never holds a DP table (`table` is None on every path), so
     a caller that keeps many results keeps no tables; call the solvers
@@ -144,14 +143,14 @@ def solve_instance(game: Game, g: Graph, algorithm: str, *, bound=None,
         offset = elapsed_us(t0)
         relay = None
         if on_event is not None:
-            # Called only during this component's solve. Unsolved
-            # components sit in a reported partition as one block each.
+            # Called only during this component's solve. Each component
+            # counts as one block until its incumbent beats that block.
             def relay(kind, *f):
-                if kind == "incumbent":
+                if kind == "structure":
+                    on_event(kind, *f)
+                elif f[1] > inits[k]:
                     on_event(kind, offset + f[0], baseline + f[1], Partition(
                         blocks + comps[k + 1:] + list(f[2])))
-                else:  # "structure"
-                    on_event(kind, *f)
 
         croot = root if root is not None and comp >> root & 1 \
             else (comp & -comp).bit_length() - 1

@@ -42,7 +42,7 @@ def cfss(game: Game, g: Graph, bound=None, *, deadline: float | None = None,
     `bound`, when given, maps (blocks, merged_blocks) to an upper bound on
     every structure in the subtree, merged_blocks being the coarsest
     reachable coarsening: the groups of blocks joined by solid pairs. The
-    incumbent starts at the all-singletons root. `on_event` observes it.
+    incumbent starts at all-singletons and reports every `on_event` event.
     """
     require_connected(g)
     v = game.value
@@ -53,6 +53,7 @@ def cfss(game: Game, g: Graph, bound=None, *, deadline: float | None = None,
     dn = [0] * g.n
     own = list(range(g.n))
     inc = _Incumbent(filter(None, blk), sum(val), tol, on_event)
+    emit = inc.on_event
 
     def visit(value, reps):
         nonlocal count, pruned, check_at
@@ -60,8 +61,8 @@ def cfss(game: Game, g: Graph, bound=None, *, deadline: float | None = None,
             check_at = next_check(deadline, count,
                                   "during contraction search")
         count += 1
-        if on_event is not None:
-            on_event("structure", tuple(filter(None, blk)))
+        if emit is not None:
+            emit("structure", tuple(filter(None, blk)))
         if value > inc.value + tol:
             inc.offer(tuple(filter(None, blk)), value)
         # part[r]: the representatives of r's solid partners; lows: the

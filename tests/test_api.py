@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from graphcsg import (Graph, InstanceFile, UsageError, brute_force_best,
 from graphcsg.cli import main
 from graphcsg.games import BOUND_KINDS
 from graphcsg.instances import GAME_KINDS
+from graphcsg.harness import ALGORITHMS
 from graphcsg.solvers import MODES, hybrid
 
 
@@ -109,3 +111,37 @@ def test_every_entry_point_accepts_each_declared_value_and_refuses_others(
     with pytest.raises(ValueError, match="unknown game kind 'foo'"):
         gen_instance("path", 2, game_kind="foo")
     assert _cli("gen", "--model", "path", "--n", "2", "--game", "foo") == 2
+
+
+def test_the_dispatch_hands_each_solver_every_run_setting_it_takes(
+        monkeypatch):
+    # One rule: a solver gets each run setting its signature takes as a
+    # keyword (`deadline` and `on_event`; `mode` for `d_tsp`). A solver
+    # that gains a run keyword the dispatch does not forward fails here.
+    game = random_table_game(5, seed=3)
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    solvers = {}
+    received = {}
+    for name in ("brute_force_best", "dype", "dype_star", "tsp", "d_tsp",
+                 "cfss"):
+        solvers[name] = real = getattr(harness, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            received[_name] = kwargs
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, spy)
+
+    def on_event(*event):
+        pass
+
+    for alg in ALGORITHMS:
+        solve_instance(game, g, alg, budget_ms=60_000, on_event=on_event)
+    assert received.keys() == solvers.keys()
+    for name, kwargs in received.items():
+        params = inspect.signature(solvers[name]).parameters
+        assert set(kwargs) == {p for p, q in params.items()
+                               if q.kind is q.KEYWORD_ONLY}, name
+        assert isinstance(kwargs["deadline"], float), name
+        assert ("on_event" in kwargs) == ("on_event" in params), name
+        assert kwargs.get("on_event", on_event) is on_event, name

@@ -85,6 +85,30 @@ def test_audit_rejects_corrupted_witness():
         audit_dp_table(table, gm, g, pt)
 
 
+def test_audit_rejects_a_valid_witness_that_prices_below_its_entry():
+    # the witness is nonzero, inside its entry, holds the anchor and is
+    # connected: only its price shows it is not the entry's best block
+    gm = random_table_game(5, seed=5)
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    pt = build_pseudotree(g, 0)
+    table = dype(gm, g, pt).table
+
+    def price(block, c):
+        return gm.value(block) + sum(
+            table.values[comp]
+            for comp in g.connected_components(c & ~block))
+
+    c, worse = next(
+        (c, s) for c, stored in table.values.items()
+        for s in g.connected_subsets(
+            c, required=1 << min(agents_of(c), key=pt.position))
+        if price(s, c) < stored)
+    table.subsets[c] = worse
+    with pytest.raises(InternalInvariantError,
+                       match=f"witness for mask {c} prices at"):
+        audit_dp_table(table, gm, g, pt)
+
+
 @pytest.mark.parametrize("edges,root", [
     ([(0, 1), (1, 2), (2, 3), (1, 4), (4, 5)], 0),
     ([(0, 1), (0, 2), (0, 3), (0, 4)], 1),

@@ -155,6 +155,11 @@ def test_required_filter():
         assert got == want, (n, edges, ground, req)
 
 
+def test_a_required_agent_outside_the_ground_yields_no_subset(four_cycle):
+    assert list(four_cycle.connected_subsets(0b0011, required=0b0100)) == []
+    assert list(four_cycle.connected_subsets(0b0011, required=0b0110)) == []
+
+
 def test_four_cycle_has_13_connected_subsets(four_cycle):
     subs = list(four_cycle.connected_subsets(four_cycle.full_mask))
     assert len(subs) == 13

@@ -10,9 +10,11 @@ import pytest
 
 from graphcsg import (BudgetExceededError, Game, Graph, InternalInvariantError,
                       Partition, SearchStats, UsageError, brute_force_best,
-                      gen_instance, make_supersub_game, model_edges,
-                      partition_value, random_table_game, realize_instance,
-                      run_bench, solve_instance, verify_matrix)
+                      build_pseudotree, cfss, d_tsp, dype, dype_star,
+                      gen_instance, make_cfss_bound, make_supersub_game,
+                      make_tsp_bound, model_edges, partition_value,
+                      random_table_game, realize_instance, run_bench,
+                      solve_instance, tsp, verify_matrix)
 from graphcsg import harness
 from graphcsg.solvers import treesearch
 from graphcsg.harness import (ALGORITHMS, ANYTIME_ALGORITHMS, BenchRow,
@@ -304,6 +306,103 @@ def test_root_is_respected_per_component():
     want = solve_instance(gm, g, "dype").best_value
     for root in range(6):
         assert solve_instance(gm, g, "dype", root=root).best_value == want
+
+
+def _solve_directly(game, view, alg, bound, mode, root, on_event):
+    """`alg`'s solver called on a connected view as `_solve_connected`
+    calls it (the same pseudotree root and bound closure), with `on_event`
+    where the solver takes one."""
+    pt = build_pseudotree(view, root)
+    if alg == "oracle":
+        return brute_force_best(game, view)
+    if alg == "dype":
+        return dype(game, view, pt)
+    if alg == "cfss":
+        return cfss(game, view, make_cfss_bound(game, bound),
+                    on_event=on_event)
+    if alg == "tsp":
+        return tsp(game, view, pt, make_tsp_bound(game, bound),
+                   on_event=on_event)
+    if alg == "dype-star":
+        return dype_star(game, view, pt, on_event=on_event)
+    return d_tsp(game, view, pt, make_tsp_bound(game, bound), mode=mode,
+                 on_event=on_event)
+
+
+def _timeless(events):
+    """Events without their times: (kind, value, blocks) for an incumbent,
+    (kind, blocks) for a structure."""
+    return [(kind, f[1], f[2].blocks) if kind == "incumbent" else (kind, *f)
+            for kind, *f in events]
+
+
+def contract_inputs():
+    """A connected table game, a connected supersub game, and a 4-path
+    plus a 5-cycle (as in tests/test_golden.py) under both game kinds."""
+    rng = random.Random(128)
+    two_parts = Graph(9, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7),
+                          (4, 8), (7, 8)])
+    return [(random_table_game(7, seed=1), Graph(7, random_connected_edges(
+                rng, 7))),
+            (make_supersub_game(9, kappa=4, seed=2), Graph(
+                9, random_connected_edges(rng, 9))),
+            (random_table_game(9, seed=6), two_parts),
+            (make_supersub_game(9, kappa=4, seed=6), two_parts)]
+
+
+def test_solve_instance_reports_what_each_solver_reports_directly():
+    """Every solver that takes `on_event` reports through `solve_instance`
+    what it reports called directly on each component: the same events on
+    a connected graph, and on two components each structure and each
+    incumbent that beats its component as one block, the latter as a
+    partition of every agent at a strictly rising whole-graph value."""
+    for game, g in contract_inputs():
+        comps = g.connected_components(g.full_mask)
+        inits = list(map(game.value, comps))
+        for alg, bound, mode in budget_configurations():
+            where = (g.n, len(comps), alg, bound, mode)
+            events = []
+            res = solve_instance(game, g, alg, bound=bound, mode=mode,
+                                 on_event=lambda *e: events.append(e))
+            direct, values, total = [], [], 0
+            for k, comp in enumerate(comps):
+                run = []
+                alone = _solve_directly(
+                    game, g.component(comp), alg, bound, mode,
+                    (comp & -comp).bit_length() - 1,
+                    lambda *e: run.append(e))
+                baseline = total + sum(inits[k + 1:])
+                values += [baseline + f[1] for kind, *f in run
+                           if kind == "incumbent" and f[1] > inits[k]]
+                direct += run
+                total += alone.best_value
+            assert total == res.best_value, where
+            if alg in ("oracle", "dype"):
+                assert events == direct == [], where
+                continue
+            assert direct, where
+            # Thread timing decides a parallel run's events.
+            if len(comps) == 1 and mode != "parallel":
+                assert _timeless(events) == _timeless(direct), where
+                continue
+            if mode != "parallel":
+                assert [e for e in events if e[0] == "structure"] \
+                    == [e for e in direct if e[0] == "structure"], where
+                assert [e[2] for e in events if e[0] == "incumbent"] \
+                    == values, where
+            incumbents = [f for kind, *f in events if kind == "incumbent"]
+            for _, v, p in incumbents:
+                assert p.covered == g.full_mask, where
+                assert partition_value(game, p) == v, where
+                assert all(g.is_connected(b) for b in p), where
+            rising = [v for _, v, _ in incumbents]
+            assert all(a < b for a, b in zip(rising, rising[1:])), where
+            if alg in ANYTIME_ALGORITHMS:
+                assert [(t, v) for t, v, _ in incumbents] \
+                    == res.trace[1:], where
+            for kind, *f in events:
+                if kind == "structure":
+                    assert Partition(*f).covered in comps, where
 
 
 def four_agents(connected):

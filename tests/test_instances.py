@@ -218,6 +218,14 @@ def test_gnp_edges_are_connected_and_seeded():
         assert g.is_connected(g.full_mask)
 
 
+def test_gnp_edges_without_an_rng_are_connected():
+    for n in (1, 2, 7):
+        edges = model_edges("gnp", n, p=0.3)
+        assert all(0 <= u < w < n for u, w in edges)
+        g = Graph(n, edges)
+        assert g.is_connected(g.full_mask)
+
+
 def test_gnp_gives_up_when_density_is_hopeless():
     with pytest.raises(ValueError, match="raise p"):
         model_edges("gnp", 5, p=0.0, rng=random.Random(0))
