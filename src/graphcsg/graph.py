@@ -78,8 +78,8 @@ class Graph:
         """This graph on its component `comp`: the same `n`, `adj` and
         tables, `full_mask` comp and only comp's `edges` (the graph itself
         when comp is all of it). Any other mask is a ValueError."""
-        if not comp or comp & ~self.full_mask \
-                or any(self.adj[a] & ~comp for a in agents_of(comp)) \
+        if comp != self.full_mask and (not comp or comp & ~self.full_mask
+                or any(self.adj[a] & ~comp for a in agents_of(comp))) \
                 or self.component_of(comp) != comp:
             raise ValueError(f"mask {comp} is not a component of the graph")
         if comp == self.full_mask:

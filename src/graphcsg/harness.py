@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import astuple, dataclass, field, fields
+from functools import reduce
 from pathlib import Path
 
 from .games import (BOUND_KINDS, Game, Partition, Value, make_cfss_bound,
@@ -47,8 +48,8 @@ def _solve_connected(game: Game, g: Graph, algorithm: str, *, bound=None,
                      mode: str = "interleaved", root: int = 0,
                      deadline: float | None = None,
                      on_event=None) -> SolverResult:
-    """Dispatch a checked algorithm on a connected graph with every run
-    setting its solver takes; bound factories are read at call time."""
+    """Dispatch a checked algorithm on a connected graph or view with every
+    run setting its solver takes; bound factories are read at call time."""
     run = {"deadline": deadline, "on_event": on_event}
     if algorithm == "oracle":
         return brute_force_best(game, g, deadline=deadline)
@@ -94,8 +95,8 @@ def solve_instance(game: Game, g: Graph, algorithm: str, *, bound=None,
                    mode: str = "interleaved", root: int | None = None,
                    budget_ms: float | None = None,
                    on_event=None) -> SolverResult:
-    """Run one algorithm on one instance. A disconnected graph is solved a
-    component at a time, on its view (`Graph.component`) with the caller's
+    """Run one algorithm on one instance, a component at a time (a connected
+    graph is one), each on its view (`Graph.component`) with the caller's
     game, from `root` in its component and the lowest agent elsewhere, and
     merged: block union, value sum, and for anytime algorithms one trace
     whose baseline counts unsolved components at their one-block value.
@@ -106,13 +107,14 @@ def solve_instance(game: Game, g: Graph, algorithm: str, *, bound=None,
     as one block, with completed=False.
 
     `on_event` observes every solver that takes one, in the whole graph's
-    terms: stitched times and values, and full partitions.
+    terms: times from this call's clock, stitched values, full partitions,
+    and each component as one block until its incumbent beats that block.
 
-    The result never holds a DP table (`table` is None on every path), so
-    a caller that keeps many results keeps no tables; call the solvers
-    directly to inspect one. Before anything is built, a setting
-    `check_settings` refuses, a game over another agent count than the
-    graph's, a root outside 0..n-1 or `check_oracle_cap` raises."""
+    The result never holds a DP table (`table` is None), so a caller that
+    keeps many results keeps no tables; call the solvers directly to
+    inspect one. Before anything is built, a setting `check_settings`
+    refuses, a game over another agent count than the graph's, a root
+    outside 0..n-1 or `check_oracle_cap` raises."""
     check_settings((algorithm,), bound, mode, budget_ms)
     if game.n != g.n:
         raise ValueError(f"the game has {game.n} agents, the graph {g.n}")
@@ -122,13 +124,6 @@ def solve_instance(game: Game, g: Graph, algorithm: str, *, bound=None,
     deadline = None if budget_ms is None \
         else time.monotonic() + budget_ms / 1000.0
     comps = g.connected_components(g.full_mask)
-    if len(comps) == 1:
-        res = _solve_connected(game, g, algorithm, bound=bound, mode=mode,
-                               root=root if root is not None else 0,
-                               deadline=deadline, on_event=on_event)
-        res.table = None
-        return res
-
     views = list(map(g.component, comps))  # built before the clock starts
     inits = list(map(game.value, comps))  # each one-block value
 
@@ -136,8 +131,7 @@ def solve_instance(game: Game, g: Graph, algorithm: str, *, bound=None,
     trace = [(0, sum(inits))] if algorithm in ANYTIME_ALGORITHMS else []
     blocks: list[int] = []
     total = 0
-    stats = SearchStats()
-    completed = True
+    results = []
     for k, (comp, view) in enumerate(zip(comps, views)):
         baseline = total + sum(inits[k + 1:])
         offset = elapsed_us(t0)
@@ -158,12 +152,13 @@ def solve_instance(game: Game, g: Graph, algorithm: str, *, bound=None,
                                root=croot, deadline=deadline, on_event=relay)
         # Each point after the first also raises the stitched trace.
         trace.extend((offset + t, baseline + v) for t, v in res.trace[1:])
-        completed = completed and res.completed
         blocks.extend(res.best.blocks)
         total += res.best_value
-        stats = stats.merged_with(res.stats)
-    return SolverResult(best=Partition(blocks), best_value=total,
-                        stats=stats, trace=trace, completed=completed)
+        results.append(res)
+    return SolverResult(
+        best=Partition(blocks), best_value=total, trace=trace,
+        stats=reduce(SearchStats.merged_with, [r.stats for r in results]),
+        completed=all(r.completed for r in results))
 
 
 # ---------------------------------------------------------------------------
