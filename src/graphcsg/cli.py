@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n-max", type=int, default=9)
     verify.add_argument("--games", type=int, default=100,
                         help="games per (model, n) cell")
-    verify.add_argument("--algorithms", default=None,
+    verify.add_argument("--algorithms", default=None, type=_names,
                         help="comma-separated subset of: "
                              + ", ".join(VERIFY_ALGORITHMS))
     verify.add_argument("--seed", type=int, default=0)
@@ -141,8 +141,8 @@ def _cmd_solve(args) -> int:
     check_oracle_cap(g, (args.algorithm,))  # an instance error, exit 3
     trace = args.trace if args.algorithm in ANYTIME_ALGORITHMS else None
     if trace is not None:
-        try:  # refused before the solve, as `gen -o` is
-            open(trace, "w").close()
+        try:  # refused before the solve, as `gen -o` is; kept till it ends
+            open(trace, "a").close()
         except OSError as e:  # the message names the path
             raise UsageError(f"cannot write --trace file: {e}") from None
     try:
@@ -173,7 +173,7 @@ def _cmd_verify(args) -> int:
         report = verify_matrix(
             models=_names(args.models), ns=range(args.n_min, args.n_max + 1),
             games_per_cell=args.games, base_seed=args.seed,
-            algorithms=_names(args.algorithms) if args.algorithms else None,
+            algorithms=args.algorithms,
             progress=None if args.quiet else print)
     except (UsageError, GraphSamplingError):
         raise  # a grid refused, or p too small for some n: exit 2

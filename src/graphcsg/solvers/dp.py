@@ -14,11 +14,12 @@ and then the sweep prices every seed as its value plus its remainder's
 summed entries, completing every structure that starts with it. Only the
 hybrid's own search (treesearch.py) uses `tsp_star_step`.
 
-Each sweep memoises every entry and seed remainder's summed component
-entries, so a split reads its remainder in one lookup (`_solve_level`
-proves it is there); entries are write-once, and the sums fold right
-(`_remainder_value`), so they are exact for integer games. Only the
-sweep's thread touches its memo.
+The sweep memoises every entry and seed remainder's summed component
+entries in `table.sums`, a plain dict for speed, so a split reads its
+remainder in one lookup (`_solve_level` proves it is there); entries are
+write-once, and the sums fold right (`_remainder_value`), exact for
+integer games. Only the sweep writes them, and it publishes a level only
+once the level is scanned, so readers of a published level miss nothing.
 
 `_drive` steps a `_Sweep`, alone (`dype_star`) or with the tree search
 (hybrid.py). The exact `dype` is the same sweep run to the end: it raises
@@ -63,13 +64,12 @@ def _remainder_value(g: Graph, table_values, memo: dict, rest: int,
 
 
 def _solve_level(v, g: Graph, pt: Pseudotree, table: DpTable, level: int,
-                 stats: SearchStats, memo: dict,
-                 deadline: float | None = None) -> list:
-    """Fill level `level`, publish it, and return its stage seeds, each as a
-    pair of the seed and its remainder's first component. Each connected
-    remainder c is an entry: the best v(S) + memo[c - S] over connected
-    blocks S of c holding the anchor (the agent at `level`), where the memo
-    maps a remainder to its components' summed entries; c is memoised too.
+                 stats: SearchStats, deadline: float | None = None) -> list:
+    """Fill level `level` and return its stage seeds, each as a pair of
+    the seed and its remainder's first component. Each connected remainder
+    c is an entry: the best v(S) + memo[c - S] over connected blocks S of
+    c holding the anchor (the agent at `level`), where the memo
+    `table.sums` maps a remainder to its summed entries; c's goes in too.
 
     One depth-first walk from the anchor over the entries' union, under
     `Graph.connected_subsets`' push/ban rule, yields each block once. A
@@ -90,6 +90,7 @@ def _solve_level(v, g: Graph, pt: Pseudotree, table: DpTable, level: int,
     would be a fault, and the plain dict raises KeyError."""
     anchor = pt.order[level - 1]
     full = g.full_mask
+    memo = table.sums
     component_of = g.component_of
     adj = g.adj
     seeds = []
@@ -141,18 +142,16 @@ def _solve_level(v, g: Graph, pt: Pseudotree, table: DpTable, level: int,
         stats.dp_subproblems += len(entries)
     finally:
         stats.subsets_enumerated += ticks
-    table.published_level = level
     return seeds
 
 
 class _Sweep:
     """Table-filling worker, whose frontier is the table's
     `published_level`. `_drive` steps it alone or with the search. Each
-    step fills a level and then prices that level's stage seeds itself,
-    from the table."""
+    step fills a level, prices that level's stage seeds itself from the
+    table, and only then publishes the level."""
 
-    __slots__ = ("game", "g", "pt", "table", "inc", "stats", "deadline",
-                 "_memo")
+    __slots__ = ("game", "g", "pt", "table", "inc", "stats", "deadline")
 
     def __init__(self, game, g, pt, table, inc, stats, deadline):
         self.game = game
@@ -162,26 +161,27 @@ class _Sweep:
         self.inc = inc
         self.stats = stats
         self.deadline = deadline
-        self._memo = {0: 0}
 
     def step(self) -> None:
-        """Fill the level below the published one and scan the seeds it
-        settles. `_drive` stops at the crossing, before level 1."""
+        """Fill the level below the published one, scan the seeds it
+        settles, then publish it, every row and sum of it written. `_drive`
+        stops at the crossing, before level 1."""
         level = self.table.published_level - 1
         self._scan(level, _solve_level(self.game.value, self.g, self.pt,
                                        self.table, level, self.stats,
-                                       self._memo, self.deadline))
+                                       self.deadline))
+        self.table.published_level = level
 
     def _scan(self, level: int, seeds: list) -> None:
         """Price each seed D of stage `level`, given as (D, the first
         component of its remainder), as v(D) plus its remainder's summed
-        entries (from the memo), and offer every total that beats the
+        entries (from `table.sums`), and offer every total that beats the
         incumbent, in seed order, as D and the remainder's blocks."""
         v = self.game.value
         tol = self.game.tolerance
         g = self.g
         table = self.table
-        memo = self._memo
+        memo = table.sums
         inc = self.inc
         deadline = self.deadline
         count = check_at = 0

@@ -2,10 +2,10 @@
 
 Each entry stores, for a connected set C, the value of the best feasible
 partition of C together with the chosen block containing C's anchor agent.
-Entries never change once written; `published_level` advertises how far
-the filling sweep has progressed so concurrent readers know which suffix
-of the agent order is safe to consult. Readers look up only covered sets,
-so a miss in either column raises InternalInvariantError.
+Rows never change once written; `published_level` is the last level whose
+rows, `sums` included, are all written, so concurrent readers know which
+suffix of the agent order is safe to consult. A miss in `values` or
+`subsets` raises InternalInvariantError; `sums` is a plain dict (dp.py).
 """
 
 from __future__ import annotations
@@ -23,12 +23,13 @@ class _Column(dict):
 
 
 class DpTable:
-    __slots__ = ("values", "subsets", "published_level")
+    __slots__ = ("values", "subsets", "sums", "published_level")
 
     def __init__(self, n: int):
         self.values: dict[int, Value] = _Column()
         self.subsets: dict[int, int] = _Column()
-        # Smallest order position whose whole suffix of entries is complete.
+        self.sums: dict[int, Value] = {0: 0}  # the sweep's remainder memo
+        # Smallest order position whose whole suffix of rows is complete.
         self.published_level = n + 1
 
     def put(self, c: int, value: Value, best_subset: int) -> None:

@@ -11,22 +11,22 @@ and the search starts no stage at or past it. The frontiers cross once
 `published_level <= next_stage`: the two sides have then jointly covered
 every structure, and the shared incumbent is optimal.
 
-Work is measured in ticks: one enumerated subset, or one table entry a
-completion looks up. Interleaved, the two sides take equal turns: a sweep
-level, then as many search ticks as that level enumerated subsets. Equal
-shares keep the hybrid within about twice its faster side (the
+Work is measured in ticks: one enumerated subset, or one completion
+looked up in the table. Interleaved, the two sides take equal turns: a
+sweep level, then as many search ticks as that level enumerated subsets.
+Equal shares keep the hybrid within about twice its faster side (the
 time-sharing argument for algorithm portfolios) and keep the run
 deterministic.
 
 Before expanding a node the search consults the table: when the whole
-uncovered remainder lies within published levels, the best completion is a
-handful of lookups (`tsp_star_step`, which only this search calls) and
-the subtree is skipped. The entries always exist. The covered set is
-connected: so is the seed, and each later block holds the first uncovered
-agent, whose tree parent is covered. Every remainder component touches it,
-so each has a connected complement and is an entry of the published level
-of its first agent. A miss is a fault and raises InternalInvariantError,
-as in the sweep's own lookups.
+uncovered remainder lies within published levels, the best completion is
+one lookup of the sweep's remainder sums (`tsp_star_step`, which only
+this search calls) and the subtree is skipped. The sum always exists. The
+covered set is connected (so is the seed, and each later block holds the
+first uncovered agent, whose tree parent is covered), and it holds every
+agent before its first missing position L: a stage-L seed. The sweep
+summed every stage-L seed's remainder before it published level L. A miss
+is a fault and raises InternalInvariantError.
 """
 
 from __future__ import annotations

@@ -24,11 +24,11 @@ node let through. With no bound the search stays an exhaustive walk.
 `_Search` keeps its open nodes on an explicit stack, so it can pause
 between any two nodes. It starts no stage at or past the table's
 `published_level` (hybrid.py), and finishes a node whose remainder lies
-within the published levels by `tsp_star_step` instead of searching it;
-only the hybrid's search reaches that path, and a missing entry there is
-an `InternalInvariantError` (the table raises it). `tsp` runs the search
-alone over an empty table, from all-singletons, which the one-block
-partition replaces when it beats them by more than the tolerance.
+within the published levels by `tsp_star_step`, one lookup of the sweep's
+remainder sums, instead of searching it; only the hybrid's search reaches
+that path, and a missing sum is an `InternalInvariantError`. `tsp` runs
+the search alone over an empty table, from all-singletons, which the
+one-block partition replaces when it beats them by more than the tolerance.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from ..games import Game, Partition, Value
 from ..graph import Graph
 from ..masks import agents_of
 from ..pseudotree import Pseudotree
-from .base import (SearchStats, SolverResult, _Incumbent, next_check,
-                   require_connected)
+from .base import (InternalInvariantError, SearchStats, SolverResult,
+                   _Incumbent, next_check, require_connected)
 from .dptable import DpTable, reconstruct_blocks
 
 
@@ -86,8 +86,8 @@ class _Search:
 
     def step(self, budget) -> bool:
         """Advance the search by about `budget` ticks, where a tick is one
-        subset handled: a seed or child enumerated, or a remainder
-        component a table completion looks up. A child is a full
+        subset handled: a seed or child enumerated, or a table completion
+        of a child's remainder, one lookup. A child is a full
         structure, a pruned node, a table-completed node or an opened one;
         the step can stop after any of them. False at the table's
         `published_level`; True when the budget ran out first."""
@@ -106,7 +106,7 @@ class _Search:
         seen = self._seen
         stack = self._stack
         ticks = 0
-        looked_up = 0
+        shortcuts = 0
         seeded = 0
         pruned = 0
         # The next tick count at which to stop or to check the deadline.
@@ -160,14 +160,12 @@ class _Search:
                                 full & ~ncov, required=1 << order[npos - 1]),
                                 ncov, nval, npos, c))
                             break
-                        spent, total, rest = tsp_star_step(
+                        total, rest = tsp_star_step(
                             table, game, g, full & ~ncov, nval, inc.value)
-                        if not seeds:
-                            stats.tsp_star_shortcuts += 1
                         if rest is not None:
                             inc.offer(self._partial() + [c] + rest, total)
-                        ticks += spent
-                        looked_up += spent
+                        ticks += 1
+                        shortcuts += 1
                     if ticks >= limit:
                         break
                 else:
@@ -175,10 +173,11 @@ class _Search:
                     if not stack:
                         self.next_stage += 1
         finally:
-            # Ticks not spent on lookups enumerated subsets: seeds or nodes.
-            stats.subsets_enumerated += ticks - looked_up
-            stats.nodes_expanded += ticks - looked_up - seeded
+            # Ticks not spent on shortcuts enumerated subsets: seeds or nodes.
+            stats.subsets_enumerated += ticks - shortcuts
+            stats.nodes_expanded += ticks - shortcuts - seeded
             stats.nodes_pruned += pruned
+            stats.tsp_star_shortcuts += shortcuts
 
     def _partial(self) -> list:
         """The blocks chosen on the way to the open node, seed first."""
@@ -219,17 +218,15 @@ def tsp_star_step(table: DpTable, game: Game, g: Graph, rest: int,
     searching its subtree.
 
     `partial_value` is the summed value of the partial's blocks and `rest`
-    the agents they leave uncovered. Returns (lookups, total, blocks): the
-    components looked up, the completed value, and the remainder's optimal
-    blocks when the completion beats the incumbent beyond the tolerance
-    (None otherwise, so nothing is built for a loser). A component of
-    `rest` with no entry is a fault (hybrid.py says why): the table raises.
-    """
-    tv = table.values
-    comps = g.connected_components(rest)
-    total = partial_value
-    for comp in comps:
-        total += tv[comp]
+    the agents they leave uncovered. Returns (total, blocks): the completed
+    value, read in one lookup of the sweep's remainder sums, and the
+    remainder's optimal blocks when the completion beats the incumbent
+    beyond the tolerance (None otherwise, so nothing is built for a loser).
+    A remainder with no sum is a fault (hybrid.py says why)."""
+    r = table.sums.get(rest)
+    if r is None:
+        raise InternalInvariantError(f"missing table entry for mask {rest}")
+    total = partial_value + r
     if total > incumbent_value + game.tolerance:
-        return len(comps), total, reconstruct_blocks(table, rest, g)
-    return len(comps), total, None
+        return total, reconstruct_blocks(table, rest, g)
+    return total, None

@@ -104,6 +104,31 @@ def test_solve_trace_file(tmp_path, capsys):
     assert "no anytime trace" in err
 
 
+def test_solve_keeps_an_existing_trace_when_the_solve_faults(
+        tmp_path, capsys, monkeypatch):
+    # the path is probed without truncating it; the trace is written only
+    # once a solve has succeeded, replacing the old one
+    path = tmp_path / "c5.csg"
+    run(capsys, "gen", "--model", "cycle", "--n", "5", "-o", str(path))
+    trace = tmp_path / "t.csv"
+    trace.write_text("timestamp_us,value\n0,41\n")
+
+    def fault(*args, **kwargs):
+        raise InternalInvariantError("missing table entry for mask 3")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "solve_instance", fault)
+        code, out, err = run(capsys, "solve", str(path), "--algorithm",
+                             "d-tsp", "--trace", str(trace))
+    assert code == 4 and "internal error" in err
+    assert trace.read_text() == "timestamp_us,value\n0,41\n"
+    code, out, err = run(capsys, "solve", str(path), "--algorithm", "d-tsp",
+                         "--trace", str(trace))
+    assert code == 0
+    lines = trace.read_text().splitlines()
+    assert lines[0] == "timestamp_us,value" and "0,41" not in lines
+
+
 @pytest.mark.parametrize("target", ["missing_dir/t.csv", "adir"])
 def test_solve_trace_that_cannot_be_written_exits_2_before_the_solve(
         tmp_path, capsys, monkeypatch, target):
@@ -378,6 +403,7 @@ def test_verify_small_grid(capsys):
     ("--n-min", "3", "--n-max", "2"),
     ("--algorithms", "oracle"),
     ("--algorithms", ","),
+    ("--algorithms", ""),
     ("--games", "0"),
     ("--models", "gnp:0.0"),
     ("--games", "1001"),

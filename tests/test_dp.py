@@ -541,38 +541,28 @@ def test_dype_and_dype_star_do_the_same_work():
 
 
 def test_sweep_memo_holds_each_remainders_summed_entries():
-    # every remainder the sweep memoises maps to its components' summed
-    # table entries, the components found by a plain BFS
+    # every remainder the sweep memoises in the table's sums maps to its
+    # components' summed table entries, the components found by a plain BFS
     rng = random.Random(77)
-    sweeps = []
-    init = dp._Sweep.__init__
-
-    def spy(self, *args):
-        init(self, *args)
-        sweeps.append(self)
-
     checked = 0
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dp._Sweep, "__init__", spy)
-        for _ in range(60):
-            n = rng.randint(3, 10)
-            edges = random_connected_edges(rng, n)
-            g = Graph(n, edges)
-            seed = rng.randrange(10 ** 6)
-            gm = (random_table_game(n, seed=seed) if rng.random() < 0.5
-                  else make_supersub_game(n, seed=seed))
-            table = dype(gm, g, build_pseudotree(g, rng.randrange(n))).table
-            memo = sweeps[-1]._memo
-            assert memo[0] == 0
-            for rest, val in memo.items():
-                left = set(agents_of(rest))
-                want = 0
-                while left:
-                    comp = bfs_reach(edges, left, min(left))
-                    want += table.values[mask_of(comp)]
-                    left -= comp
-                assert val == want, (edges, rest)
-            checked += len(memo) - 1
+    for _ in range(60):
+        n = rng.randint(3, 10)
+        edges = random_connected_edges(rng, n)
+        g = Graph(n, edges)
+        seed = rng.randrange(10 ** 6)
+        gm = (random_table_game(n, seed=seed) if rng.random() < 0.5
+              else make_supersub_game(n, seed=seed))
+        table = dype(gm, g, build_pseudotree(g, rng.randrange(n))).table
+        assert table.sums[0] == 0
+        for rest, val in table.sums.items():
+            left = set(agents_of(rest))
+            want = 0
+            while left:
+                comp = bfs_reach(edges, left, min(left))
+                want += table.values[mask_of(comp)]
+                left -= comp
+            assert val == want, (edges, rest)
+        checked += len(table.sums) - 1
     assert checked > 1000
 
 
@@ -624,10 +614,12 @@ def test_each_level_writes_the_anchored_sets_with_connected_complements():
 
 
 def test_scan_offers_what_tsp_star_step_completes():
-    # the sweep prices each stage seed from its memo; the search's table
+    # the sweep prices each stage seed from its sums; the search's table
     # completion over the same table, seeds and incumbent offers the same
     # structures at the same totals, in the same order. Each seed comes
-    # with its remainder's first component (plain BFS from its lowest agent)
+    # with its remainder's first component (plain BFS from its lowest
+    # agent). The completion reads the sums the scan memoised, so it runs
+    # after the scan, from the incumbent the scan started with.
     rng = random.Random(79)
     scan = dp._Sweep._scan
     offer = base._Incumbent.offer
@@ -645,16 +637,16 @@ def test_scan_offers_what_tsp_star_step_completes():
             members = agents_of(full & ~d)
             reach = bfs_reach(g.edges, members, members[0])
             assert comp == sum(1 << a for a in reach), (g.edges, d)
-        want = []
         incumbent = self.inc.value
+        offered = []
+        scan(self, level, seeds)
+        want = []
         for d, _ in seeds:
-            _, total, rest = tsp_star_step(self.table, game, g, full & ~d,
-                                           game.value(d), incumbent)
+            total, rest = tsp_star_step(self.table, game, g, full & ~d,
+                                        game.value(d), incumbent)
             if rest is not None:
                 want.append(([d] + rest, total))
                 incumbent = total
-        offered = []
-        scan(self, level, seeds)
         assert offered == want
         checked += len(seeds)
         offers += len(want)

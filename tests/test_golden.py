@@ -31,9 +31,13 @@ CONFIGS = (("oracle", None), ("dype", None), ("tsp", "none"),
 # Both recorded at 9f704dd, where they split one digest first recorded at
 # 5393aa9. WORK was recorded again when the bounded tree search began to
 # skip dominated nodes: only the tsp+supersub rows of instances 0 and 2-6
-# and the d-tsp+supersub rows of instances 0, 2, 4 and 5 moved.
+# and the d-tsp+supersub rows of instances 0, 2, 4 and 5 moved. It was
+# recorded again when the hybrid's search began to finish a node from the
+# sweep's remainder sums in one lookup, a tick per completion instead of
+# one per remainder component: only the d-tsp rows (none and supersub) of
+# instances 0, 2, 3 and 5 moved.
 ANSWERS = "5b44ab2296807e6b13f0db3d8e3f13433b91319e14f8b3b2d4da29a6072906fd"
-WORK = "6e6b517eb8ca92e540ad3bc021a028bff0ff436ada7adaa60b7cf95ce121acaa"
+WORK = "35d18e18be1ba001a8b22ddae4d27ad145bae1ff39a3ef43ca0bad3b19a1bd2b"
 
 # Recorded at 9f704dd.
 INCUMBENTS = "e537e065b3b6209f7d1bb691f91f1312539204b66c4bc4fa3e1d348c728607c8"

@@ -11,10 +11,11 @@ from graphcsg import (Game, Graph, Partition, SearchStats, brute_force_best,
                       build_pseudotree, cfss, d_tsp, dype, dype_star,
                       make_supersub_game, make_tsp_bound, partition_value,
                       random_table_game, structure_masks, tsp)
+from graphcsg.solvers import dp, treesearch
 from graphcsg.solvers.base import BudgetExceededError, _Incumbent
 from graphcsg.solvers.dp import _Sweep
 from graphcsg.solvers.dptable import DpTable
-from graphcsg.solvers.treesearch import _Search
+from graphcsg.solvers.treesearch import _Search, _stage_seeds
 
 from conftest import canon, observer, random_connected_edges
 
@@ -307,6 +308,102 @@ def test_search_starts_no_stage_at_or_past_the_published_level():
         assert s.step(math.inf) is False
         assert s.next_stage == stage + 1
         assert not s._stack
+
+
+def test_a_level_is_published_once_its_seed_remainders_are_summed(
+        monkeypatch):
+    # The search finishes a node below a published stage L by one lookup
+    # of `table.sums`, at the remainder of a stage-L seed. So whenever the
+    # sweep publishes level L, every stage-L seed's remainder has its sum
+    # already, in every schedule, and the search thread reads only rows of
+    # published levels. The lookup walks no components: only the blocks of
+    # a winning completion are found by component (`reconstruct_blocks`).
+    now = {}
+    levels = scan_only = 0
+    shortcuts = {"interleaved": 0, "parallel": 0}
+
+    class Watched(DpTable):
+        __slots__ = ("_level",)
+
+        @property
+        def published_level(self):
+            return self._level
+
+        @published_level.setter
+        def published_level(self, level):
+            nonlocal levels, scan_only
+            g, pt = now["g"], now["pt"]
+            if level <= g.n:
+                for d in _stage_seeds(g, pt, level):
+                    rest = g.full_mask & ~d
+                    assert rest in self.sums, (g.edges, pt.root, level, d)
+                    scan_only += rest not in self.values
+                levels += 1
+            self._level = level
+
+    inside = {}  # thread -> True while in tsp_star_step's own code
+    star = treesearch.tsp_star_step
+    rebuild = treesearch.reconstruct_blocks
+
+    def spy_star(table, game, g, rest, *args):
+        covered = g.full_mask & ~rest
+        stage = next(k for k, a in enumerate(now["pt"].order, 1)
+                     if not covered >> a & 1)
+        assert stage >= table.published_level and rest in table.sums
+        if now["mode"] == "parallel":
+            assert threading.current_thread().name == "block-search"
+        shortcuts[now["mode"]] += 1
+        inside[threading.get_ident()] = True
+        try:
+            return star(table, game, g, rest, *args)
+        finally:
+            inside[threading.get_ident()] = False
+
+    def spy_rebuild(*args):
+        me = threading.get_ident()
+        was, inside[me] = inside.get(me), False
+        try:
+            return rebuild(*args)
+        finally:
+            inside[me] = was
+
+    def no_walk(name):
+        walk = getattr(Graph, name)
+
+        def spy(self, *args, **kwargs):
+            assert not inside.get(threading.get_ident()), name
+            return walk(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, name, spy)
+
+    monkeypatch.setattr(dp, "DpTable", Watched)
+    monkeypatch.setattr(treesearch, "tsp_star_step", spy_star)
+    monkeypatch.setattr(treesearch, "reconstruct_blocks", spy_rebuild)
+    no_walk("component_of")
+    no_walk("connected_components")
+    rng = random.Random(113)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(16):
+            n = rng.randint(6, 12)
+            g = Graph(n, random_connected_edges(rng, n, extra=n // 2))
+            gm = random_table_game(n, seed=rng.randrange(10 ** 6))
+            pt = build_pseudotree(g, rng.randrange(n))
+            now.update(g=g, pt=pt, mode=None)
+            want = dype(gm, g, pt).best_value
+            assert dype_star(gm, g, pt).best_value == want
+            for mode in ("interleaved", "parallel"):
+                now["mode"] = mode
+                for kind in ("none", "supersub"):
+                    res = d_tsp(gm, g, pt, make_tsp_bound(gm, kind),
+                                mode=mode)
+                    assert res.best_value == want
+    finally:
+        sys.setswitchinterval(interval)
+    assert levels > 500 and scan_only > 1000
+    assert shortcuts["interleaved"] > 1000 and shortcuts["parallel"] > 100, \
+        shortcuts
 
 
 def test_search_steps_agree_at_any_budget_with_prunes_and_shortcuts():

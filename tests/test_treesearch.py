@@ -174,10 +174,8 @@ def test_tsp_star_step_completes_optimally():
         partial = 0
         for b in blocks:
             partial += gm.value(b)
-        got = tsp_star_step(table, gm, g, rem, partial, float("-inf"))
-        assert got is not None
-        lookups, total, rest_blocks = got
-        assert lookups == len(g.connected_components(rem))
+        total, rest_blocks = tsp_star_step(table, gm, g, rem, partial,
+                                           float("-inf"))
         want = partition_value(gm, blocks) + max(
             partition_value(gm, s) for s in structure_masks(g, ground=rem))
         assert total == want
@@ -190,27 +188,33 @@ def test_tsp_star_step_completes_optimally():
         assert cov == g.full_mask
         # a completion that cannot beat the incumbent is withheld
         assert tsp_star_step(table, gm, g, rem, partial, total) \
-            == (lookups, total, None)
+            == (total, None)
 
 
 def test_tsp_star_step_raises_on_a_missing_entry():
-    # every remainder component the search hands over is a table entry, so
-    # a miss is a fault, whichever component lacks its entry
+    # every remainder the search hands over has its summed entries in the
+    # table, and a winning completion's blocks are read from the entries
+    # of its components, so a miss in either is a fault
     g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 4)])
     gm = random_table_game(6, seed=5)
     pt = build_pseudotree(g, 0)
     # a stage-3 seed {0, 1, 4} leaves the components {2, 3} and {5}
     assert pt.order[:3] == (0, 1, 2)
     rest = g.full_mask & ~0b010011
-    for comp in g.connected_components(rest):
-        table = dype(gm, g, pt).table
-        lookups, total, _ = tsp_star_step(table, gm, g, rest, 0,
-                                          float("-inf"))
-        assert lookups == 2
-        del table.values[comp]
-        with pytest.raises(InternalInvariantError,
-                           match=f"missing table entry for mask {comp}$"):
-            tsp_star_step(table, gm, g, rest, 0, float("-inf"))
+    table = dype(gm, g, pt).table
+    total, _ = tsp_star_step(table, gm, g, rest, 0, float("-inf"))
+    assert total == table.values[0b001100] + table.values[0b100000]
+    del table.sums[rest]
+    with pytest.raises(InternalInvariantError,
+                       match=f"missing table entry for mask {rest}$"):
+        tsp_star_step(table, gm, g, rest, 0, float("-inf"))
+    # the singleton {5} is final without a lookup; {2, 3} needs its block
+    table = dype(gm, g, pt).table
+    del table.subsets[0b001100]
+    with pytest.raises(InternalInvariantError,
+                       match=f"missing table entry for mask {0b001100}$"):
+        tsp_star_step(table, gm, g, rest, 0, float("-inf"))
+    assert tsp_star_step(table, gm, g, rest, 0, total) == (total, None)
 
 
 def test_tsp_and_cfss_keep_the_first_best_beyond_the_tolerance():
